@@ -2180,9 +2180,25 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A library error no command handles is reported as one stderr line,
+    ``repro-bfs: <ErrorClass>: <message>``, with exit status 2.
+    """
+    from repro.errors import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except ReproError as exc:
+        print(f"repro-bfs: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "info":

@@ -15,6 +15,11 @@ as the run itself).  :func:`validate_bfs` applies them, vectorized:
 
 Check 5 is what makes the level map a true *breadth-first* distance
 labelling and not just any spanning tree.
+
+Checks 4 and 5 share one streaming pass over the CSR entries: a level
+key and a parent claim are gathered at ``targets`` and compared with the
+row's own.  Entry ``(u, w)`` is ``w``'s tree edge iff ``parent[w] == u``,
+for directed and multi-edge graphs alike.
 """
 
 from __future__ import annotations
@@ -62,81 +67,70 @@ def check_bfs(
 
     tree = reached.copy()
     tree[source] = False
-    kids = np.nonzero(tree)[0]
-    if kids.size:
-        pk = parent[kids]
-        bad = ~reached[np.clip(pk, 0, n - 1)] | (pk < 0) | (pk >= n)
-        if bad.any():
-            failures.append(
-                f"{int(bad.sum())} vertices have an unreached/invalid parent"
-            )
-        ok = ~bad
-        if (level[kids[ok]] != level[pk[ok]] + 1).any():
-            nbad = int((level[kids[ok]] != level[pk[ok]] + 1).sum())
-            failures.append(
-                f"{nbad} tree edges do not drop exactly one level"
-            )
-        # Tree edges must exist in the graph.  Vectorized membership:
-        # search v within parent's sorted adjacency slice.
-        valid_parents = kids[ok]
-        pk_ok = pk[ok]
-        found = _edges_exist(graph, pk_ok, valid_parents)
-        if not found.all():
-            failures.append(
-                f"{int((~found).sum())} tree edges are not graph edges"
-            )
+    kids = np.flatnonzero(tree)
+    pk = parent[kids]
+    bad = ~reached[np.clip(pk, 0, n - 1)] | (pk < 0) | (pk >= n)
+    if bad.any():
+        failures.append(
+            f"{int(bad.sum())} vertices have an unreached/invalid parent"
+        )
+    kids, pk = kids[~bad], pk[~bad]
+    nbad = np.count_nonzero(level[kids] != level[pk] + 1)
+    if nbad:
+        failures.append(f"{nbad} tree edges do not drop exactly one level")
 
-    # Check 5: every graph edge between reached vertices spans <= 1 level,
-    # and (for symmetric graphs) never joins reached to unreached.
-    src, dst = graph.edge_list()
-    both = reached[src] & reached[dst]
-    if both.any():
-        gap = np.abs(level[src[both]] - level[dst[both]])
-        if (gap > 1).any():
-            failures.append(
-                f"{int((gap > 1).sum())} graph edges span more than one level"
-            )
-    if graph.symmetric:
-        half = reached[src] ^ reached[dst]
-        if half.any():
-            failures.append(
-                f"{int(half.sum())} edges join reached to unreached vertices"
-            )
+    claim = np.full(n, -1, dtype=np.int32)
+    claim[kids] = pk  # repro: noqa[RPR010] — ids checked to lie in [0, n)
+    spans, mixed, claimed = _scan_entries(graph, _level_keys(level, n), claim)
+    missing = kids.size - claimed
+    if missing:
+        failures.append(f"{missing} tree edges are not graph edges")
+    if spans:
+        failures.append(f"{spans} graph edges span more than one level")
+    if graph.symmetric and mixed:
+        failures.append(f"{mixed} edges join reached to unreached vertices")
     return failures
 
 
-def _edges_exist(
-    graph: CSRGraph, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Vectorized test that directed edges ``(rows[i], cols[i])`` exist."""
-    # Adjacency lists are sorted, so each query is a binary search within
-    # its row slice.  All queries bisect in lockstep: log2(max degree)
-    # rounds of O(#queries) vectorized work instead of a Python loop.
-    order = np.argsort(rows, kind="stable")
-    rows_s, cols_s = rows[order], cols[order]
-    found = np.zeros(rows.size, dtype=bool)
-    starts_s = graph.offsets[rows_s].astype(np.int64)
-    ends_s = graph.offsets[rows_s + 1].astype(np.int64)
-    # Binary search each query within its row slice, vectorized over all
-    # queries at once by iterating the bisection manually (log2(max deg)
-    # iterations of O(T) work).
-    lo = starts_s.copy()
-    hi = ends_s.copy()
-    max_deg = int((ends_s - starts_s).max(initial=0))
-    steps = max(1, int(np.ceil(np.log2(max(max_deg, 1)))) + 1)
-    tg = graph.targets
-    for _ in range(steps):
-        mid = (lo + hi) >> 1
-        active = lo < hi
-        midv = np.where(active, tg[np.minimum(mid, tg.size - 1)], 0)
-        go_right = active & (midv < cols_s)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    valid = (lo < ends_s) & (lo < tg.size)
-    hit = np.zeros(rows.size, dtype=bool)
-    hit[valid] = tg[lo[valid]] == cols_s[valid]
-    found[order] = hit
-    return found
+def _level_keys(level: np.ndarray, n: int) -> np.ndarray:
+    """Keys in ``[0, 3n)`` for reached vertices that are within one of each
+    other exactly when their levels are, and the dtype's minimum for the
+    unreached.  Levels of ``n`` and up (corrupt) are renumbered in order,
+    one step per gap of one and two per wider gap, so none wraps."""
+    dt = np.int32 if 3 * n < 2**30 else np.int64
+    key = np.full(n, np.iinfo(dt).min, dtype=dt)
+    low = (level >= 0) & (level < n)
+    key[low] = level[low]
+    over = level >= n
+    big, rank = np.unique(level[over], return_inverse=True)
+    steps = np.minimum(np.diff(big, prepend=n - 1), 2)
+    key[over] = (n - 1 + np.cumsum(steps))[rank]
+    return key
+
+
+def _scan_entries(
+    graph: CSRGraph, key: np.ndarray, claim: np.ndarray
+) -> tuple[int, int, int]:
+    """Checks 4 and 5: count entries between reached vertices whose keys
+    differ by more than one, entries joining reached to unreached, and
+    vertices ``w`` that have an entry ``(claim[w], w)``."""
+    n = graph.num_vertices
+    deg = graph.degrees
+    idx = graph.targets.astype(np.intp)
+    claimed = np.zeros(n, dtype=bool)
+    hit = np.take(claim, idx) == np.repeat(np.arange(n, dtype=np.int32), deg)
+    claimed[graph.targets[hit]] = True
+    # Key differences wrap modulo 2**bits: within 3n of zero for a reached
+    # pair, of half the range for a reached/unreached one (the unreached
+    # key is the dtype's minimum), and zero for an unreached pair.  A
+    # quarter-range shift then tells the first two apart by sign.
+    diff = np.take(key, idx)
+    diff -= np.repeat(key, deg)
+    diff += 1
+    off_by_more = np.count_nonzero(diff.view(f"u{key.itemsize}") > 2)
+    diff += -(np.iinfo(key.dtype).min // 2) - 1
+    mixed = np.count_nonzero(diff < 0)
+    return off_by_more - mixed, mixed, np.count_nonzero(claimed)
 
 
 def validate_bfs(

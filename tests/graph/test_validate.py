@@ -7,7 +7,12 @@ from repro.bfs.reference import bfs_reference
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import ring, star
-from repro.graph.validate import check_bfs, validate_bfs
+from repro.graph.validate import (
+    _level_keys,
+    _scan_entries,
+    check_bfs,
+    validate_bfs,
+)
 
 
 @pytest.fixture()
@@ -195,3 +200,81 @@ class TestEdgeCases:
         parent[s] = s
         failures = check_bfs(g, s, parent, level)
         assert any("disagree" in f for f in failures)
+
+
+#: Edges 0-1, 0-2, 1-3, 2-3, 3-4; vertex 5 is isolated.
+PATH_GRAPH = ([0, 0, 1, 2, 3], [1, 2, 3, 3, 4], 6)
+PATH_PARENT = [0, 0, 0, 1, 3, -1]
+PATH_LEVEL = [0, 1, 1, 2, 3, -1]
+SPAN_1 = ["1 tree edges do not drop exactly one level",
+          "2 graph edges span more than one level"]
+DISAGREE_2 = ["parent map and level map disagree on reached set",
+              "2 edges join reached to unreached vertices"]
+BAD_PARENT = ["1 vertices have an unreached/invalid parent"]
+
+
+class TestDtypes:
+    """Failure lists pinned from the validator before it streamed over
+    the CSR, for int32 and int64 maps holding out-of-range values."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "parent_edits, level_edits, expected",
+        [
+            ({}, {}, []),
+            ({}, {4: 2**31 - 1}, SPAN_1),
+            ({5: -9}, {5: -7}, []),
+            ({}, {4: -3}, DISAGREE_2),
+            ({}, {2: -(2**31)}, [DISAGREE_2[0],
+                                 "4 edges join reached to unreached vertices"]),
+            ({4: -5}, {}, [DISAGREE_2[0]] + BAD_PARENT),
+            ({4: 6}, {}, BAD_PARENT),
+            ({4: 2**31 - 1}, {}, BAD_PARENT),
+        ],
+    )
+    def test_pinned(self, dtype, parent_edits, level_edits, expected):
+        self._check(dtype, parent_edits, level_edits, expected)
+
+    @pytest.mark.parametrize(
+        "parent_edits, level_edits, expected",
+        [
+            ({}, {4: 2**31}, SPAN_1),
+            ({}, {3: 2**40, 4: 2**40 + 5},
+             ["2 tree edges do not drop exactly one level",
+              "6 graph edges span more than one level"]),
+            ({}, {3: 2**40, 4: 2**40 + 1},
+             ["1 tree edges do not drop exactly one level",
+              "4 graph edges span more than one level"]),
+            ({4: 2**40}, {}, BAD_PARENT),
+        ],
+    )
+    def test_pinned_int64_only(self, parent_edits, level_edits, expected):
+        self._check(np.int64, parent_edits, level_edits, expected)
+
+    @staticmethod
+    def _check(dtype, parent_edits, level_edits, expected):
+        g = CSRGraph.from_edges(*PATH_GRAPH)
+        parent = np.array(PATH_PARENT, dtype=dtype)
+        level = np.array(PATH_LEVEL, dtype=dtype)
+        for v, p in parent_edits.items():
+            parent[v] = p
+        for v, lv in level_edits.items():
+            level[v] = lv
+        assert check_bfs(g, 0, parent, level) == expected
+        assert parent.dtype == dtype and level.dtype == dtype
+
+    def test_wide_keys_count_like_narrow_ones(self, valid_run):
+        """Graphs with 3n >= 2**30 get int64 keys; the per-entry
+        arithmetic must count the same as with int32 keys."""
+        g, s, parent, level = valid_run
+        rng = np.random.default_rng(1)
+        level = np.where(rng.random(level.size) < 0.1, -1, level)
+        level[rng.integers(level.size, size=20)] += 2
+        key = _level_keys(level, g.num_vertices)
+        claim = np.where(level > 0, parent, -1).astype(np.int32)
+        wide_key = key.astype(np.int64)
+        wide_key[level < 0] = np.iinfo(np.int64).min
+        narrow = _scan_entries(g, key, claim)
+        wide = _scan_entries(g, wide_key, claim)
+        assert key.dtype == np.int32 and narrow == wide
+        assert narrow[0] > 0 and narrow[1] > 0

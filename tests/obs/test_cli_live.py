@@ -118,20 +118,21 @@ class TestLiveRecord:
         assert "snapshot:" in out
         assert any(flight_dir.iterdir())
 
-    def test_malformed_policy_rejected(self, tmp_path):
-        from repro.errors import LiveError
-
-        with pytest.raises(LiveError, match="not a spec"):
-            main(
-                [
-                    "live",
-                    "record",
-                    "--policy",
-                    "not a spec",
-                    "--out",
-                    str(tmp_path / "x.capture"),
-                ]
-            )
+    def test_malformed_policy_rejected(self, tmp_path, capsys):
+        rc = main(
+            [
+                "live",
+                "record",
+                "--policy",
+                "not a spec",
+                "--out",
+                str(tmp_path / "x.capture"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-bfs: LiveError: ")
+        assert "not a spec" in err
 
 
 class TestLiveCheck:

@@ -76,6 +76,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "GTEPS" in out and "validated" in out
 
+    def test_library_error_is_one_stderr_line(self, capsys):
+        assert main(["graph500", "--scale", "8", "--roots", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro-bfs: BenchError: num_roots must be >= 1, got 0\n"
+
+    def test_bfs_argument_error_is_one_stderr_line(self, capsys):
+        assert main(["bfs", "--scale", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro-bfs: GraphError: scale must be >= 0, got -1\n"
+
     def test_bfs_topdown(self, capsys):
         assert main(["bfs", "--scale", "9", "--engine", "td"]) == 0
         assert "GTEPS" in capsys.readouterr().out
