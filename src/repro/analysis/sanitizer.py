@@ -3,7 +3,9 @@
 An opt-in harness around the traversal engines (pass ``sanitize=True``
 to :func:`repro.bfs.bfs_top_down` / ``bfs_bottom_up`` / ``bfs_hybrid``)
 that turns silent traversal corruption into a structured
-:class:`~repro.errors.SanitizerError`.  Two mechanisms:
+:class:`~repro.errors.SanitizerError`.  Both classes here are level
+observers (:class:`~repro.bfs.engine.LevelObserver`) driven by the one
+level loop, :func:`repro.bfs.engine.traverse`.  Two mechanisms:
 
 **Freezing** — for the duration of a sanitized traversal the graph's CSR
 arrays are marked ``writeable=False``, so any kernel that writes through
@@ -44,7 +46,9 @@ import threading
 
 import numpy as np
 
-from repro.errors import BFSError, SanitizerError
+from repro.bfs.engine import LevelObserver
+from repro.bfs.result import check_source
+from repro.errors import SanitizerError
 from repro.graph.csr import CSRGraph
 
 __all__ = ["Sanitizer", "RaceTracker", "frozen_arrays"]
@@ -80,26 +84,18 @@ class frozen_arrays:
         self._saved = None
 
 
-class Sanitizer:
+class Sanitizer(LevelObserver):
     """Tracks one traversal and checks its per-level invariants.
 
-    Engines drive it as::
-
-        san = Sanitizer(graph, source)
-        with san:
-            while frontier.size:
-                next_frontier, _ = step(...)
-                san.after_level(depth, frontier, next_frontier,
-                                parent, level, in_frontier=bitmap_or_None)
-                ...
-
-    ``levels_checked`` and ``vertices_checked`` summarize a clean run.
+    :func:`repro.bfs.engine.traverse` drives it as an observer: entered
+    for the traversal, :meth:`after_level` after every level,
+    :meth:`finish` at the end.  ``levels_checked`` and
+    ``vertices_checked`` summarize a clean run.
     """
 
     def __init__(self, graph: CSRGraph, source: int) -> None:
         n = graph.num_vertices
-        if not 0 <= source < n:
-            raise BFSError(f"source {source} out of range [0, {n})")
+        source = check_source(source, n)
         self.graph = graph
         self.source = int(source)
         self._visited = np.zeros(n, dtype=bool)
@@ -238,7 +234,7 @@ class Sanitizer:
         )
 
 
-class RaceTracker:
+class RaceTracker(LevelObserver):
     """Thread-ownership write tracking for ``ParallelBFS`` race mode.
 
     The parallel engine's ownership protocol says all ``parent``/
@@ -264,14 +260,22 @@ class RaceTracker:
 
     def __init__(self, graph: CSRGraph, source: int) -> None:
         n = graph.num_vertices
-        if not 0 <= source < n:
-            raise BFSError(f"source {source} out of range [0, {n})")
+        check_source(source, n)
         self._snap_parent = np.empty(n, dtype=np.int64)
         self._snap_level = np.empty(n, dtype=np.int64)
         self._stamps: list[tuple[int, str]] = []
         self._lock = threading.Lock()
         self.levels_verified = 0
         self.writes_verified = 0
+
+    def before_level(self, state, frontier, parent, level, span) -> None:
+        """Observer hook: snapshot before the level's kernel."""
+        self.begin_level(parent, level)
+
+    def after_level(self, depth, frontier, next_frontier, parent, level,
+                    *, in_frontier=None) -> None:
+        """Observer hook: verify the level's writes."""
+        self.verify_level(depth, parent, level, next_frontier)
 
     def begin_level(self, parent: np.ndarray, level: np.ndarray) -> None:
         """Snapshot the maps before the level's kernels run."""

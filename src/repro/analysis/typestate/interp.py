@@ -514,6 +514,9 @@ class _FunctionPass:
                         self._escape_pending(env, arg.id, line)
 
         # workspace= keyword: the callee traversal resets the handle.
+        # It models the whole traversal of that argument, so the
+        # callee's own summary is not spliced onto it again below.
+        handed: set[str] = set()
         for kw in call.keywords:
             if (
                 kw.arg in _WORKSPACE_KWARGS
@@ -525,6 +528,7 @@ class _FunctionPass:
                     track is not None
                     and track.spec.name == "bfs-workspace"
                 ):
+                    handed.add(name)
                     self._check_workspace_reuse(
                         track, line, col, rebind=bind
                     )
@@ -534,6 +538,7 @@ class _FunctionPass:
                     if bind is not None:
                         track.pending = (bind, line, False)
                 elif name in self.param_log:
+                    handed.add(name)
                     self._log_param(name, TRAVERSE_MARK, maybe, line)
 
         # Interprocedural: splice the resolved callee's protocol
@@ -548,7 +553,7 @@ class _FunctionPass:
                     params = self.analysis.param_names_of(edge.callee)
                     for param, arg in edge_bindings(edge, params):
                         events = callee_summary.get(param)
-                        if not events:
+                        if not events or arg in handed:
                             continue
                         track = env.get(arg)
                         if track is not None:

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bfs.bottomup import bottom_up_step
-from repro.bfs.hybrid import DirectionPolicy, LevelState, MNPolicy
-from repro.bfs.result import Direction
-from repro.bfs.topdown import top_down_step
+from repro.bfs.engine import run_level
+from repro.bfs.hybrid import SCAN, DirectionPolicy, LevelState, MNPolicy
 from repro.bfs.workspace import BFSWorkspace
 from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
@@ -115,30 +113,14 @@ def connected_components(
         count = 1
         depth = 0
         while frontier.size:
+            fe = int(degrees[frontier].sum())
             state = LevelState(
-                depth=depth,
-                frontier_vertices=int(frontier.size),
-                frontier_edges=int(degrees[frontier].sum()),
-                num_vertices=n,
-                num_edges=nedges,
-                unvisited_vertices=n - visited,
+                depth, int(frontier.size), fe, n, nedges, n - visited
             )
-            if policy.direction(state) == Direction.TOP_DOWN:
-                frontier, _ = top_down_step(
-                    graph, frontier, parent, level, depth, ws
-                )
-            else:
-                bits = ws.load_frontier(frontier)
-                unvisited = ws.unvisited_ids(graph, parent)
-                frontier, _ = bottom_up_step(
-                    graph,
-                    bits,
-                    parent,
-                    level,
-                    depth,
-                    unvisited=unvisited,
-                    workspace=ws,
-                )
+            frontier, _ = run_level(
+                graph, policy.direction(state), SCAN, frontier, parent,
+                level, depth, ws,
+            )
             ws.retire_claimed(parent)
             labels[frontier] = comp
             count += int(frontier.size)

@@ -26,9 +26,12 @@ Two work figures matter and both are reported:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.bfs._gather import _iota, gather_segments
+from repro.bfs.engine import Steps, forced, sanitizers, traverse
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.workspace import BFSWorkspace
 from repro.errors import BFSError
@@ -247,80 +250,18 @@ def bfs_bottom_up(
 
     Rarely the right whole-traversal choice (the paper's Fig. 3: slow
     start, fast middle) but exposed for the baseline measurements.
-
-    With ``sanitize=True`` the traversal runs under
-    :class:`repro.analysis.sanitizer.Sanitizer` (frozen CSR arrays,
-    per-level invariant checks, queue/bitmap agreement).  With an
-    explicit ``workspace`` the result's parent/level maps alias the
-    workspace arrays (``result.detach()`` copies them out).
-
-    ``tracer`` overrides the process-global tracer: levels become
-    ``bfs.level`` spans under a ``bfs.bottomup`` root.
+    ``sanitize``, ``workspace`` and ``tracer`` are as for
+    :func:`~repro.bfs.topdown.bfs_top_down`, under a ``bfs.bottomup``
+    root span.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise BFSError(f"source {source} out of range [0, {n})")
     tr = tracer if tracer is not None else get_tracer()
-    san = None
-    if sanitize:
-        from repro.analysis.sanitizer import Sanitizer
-
-        san = Sanitizer(graph, source)
-    ws = workspace if workspace is not None else BFSWorkspace(n)
-    parent, level = ws.begin(source)
-    frontier = np.array([source], dtype=np.int64)
-    directions: list[str] = []
-    edges_examined: list[int] = []
-    depth = 0
-    try:
-        if san is not None:
-            san.__enter__()
-        with tr.span("bfs.bottomup", source=source, num_vertices=n) as root:
-            while frontier.size:
-                with tr.span(
-                    "bfs.level", depth=depth, direction=Direction.BOTTOM_UP
-                ) as sp:
-                    bits = ws.load_frontier(frontier)
-                    unvisited = ws.unvisited_ids(graph, parent)
-                    next_frontier, checked = bottom_up_step(
-                        graph,
-                        bits,
-                        parent,
-                        level,
-                        depth,
-                        unvisited=unvisited,
-                        chunk_entries=chunk_entries,
-                        workspace=ws,
-                    )
-                    sp.set("frontier_vertices", int(frontier.size))
-                    sp.set("edges_examined", checked)
-                    sp.set("claimed", int(next_frontier.size))
-                if san is not None:
-                    san.after_level(
-                        depth,
-                        frontier,
-                        next_frontier,
-                        parent,
-                        level,
-                        in_frontier=bits,
-                    )
-                ws.retire_claimed(parent)
-                directions.append(Direction.BOTTOM_UP)
-                edges_examined.append(checked)
-                frontier = next_frontier
-                depth += 1
-            root.set("levels", depth)
-        tr.count("bfs.levels", depth)
-        tr.count("bfs.edges_examined", sum(edges_examined))
-        if san is not None:
-            san.finish(parent, level)
-    finally:
-        if san is not None:
-            san.__exit__()
-    return BFSResult(
-        source=source,
-        parent=parent,
-        level=level,
-        directions=directions,
-        edges_examined=edges_examined,
-    )
+    n = graph.num_vertices
+    step = partial(bottom_up_step, chunk_entries=chunk_entries)
+    with tr.span("bfs.bottomup", source=source, num_vertices=n) as root:
+        result = traverse(
+            graph, source, forced(Direction.BOTTOM_UP), Steps(None, step),
+            workspace=workspace, tracer=tr,
+            observers=sanitizers(graph, source, bool(sanitize)),
+        )
+        root.set("levels", len(result.directions))
+    return result

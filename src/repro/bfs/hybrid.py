@@ -10,19 +10,24 @@ quantity the whole paper is about tuning; it is supplied here as a
 :class:`DirectionPolicy` — per-level oracle plans and regression-driven
 policies from :mod:`repro.tuning` plug in through the same interface.
 
-The hybrid pays the real representation-conversion costs: switching to
-bottom-up materializes the frontier bitmap, switching back extracts the
-queue.  Both events are recorded so the cost model can charge them.
+The level loop is :func:`repro.bfs.engine.traverse`; this module adds
+the rule and the serial kernel tables.  The hybrid pays the real
+representation-conversion cost: a bottom-up level materializes the
+frontier bitmap inside its own level span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 from repro.bfs.bottomup import bottom_up_step
+from repro.bfs.engine import (
+    DirectionPolicy,
+    LevelState,
+    Steps,
+    sanitizers,
+    traverse,
+)
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.topdown import top_down_step
 from repro.bfs.workspace import BFSWorkspace
@@ -32,32 +37,13 @@ from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = [
     "BOTTOM_UP_KERNELS",
+    "SCAN",
     "LevelState",
     "DirectionPolicy",
     "MNPolicy",
     "bfs_hybrid",
+    "serial_steps",
 ]
-
-
-@dataclass(frozen=True)
-class LevelState:
-    """What a direction policy may look at before a level executes."""
-
-    depth: int
-    frontier_vertices: int
-    frontier_edges: int
-    num_vertices: int
-    num_edges: int
-    unvisited_vertices: int
-
-
-@runtime_checkable
-class DirectionPolicy(Protocol):
-    """Chooses the direction for each BFS level."""
-
-    def direction(self, state: LevelState) -> str:
-        """Return :data:`Direction.TOP_DOWN` or :data:`Direction.BOTTOM_UP`."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -88,6 +74,25 @@ class MNPolicy:
 #: Recognized bottom-up kernel families for :func:`bfs_hybrid`.
 BOTTOM_UP_KERNELS = ("scan", "tiles")
 
+#: The serial kernels: vectorized top-down expansion and the windowed
+#: bottom-up adjacency scan.
+SCAN = Steps(top_down_step, bottom_up_step, "scan")
+
+
+def serial_steps(bottom_up: str = "scan") -> Steps:
+    """The serial steps table with bottom-up family ``bottom_up``."""
+    if bottom_up not in BOTTOM_UP_KERNELS:
+        raise BFSError(
+            f"unknown bottom-up kernel family {bottom_up!r}; "
+            f"expected one of {BOTTOM_UP_KERNELS}"
+        )
+    if bottom_up == "scan":
+        return SCAN
+    # Lazy import: repro.linalg builds on repro.bfs.
+    from repro.linalg.kernels import bottom_up_tiles_step
+
+    return Steps(top_down_step, bottom_up_tiles_step, "tiles")
+
 
 def bfs_hybrid(
     graph: CSRGraph,
@@ -105,31 +110,16 @@ def bfs_hybrid(
 
     Either pass a ``policy`` object or the raw thresholds ``m=`` / ``n=``
     (mirroring how the runtime system receives the regression-predicted
-    switching point).
+    switching point).  ``bottom_up`` selects the bottom-up kernel
+    family: ``"scan"`` (the windowed adjacency scan) or ``"tiles"`` (the
+    masked bitmap-tile SpMV of :mod:`repro.linalg`); both give the same
+    ``parent``/``level``, and ``edges_examined`` follows each family's
+    own accounting (entry- vs word-granular early termination).
 
-    ``bottom_up`` selects the kernel family for bottom-up levels:
-    ``"scan"`` (the reference windowed adjacency scan) or ``"tiles"``
-    (the masked bitmap-tile SpMV of :mod:`repro.linalg`).  The families
-    are bit-identical on ``parent``/``level``; ``edges_examined``
-    follows each family's own accounting (entry-granular vs
-    word-granular early termination).
-
-    With ``sanitize=True`` the traversal runs under
-    :class:`repro.analysis.sanitizer.Sanitizer`: CSR arrays are frozen,
-    per-level invariants are checked after every step, and bottom-up
-    levels additionally verify the frontier bitmap against the queue.
-
-    With an explicit ``workspace`` repeated traversals reuse every
-    graph-sized array (output maps, frontier bitmap, claim slots,
-    unvisited list); the result's parent/level then alias the workspace
-    arrays — call ``result.detach()`` to keep them past the next
-    traversal.
-
-    ``tracer`` overrides the process-global tracer: each level becomes
-    a ``bfs.level`` span under a ``bfs.hybrid`` root, every direction
-    decision is recorded as a ``bfs.direction`` instant event (the
-    decision-audit channel), and per-level claim ratios feed the
-    ``frontier.claim_ratio`` histogram.
+    ``sanitize`` is as for :func:`~repro.bfs.topdown.bfs_top_down` (a
+    bottom-up level also checks its bitmap against the queue);
+    ``workspace`` and ``tracer`` are as for
+    :func:`~repro.bfs.engine.traverse`, under a ``bfs.hybrid`` root.
     """
     if policy is None:
         if m is None or n is None:
@@ -137,134 +127,18 @@ def bfs_hybrid(
         policy = MNPolicy(m, n)
     elif m is not None or n is not None:
         raise BFSError("pass policy= or m=/n=, not both")
-    if bottom_up not in BOTTOM_UP_KERNELS:
-        raise BFSError(
-            f"unknown bottom-up kernel family {bottom_up!r}; "
-            f"expected one of {BOTTOM_UP_KERNELS}"
-        )
-    bu_step = bottom_up_step
-    if bottom_up == "tiles":
-        # Lazy import: repro.linalg builds on repro.bfs, so the reverse
-        # dependency stays out of module scope (same pattern as the
-        # Sanitizer import below).
-        from repro.linalg.kernels import bottom_up_tiles_step
-
-        bu_step = bottom_up_tiles_step
-
-    nverts = graph.num_vertices
-    if not 0 <= source < nverts:
-        raise BFSError(f"source {source} out of range [0, {nverts})")
-    san = None
-    if sanitize:
-        from repro.analysis.sanitizer import Sanitizer
-
-        san = Sanitizer(graph, source)
-    nedges = max(graph.num_edges, 1)
-    degrees = graph.degrees
+    steps = serial_steps(bottom_up)
     tr = tracer if tracer is not None else get_tracer()
-
-    ws = workspace if workspace is not None else BFSWorkspace(nverts)
-    parent, level = ws.begin(source)
-
-    frontier = np.array([source], dtype=np.int64)
-    unvisited_count = nverts - 1
-
-    directions: list[str] = []
-    edges_examined: list[int] = []
-    depth = 0
-    try:
-        if san is not None:
-            san.__enter__()
-        with tr.span(
-            "bfs.hybrid",
-            source=source,
-            num_vertices=nverts,
-            bottom_up=bottom_up,
-        ) as root:
-            while frontier.size:
-                state = LevelState(
-                    depth=depth,
-                    frontier_vertices=int(frontier.size),
-                    frontier_edges=int(degrees[frontier].sum()),
-                    num_vertices=nverts,
-                    num_edges=nedges,
-                    unvisited_vertices=unvisited_count,
-                )
-                chosen = policy.direction(state)
-                tr.instant(
-                    "bfs.direction",
-                    depth=depth,
-                    direction=chosen,
-                    frontier_vertices=state.frontier_vertices,
-                    frontier_edges=state.frontier_edges,
-                    unvisited_vertices=state.unvisited_vertices,
-                )
-                bits = None
-                with tr.span("bfs.level", depth=depth, direction=chosen) as sp:
-                    if chosen == Direction.TOP_DOWN:
-                        next_frontier, examined = top_down_step(
-                            graph, frontier, parent, level, depth, ws
-                        )
-                    elif chosen == Direction.BOTTOM_UP:
-                        # Switch cost: the sparse queue becomes a packed
-                        # bitmap (cleared word-wise from the previous
-                        # load, not O(V)).
-                        bits = ws.load_frontier(frontier)
-                        unvisited = ws.unvisited_ids(graph, parent)
-                        next_frontier, examined = bu_step(
-                            graph,
-                            bits,
-                            parent,
-                            level,
-                            depth,
-                            unvisited=unvisited,
-                            workspace=ws,
-                        )
-                    else:
-                        raise BFSError(
-                            f"policy returned unknown direction {chosen!r}"
-                        )
-                    sp.set("frontier_vertices", state.frontier_vertices)
-                    sp.set("edges_examined", examined)
-                    sp.set("claimed", int(next_frontier.size))
-                if examined:
-                    tr.observe(
-                        "frontier.claim_ratio", next_frontier.size / examined
-                    )
-                if san is not None:
-                    san.after_level(
-                        depth,
-                        frontier,
-                        next_frontier,
-                        parent,
-                        level,
-                        in_frontier=bits,
-                    )
-                # Keep the incremental unvisited list honest after every
-                # claiming level (no-op while it is still lazy).
-                ws.retire_claimed(parent)
-                directions.append(chosen)
-                edges_examined.append(examined)
-                unvisited_count -= int(next_frontier.size)
-                frontier = next_frontier
-                depth += 1
-            root.set("levels", depth)
-        tr.count("bfs.levels", depth)
-        tr.count("bfs.edges_examined", sum(edges_examined))
-        if bottom_up == "tiles":
-            tr.count(
-                "linalg.tile_passes", directions.count(Direction.BOTTOM_UP)
-            )
-        if san is not None:
-            san.finish(parent, level)
-    finally:
-        if san is not None:
-            san.__exit__()
-
-    return BFSResult(
-        source=source,
-        parent=parent,
-        level=level,
-        directions=directions,
-        edges_examined=edges_examined,
-    )
+    with tr.span(
+        "bfs.hybrid", source=source, num_vertices=graph.num_vertices,
+        bottom_up=bottom_up,
+    ) as root:
+        result = traverse(
+            graph, source, policy, steps, workspace=workspace, tracer=tr,
+            observers=sanitizers(graph, source, bool(sanitize)),
+        )
+        root.set("levels", len(result.directions))
+    if bottom_up == "tiles":
+        bu_levels = result.directions.count(Direction.BOTTOM_UP)
+        tr.count("linalg.tile_passes", bu_levels)
+    return result

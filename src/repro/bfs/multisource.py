@@ -100,7 +100,13 @@ def msbfs(
     ``tracer`` overrides the process-global tracer: each bit-parallel
     sweep becomes a ``bfs.level`` span under a ``bfs.msbfs`` root.
     """
-    sources = np.asarray(sources, dtype=np.int64).ravel()
+    raw = np.asarray(sources)
+    if raw.size and raw.dtype.kind not in "iu":
+        # A float id such as 3.5 is refused, never truncated to 3.
+        raise BFSError(
+            f"msbfs sources must be integer vertex ids, got {raw.dtype}"
+        )
+    sources = raw.astype(np.int64).ravel()
     n = graph.num_vertices
     if kernel not in MSBFS_KERNELS:
         raise BFSError(

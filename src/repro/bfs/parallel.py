@@ -41,12 +41,20 @@ write site.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from repro.bfs._gather import expand_rows
 from repro.bfs.bottomup import DEFAULT_SCAN_WINDOW, _row_scan
-from repro.bfs.hybrid import DirectionPolicy, LevelState, MNPolicy
+from repro.bfs.engine import (
+    DirectionPolicy,
+    Steps,
+    forced,
+    sanitizers,
+    traverse,
+)
+from repro.bfs.hybrid import MNPolicy
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.topdown import claim_first_writer
 from repro.bfs.workspace import BFSWorkspace
@@ -61,6 +69,14 @@ def _split(values: np.ndarray, parts: int) -> list[np.ndarray]:
     """Split ``values`` into at most ``parts`` contiguous chunks."""
     parts = min(parts, max(1, values.size))
     return [c for c in np.array_split(values, parts) if c.size]
+
+
+def _level_span(tracer: Tracer) -> int | None:
+    """Id of the calling thread's open ``bfs.level`` span.  Worker spans
+    open on pool threads whose span stacks are empty; parenting them
+    under it keeps the trace tree connected (a disabled tracer stays
+    parent-free and free of cost)."""
+    return tracer.current_context().parent_span_id if tracer.enabled else None
 
 
 class ParallelBFS:
@@ -136,6 +152,8 @@ class ParallelBFS:
         race=None,
         parent_span: int | None = None,
     ) -> tuple[np.ndarray, int]:
+        if parent_span is None:
+            parent_span = _level_span(tracer)
         chunks = _split(frontier, self.num_threads)
 
         def expand(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -186,6 +204,8 @@ class ParallelBFS:
         race=None,
         parent_span: int | None = None,
     ) -> tuple[np.ndarray, int]:
+        if parent_span is None:
+            parent_span = _level_span(tracer)
         # The caller maintains `unvisited` (degree > 0, retired each
         # level); each thread owns a contiguous slice, so claims are
         # conflict-free.
@@ -257,148 +277,45 @@ class ParallelBFS:
         """Traverse from ``source``.
 
         ``direction='td'``/``'bu'`` forces one kernel; otherwise the
-        engine's policy decides per level (defaulting to top-down when
-        no policy was given).
+        engine's policy decides per level (top-down without one).
+        ``workspace`` and ``tracer`` are as for
+        :func:`~repro.bfs.engine.traverse`: levels are ``bfs.level``
+        spans under a ``bfs.parallel`` root, each worker chunk a
+        ``worker.expand``/``worker.scan`` span on its thread's track.
 
-        Without an explicit ``workspace`` each call uses a private one,
-        so concurrently produced results stay independent; pass a
-        workspace to reuse graph-sized scratch across traversals (the
-        result then aliases its arrays — ``result.detach()`` to keep).
-
-        ``tracer`` overrides the process-global tracer: levels become
-        ``bfs.level`` spans under a ``bfs.parallel`` root and each
-        worker's chunk is a ``worker.expand``/``worker.scan`` span on
-        that worker thread's own track.
-
-        ``sanitize=True`` runs the traversal under the invariant
-        :class:`~repro.analysis.sanitizer.Sanitizer` (frozen CSR
-        arrays + per-level checks); ``sanitize="race"`` additionally
-        enables :class:`~repro.analysis.sanitizer.RaceTracker` write
-        tracking, which snapshots the parent/level maps each level,
-        stamps thread ownership on every worker chunk, and raises
-        :class:`~repro.errors.SanitizerError` if any vertex outside
-        the claimed next frontier was written — i.e. a cross-thread
-        write that bypassed the main-thread merge.  ``sanitize=False``
-        (the default) adds zero work to the datapath.
+        ``sanitize=True`` runs under the invariant
+        :class:`~repro.analysis.sanitizer.Sanitizer`; ``"race"`` adds
+        :class:`~repro.analysis.sanitizer.RaceTracker` write tracking,
+        which raises :class:`~repro.errors.SanitizerError` if any
+        vertex outside the claimed next frontier was written — a
+        cross-thread write that bypassed the main-thread merge.
         """
         if self._closed:
             raise BFSError("ParallelBFS engine is closed; create a new one")
-        n = graph.num_vertices
-        if not 0 <= source < n:
-            raise BFSError(f"source {source} out of range [0, {n})")
-        if direction is not None and direction not in Direction.ALL:
-            raise BFSError(f"unknown direction {direction!r}")
-        if sanitize not in (False, True, "race"):
-            raise BFSError(
-                f"unknown sanitize mode {sanitize!r}; "
-                "expected False, True or 'race'"
-            )
+        if direction is not None:
+            policy = forced(direction)
+        elif self.policy is not None:
+            policy = self.policy
+        else:
+            policy = forced(Direction.TOP_DOWN)
         tr = tracer if tracer is not None else get_tracer()
-        degrees = graph.degrees
-        nedges = max(graph.num_edges, 1)
-
-        san = race = None
-        if sanitize:
-            from repro.analysis.sanitizer import RaceTracker, Sanitizer
-
-            san = Sanitizer(graph, source)
-            if sanitize == "race":
-                race = RaceTracker(graph, source)
-
-        ws = workspace if workspace is not None else BFSWorkspace(n)
-        parent, level = ws.begin(source)
-        frontier = np.array([source], dtype=np.int64)
-        unvisited_count = n - 1
-
-        directions: list[str] = []
-        edges_examined: list[int] = []
-        depth = 0
-        try:
-            if san is not None:
-                san.__enter__()
-            with tr.span(
-                "bfs.parallel",
-                source=source,
-                num_vertices=n,
-                num_threads=self.num_threads,
-            ) as root:
-                while frontier.size:
-                    if direction is not None:
-                        chosen = direction
-                    elif self.policy is not None:
-                        chosen = self.policy.direction(
-                            LevelState(
-                                depth=depth,
-                                frontier_vertices=int(frontier.size),
-                                frontier_edges=int(degrees[frontier].sum()),
-                                num_vertices=n,
-                                num_edges=nedges,
-                                unvisited_vertices=unvisited_count,
-                            )
-                        )
-                        tr.instant(
-                            "bfs.direction",
-                            depth=depth,
-                            direction=chosen,
-                            frontier_vertices=int(frontier.size),
-                        )
-                    else:
-                        chosen = Direction.TOP_DOWN
-                    if race is not None:
-                        race.begin_level(parent, level)
-                    bits = None
-                    with tr.span(
-                        "bfs.level", depth=depth, direction=chosen
-                    ) as sp:
-                        # Worker spans open on pool threads whose span
-                        # stacks are empty; handing them the level
-                        # span's id keeps the trace tree connected
-                        # (a _NullSpan has no id — disabled tracing
-                        # stays parent-free and free of cost).
-                        level_span = getattr(sp, "span_id", None)
-                        if chosen == Direction.TOP_DOWN:
-                            frontier_next, work = self._top_down_level(
-                                graph, frontier, parent, level, depth, ws,
-                                tr, race, level_span,
-                            )
-                        else:
-                            bits = ws.load_frontier(frontier)
-                            unvisited = ws.unvisited_ids(graph, parent)
-                            frontier_next, work = self._bottom_up_level(
-                                graph, bits, parent, level, depth,
-                                unvisited, ws, tr, race, level_span,
-                            )
-                        sp.set("frontier_vertices", int(frontier.size))
-                        sp.set("edges_examined", work)
-                        sp.set("claimed", int(frontier_next.size))
-                    if race is not None:
-                        race.verify_level(depth, parent, level, frontier_next)
-                    if san is not None:
-                        san.after_level(
-                            depth, frontier, frontier_next, parent, level,
-                            in_frontier=bits,
-                        )
-                    ws.retire_claimed(parent)
-                    directions.append(chosen)
-                    edges_examined.append(work)
-                    unvisited_count -= int(frontier_next.size)
-                    frontier = frontier_next
-                    depth += 1
-                root.set("levels", depth)
-            tr.count("bfs.levels", depth)
-            tr.count("bfs.edges_examined", sum(edges_examined))
-            if san is not None:
-                san.finish(parent, level)
-        finally:
-            if san is not None:
-                san.__exit__()
-        return BFSResult(
-            source=source,
-            parent=parent,
-            level=level,
-            directions=directions,
-            edges_examined=edges_examined,
+        observers = sanitizers(graph, source, sanitize)
+        race = observers[0] if sanitize == "race" else None
+        # This engine's pool-chunked kernels, bound to the run.
+        steps = Steps(
+            partial(self._top_down_level, tracer=tr, race=race),
+            partial(self._bottom_up_level, tracer=tr, race=race),
         )
+        with tr.span(
+            "bfs.parallel", source=source, num_vertices=graph.num_vertices,
+            num_threads=self.num_threads,
+        ) as root:
+            result = traverse(
+                graph, source, policy, steps, workspace=workspace,
+                tracer=tr, observers=observers,
+            )
+            root.set("levels", len(result.directions))
+        return result
 
     @classmethod
     def hybrid(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bfs.bottomup import DEFAULT_SCAN_WINDOW, _row_scan
+from repro.bfs.engine import LevelObserver, Steps, forced, traverse
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.topdown import top_down_step
 from repro.bfs.trace import LevelProfile, LevelRecord
@@ -28,6 +29,41 @@ from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = ["profile_bfs", "pick_sources"]
+
+
+class _Counterfactual(LevelObserver):
+    """Both directions' counters at every level of a top-down run."""
+
+    def __init__(self, graph: CSRGraph, workspace: BFSWorkspace) -> None:
+        self.graph = graph
+        self.workspace = workspace
+        self.records: list[LevelRecord] = []
+        self._counters: dict = {}
+
+    def before_level(self, state, frontier, parent, level, span) -> None:
+        # The profile's unvisited counters include zero-degree vertices
+        # (they are part of |V|un), so this full scan stays — it feeds
+        # the record, not the kernel.
+        unvisited = np.nonzero(parent < 0)[0]  # repro: noqa[RPR007] — profile counters, not a kernel
+        bits = self.workspace.load_frontier(frontier)
+        checked, failed = _bottom_up_checked(
+            self.graph, unvisited, bits, self.workspace
+        )
+        span.set("bu_edges_checked", checked)
+        self._counters = dict(
+            level=state.depth,
+            frontier_vertices=state.frontier_vertices,
+            frontier_edges=state.frontier_edges,
+            unvisited_vertices=int(unvisited.size),
+            unvisited_edges=int(self.graph.degrees[unvisited].sum()),
+            bu_edges_checked=checked,
+            bu_edges_failed=failed,
+        )
+
+    def after_level(self, depth, frontier, next_frontier, parent, level,
+                    *, in_frontier=None) -> None:
+        claimed = int(next_frontier.size)
+        self.records.append(LevelRecord(claimed=claimed, **self._counters))
 
 
 def profile_bfs(
@@ -45,77 +81,25 @@ def profile_bfs(
     the head of the profile is needed.
 
     ``tracer`` overrides the process-global tracer: levels become
-    ``bfs.level`` spans under a ``bfs.profile`` root, carrying the same
-    counters the :class:`~repro.bfs.trace.LevelRecord` keeps.
+    ``bfs.level`` spans under a ``bfs.profile`` root, also carrying the
+    counterfactual ``bu_edges_checked``.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise BFSError(f"source {source} out of range [0, {n})")
     tr = tracer if tracer is not None else get_tracer()
-    degrees = graph.degrees
-
+    n = graph.num_vertices
     ws = workspace if workspace is not None else BFSWorkspace(n)
-    parent, level = ws.begin(source)
-
-    frontier = np.array([source], dtype=np.int64)
-    records: list[LevelRecord] = []
-    directions: list[str] = []
-    edges_examined: list[int] = []
-    depth = 0
+    counters = _Counterfactual(graph, ws)
     with tr.span("bfs.profile", source=source, num_vertices=n) as root:
-        while frontier.size and (max_levels is None or depth < max_levels):
-            with tr.span("bfs.level", depth=depth) as sp:
-                # The profile's unvisited counters include zero-degree
-                # vertices (they are part of |V|un), so this full scan
-                # stays — it feeds the record, not the kernel.
-                unvisited = np.nonzero(parent < 0)[0]
-                unvisited_edges = int(degrees[unvisited].sum())
-                frontier_edges = int(degrees[frontier].sum())
-
-                # Counterfactual bottom-up accounting at this level.
-                bits = ws.load_frontier(frontier)
-                bu_checked, bu_failed = _bottom_up_checked(
-                    graph, unvisited, bits, ws
-                )
-
-                next_frontier, examined = top_down_step(
-                    graph, frontier, parent, level, depth, ws
-                )
-                sp.set("frontier_vertices", int(frontier.size))
-                sp.set("frontier_edges", frontier_edges)
-                sp.set("bu_edges_checked", bu_checked)
-                sp.set("claimed", int(next_frontier.size))
-            records.append(
-                LevelRecord(
-                    level=depth,
-                    frontier_vertices=int(frontier.size),
-                    frontier_edges=frontier_edges,
-                    unvisited_vertices=int(unvisited.size),
-                    unvisited_edges=unvisited_edges,
-                    bu_edges_checked=bu_checked,
-                    claimed=int(next_frontier.size),
-                    bu_edges_failed=bu_failed,
-                )
-            )
-            directions.append(Direction.TOP_DOWN)
-            edges_examined.append(examined)
-            frontier = next_frontier
-            depth += 1
-        root.set("levels", depth)
-    tr.count("bfs.levels", depth)
-
+        result = traverse(
+            graph, source, forced(Direction.TOP_DOWN),
+            Steps(top_down_step, None), workspace=ws, tracer=tr,
+            observers=(counters,), max_levels=max_levels,
+        )
+        root.set("levels", len(result.directions))
     profile = LevelProfile(
-        source=source,
+        source=result.source,
         num_vertices=n,
         num_edges=graph.num_edges,
-        records=tuple(records),
-    )
-    result = BFSResult(
-        source=source,
-        parent=parent,
-        level=level,
-        directions=directions,
-        edges_examined=edges_examined,
+        records=tuple(counters.records),
     )
     return profile, result
 

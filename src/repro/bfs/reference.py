@@ -13,8 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.bfs.result import BFSResult, Direction
-from repro.errors import BFSError
+from repro.bfs.result import BFSResult, Direction, check_source
 from repro.graph.csr import CSRGraph
 
 __all__ = ["bfs_reference"]
@@ -27,8 +26,7 @@ def bfs_reference(graph: CSRGraph, source: int) -> BFSResult:
     the classical algorithm exactly; levels are canonical BFS distances.
     """
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise BFSError(f"source {source} out of range [0, {n})")
+    source = check_source(source, n)
     parent = np.full(n, -1, dtype=np.int64)
     level = np.full(n, -1, dtype=np.int64)
     parent[source] = source

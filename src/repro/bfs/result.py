@@ -8,6 +8,7 @@ switching-point analysis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
 from repro.graph.validate import validate_bfs
 
-__all__ = ["BFSResult", "Direction"]
+__all__ = ["BFSResult", "Direction", "check_source"]
 
 
 class Direction:
@@ -27,6 +28,21 @@ class Direction:
     BOTTOM_UP = "bu"
 
     ALL = (TOP_DOWN, BOTTOM_UP)
+
+
+def check_source(source, num_vertices: int) -> int:
+    """``source`` as an ``int`` vertex id, or :class:`BFSError` unless
+    it is an integer in ``[0, num_vertices)`` (a float such as ``3.5``
+    or ``3.0`` is refused, never truncated)."""
+    try:
+        vertex = operator.index(source)
+    except TypeError:
+        raise BFSError(
+            f"source must be an integer vertex id, got {source!r}"
+        ) from None
+    if not 0 <= vertex < num_vertices:
+        raise BFSError(f"source {source} out of range [0, {num_vertices})")
+    return vertex
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.bfs.result import BFSResult, Direction
+from repro.bfs.result import BFSResult, Direction, check_source
 from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
 
@@ -51,8 +51,7 @@ def bfs_spmv(graph: CSRGraph, source: int) -> BFSResult:
     valid BFS tree, and validation accepts it).
     """
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise BFSError(f"source {source} out of range [0, {n})")
+    source = check_source(source, n)
     # Transpose so y[v] accumulates over in-edges; for the symmetric
     # graphs of the paper A == A^T and this is a no-op in structure.
     at = adjacency_matrix(graph).T.tocsr()

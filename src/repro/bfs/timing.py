@@ -19,19 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.bfs.bottomup import bottom_up_step
-from repro.bfs.hybrid import (
-    BOTTOM_UP_KERNELS,
-    DirectionPolicy,
-    LevelState,
-    MNPolicy,
-)
+from repro.bfs.engine import DirectionPolicy, LevelObserver, forced, traverse
+from repro.bfs.hybrid import MNPolicy, serial_steps
 from repro.bfs.result import BFSResult, Direction
-from repro.bfs.topdown import top_down_step
 from repro.bfs.workspace import BFSWorkspace
-from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer, get_tracer
 
@@ -81,6 +72,31 @@ class TimedRun:
         }
 
 
+class _LevelTimer(LevelObserver):
+    """Builds each :class:`TimedLevel` from the level's closed span."""
+
+    def __init__(self) -> None:
+        self.levels: list[TimedLevel] = []
+        self._span = None
+
+    def before_level(self, state, frontier, parent, level, span) -> None:
+        self._span = span
+
+    def after_level(self, depth, frontier, next_frontier, parent, level,
+                    *, in_frontier=None) -> None:
+        span, attrs = self._span, self._span.attrs
+        self.levels.append(
+            TimedLevel(
+                level=depth,
+                direction=attrs["direction"],
+                frontier_vertices=attrs["frontier_vertices"],
+                edges_examined=attrs["edges_examined"],
+                seconds=span.duration,
+                kernel=attrs["kernel"],
+            )
+        )
+
+
 def timed_bfs(
     graph: CSRGraph,
     source: int,
@@ -97,127 +113,33 @@ def timed_bfs(
 
     Either force a ``direction`` (``'td'``/``'bu'``), pass a policy, or
     give (``m``, ``n``) thresholds; defaults to pure top-down.
+    ``bottom_up`` is as for :func:`~repro.bfs.hybrid.bfs_hybrid`.  A
+    warm ``workspace`` keeps allocation out of the timed region (the
+    frontier-bitmap load stays inside it: it is the paper's
+    representation-conversion cost).
 
-    ``bottom_up`` selects the kernel family for bottom-up levels
-    (``"scan"`` or ``"tiles"``, mirroring :func:`~repro.bfs.hybrid.
-    bfs_hybrid`); each level span is tagged with the family that
-    executed it, so the explain report prices the right one.
-
-    Pass a warm ``workspace`` to keep allocation out of the timed
-    region (the frontier-bitmap load stays inside it — that is the
-    paper's representation-conversion cost and belongs in the level
-    time).
-
-    Timing always happens: if neither ``tracer`` nor the process-global
-    tracer is an enabled recorder, a private :class:`~repro.obs.Tracer`
-    is used.  The per-level seconds are read back from the ``bfs.level``
-    spans, so the returned run's totals equal the tracer's span sums.
+    Timing always happens: without an enabled ``tracer`` (passed or
+    process-global) a private :class:`~repro.obs.Tracer` records.  Each
+    level's seconds are read off its ``bfs.level`` span (under a
+    ``bfs.timed`` root), so the run's totals equal the span sums.
     """
-    nverts = graph.num_vertices
-    if not 0 <= source < nverts:
-        raise BFSError(f"source {source} out of range [0, {nverts})")
-    if direction is not None and direction not in Direction.ALL:
-        raise BFSError(f"unknown direction {direction!r}")
     if policy is None and m is not None and n is not None:
         policy = MNPolicy(m, n)
-    if bottom_up not in BOTTOM_UP_KERNELS:
-        raise BFSError(
-            f"unknown bottom-up kernel family {bottom_up!r}; "
-            f"expected one of {BOTTOM_UP_KERNELS}"
-        )
-    bu_step = bottom_up_step
-    if bottom_up == "tiles":
-        from repro.linalg.kernels import bottom_up_tiles_step
-
-        bu_step = bottom_up_tiles_step
+    if direction is not None:
+        policy = forced(direction)
+    steps = serial_steps(bottom_up)
     tr = tracer if tracer is not None else get_tracer()
     if not tr.enabled:
         tr = Tracer()
-    degrees = graph.degrees
-    nedges = max(graph.num_edges, 1)
-
-    ws = workspace if workspace is not None else BFSWorkspace(nverts)
-    parent, level = ws.begin(source)
-    frontier = np.array([source], dtype=np.int64)
-    unvisited_count = nverts - 1
-
-    timed: list[TimedLevel] = []
-    directions: list[str] = []
-    edges_examined: list[int] = []
-    depth = 0
-    with tr.span("bfs.timed", source=source, num_vertices=nverts) as root:
-        while frontier.size:
-            if direction is not None:
-                chosen = direction
-            elif policy is not None:
-                chosen = policy.direction(
-                    LevelState(
-                        depth=depth,
-                        frontier_vertices=int(frontier.size),
-                        frontier_edges=int(degrees[frontier].sum()),
-                        num_vertices=nverts,
-                        num_edges=nedges,
-                        unvisited_vertices=unvisited_count,
-                    )
-                )
-                tr.instant(
-                    "bfs.direction",
-                    depth=depth,
-                    direction=chosen,
-                    frontier_vertices=int(frontier.size),
-                )
-            else:
-                chosen = Direction.TOP_DOWN
-            fv = int(frontier.size)
-            kernel = "td" if chosen == Direction.TOP_DOWN else bottom_up
-            with tr.span(
-                "bfs.level", depth=depth, direction=chosen, kernel=kernel
-            ) as sp:
-                if chosen == Direction.TOP_DOWN:
-                    frontier, work = top_down_step(
-                        graph, frontier, parent, level, depth, ws
-                    )
-                else:
-                    bits = ws.load_frontier(frontier)
-                    unvisited = ws.unvisited_ids(graph, parent)
-                    frontier, work = bu_step(
-                        graph,
-                        bits,
-                        parent,
-                        level,
-                        depth,
-                        unvisited=unvisited,
-                        workspace=ws,
-                    )
-                ws.retire_claimed(parent)
-                sp.set("frontier_vertices", fv)
-                sp.set("edges_examined", work)
-                sp.set("claimed", int(frontier.size))
-            timed.append(
-                TimedLevel(
-                    level=depth,
-                    direction=chosen,
-                    frontier_vertices=fv,
-                    edges_examined=work,
-                    seconds=sp.duration,
-                    kernel=kernel,
-                )
-            )
-            directions.append(chosen)
-            edges_examined.append(work)
-            unvisited_count -= int(frontier.size)
-            depth += 1
-        root.set("levels", depth)
-    tr.count("bfs.levels", depth)
-    tr.count("bfs.edges_examined", sum(edges_examined))
-    total = sum(lv.seconds for lv in timed)
+    timer = _LevelTimer()
+    n_vertices = graph.num_vertices
+    with tr.span("bfs.timed", source=source, num_vertices=n_vertices) as root:
+        result = traverse(
+            graph, source, policy or forced(Direction.TOP_DOWN), steps,
+            workspace=workspace, tracer=tr, observers=(timer,),
+        )
+        root.set("levels", len(result.directions))
+    total = sum(lv.seconds for lv in timer.levels)
     if total > 0:
-        tr.observe("teps", sum(edges_examined) / total)
-    result = BFSResult(
-        source=source,
-        parent=parent,
-        level=level,
-        directions=directions,
-        edges_examined=edges_examined,
-    )
-    return TimedRun(result=result, levels=tuple(timed), tracer=tr)
+        tr.observe("teps", sum(result.edges_examined) / total)
+    return TimedRun(result=result, levels=tuple(timer.levels), tracer=tr)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bfs._gather import expand_rows
+from repro.bfs.engine import Steps, forced, sanitizers, traverse
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.workspace import BFSWorkspace
-from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer, get_tracer
 
@@ -110,69 +110,20 @@ def bfs_top_down(
 ) -> BFSResult:
     """Full top-down traversal from ``source``.
 
-    With ``sanitize=True`` the traversal runs under
-    :class:`repro.analysis.sanitizer.Sanitizer`: the CSR arrays are
-    frozen for the duration and per-level invariants are checked,
-    raising :class:`~repro.errors.SanitizerError` on corruption.
-
-    With an explicit ``workspace`` the returned result's parent/level
-    maps alias the workspace arrays (call ``result.detach()`` to keep
-    them past the next traversal); without one a private workspace is
-    created and the result owns its arrays.
-
-    ``tracer`` overrides the process-global tracer
-    (:func:`repro.obs.get_tracer`): each level becomes a ``bfs.level``
-    span under a ``bfs.topdown`` root and the traversal counters feed
-    the tracer's metrics.
+    ``sanitize=True`` runs it under the
+    :class:`~repro.analysis.sanitizer.Sanitizer` (frozen CSR arrays,
+    per-level invariant checks, :class:`~repro.errors.SanitizerError`
+    on corruption).  ``workspace`` and ``tracer`` are as for
+    :func:`~repro.bfs.engine.traverse`; levels become ``bfs.level``
+    spans under a ``bfs.topdown`` root.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise BFSError(f"source {source} out of range [0, {n})")
     tr = tracer if tracer is not None else get_tracer()
-    san = None
-    if sanitize:
-        from repro.analysis.sanitizer import Sanitizer
-
-        san = Sanitizer(graph, source)
-    ws = workspace if workspace is not None else BFSWorkspace(n)
-    parent, level = ws.begin(source)
-    frontier = np.array([source], dtype=np.int64)
-    directions: list[str] = []
-    edges_examined: list[int] = []
-    depth = 0
-    try:
-        if san is not None:
-            san.__enter__()
-        with tr.span("bfs.topdown", source=source, num_vertices=n) as root:
-            while frontier.size:
-                with tr.span(
-                    "bfs.level", depth=depth, direction=Direction.TOP_DOWN
-                ) as sp:
-                    next_frontier, examined = top_down_step(
-                        graph, frontier, parent, level, depth, ws
-                    )
-                    sp.set("frontier_vertices", int(frontier.size))
-                    sp.set("edges_examined", examined)
-                    sp.set("claimed", int(next_frontier.size))
-                if san is not None:
-                    san.after_level(depth, frontier, next_frontier, parent, level)
-                ws.retire_claimed(parent)
-                frontier = next_frontier
-                directions.append(Direction.TOP_DOWN)
-                edges_examined.append(examined)
-                depth += 1
-            root.set("levels", depth)
-        tr.count("bfs.levels", depth)
-        tr.count("bfs.edges_examined", sum(edges_examined))
-        if san is not None:
-            san.finish(parent, level)
-    finally:
-        if san is not None:
-            san.__exit__()
-    return BFSResult(
-        source=source,
-        parent=parent,
-        level=level,
-        directions=directions,
-        edges_examined=edges_examined,
-    )
+    n = graph.num_vertices
+    with tr.span("bfs.topdown", source=source, num_vertices=n) as root:
+        result = traverse(
+            graph, source, forced(Direction.TOP_DOWN),
+            Steps(top_down_step, None), workspace=workspace, tracer=tr,
+            observers=sanitizers(graph, source, bool(sanitize)),
+        )
+        root.set("levels", len(result.directions))
+    return result

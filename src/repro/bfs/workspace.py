@@ -42,6 +42,7 @@ import threading
 
 import numpy as np
 
+from repro.bfs.result import check_source
 from repro.errors import BFSError
 from repro.graph.bitmap import Bitmap
 from repro.graph.csr import CSRGraph
@@ -94,10 +95,7 @@ class BFSWorkspace:
 
         Returns the ``(parent, level)`` maps with the source stamped in.
         """
-        if not 0 <= source < self.num_vertices:
-            raise BFSError(
-                f"source {source} out of range [0, {self.num_vertices})"
-            )
+        source = check_source(source, self.num_vertices)
         self.parent.fill(-1)
         self.level.fill(-1)
         self.parent[source] = source
@@ -115,6 +113,11 @@ class BFSWorkspace:
         if loaded is not None and loaded.size:
             self._frontier_bits.zero_words_of(loaded)
         self._frontier_loaded = None
+
+    @property
+    def frontier_bitmap(self) -> Bitmap:
+        """The bitmap :meth:`load_frontier` last loaded."""
+        return self._frontier_bits
 
     def load_frontier(self, ids: np.ndarray) -> Bitmap:
         """Load ``ids`` as the current frontier and return the bitmap.

@@ -28,6 +28,9 @@ __all__ = [
     "load_matrix_market",
 ]
 
+#: Largest vertex id an ``int64`` edge array holds.
+_MAX_ID = np.iinfo(np.int64).max
+
 
 def save_npz(graph: CSRGraph, path: str | Path) -> None:
     """Write ``graph`` to ``path`` in the native NPZ format."""
@@ -113,6 +116,11 @@ def load_edgelist(
                     raise GraphFormatError(
                         f"{path}:{lineno}: negative vertex id in {line!r}"
                     )
+                if max(u, v) > _MAX_ID:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: vertex id exceeds int64 in "
+                        f"{line!r}"
+                    )
                 src_list.append(u)
                 dst_list.append(v)
     except OSError as exc:
@@ -192,7 +200,12 @@ def load_matrix_market(path: str | Path) -> CSRGraph:
             if nnz == 0:
                 data = np.zeros((0, 2))
             else:
-                data = np.loadtxt(fh, ndmin=2, max_rows=nnz)
+                try:
+                    data = np.loadtxt(fh, ndmin=2, max_rows=nnz)
+                except ValueError as exc:
+                    raise GraphFormatError(
+                        f"{path}: malformed entry line: {exc}"
+                    ) from exc
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     if data.size == 0:
@@ -201,8 +214,15 @@ def load_matrix_market(path: str | Path) -> CSRGraph:
         raise GraphFormatError(
             f"{path}: expected {nnz} entries, found {data.shape[0]}"
         )
-    src = data[:, 0].astype(np.int64) - 1
-    dst = data[:, 1].astype(np.int64) - 1
+    if data.shape[1] < 2:
+        raise GraphFormatError(
+            f"{path}: entry lines need a row and a column index"
+        )
+    index = data[:, :2]
+    if not np.array_equal(index, np.floor(index)):
+        raise GraphFormatError(f"{path}: indices must be integers")
+    src = index[:, 0].astype(np.int64) - 1
+    dst = index[:, 1].astype(np.int64) - 1
     if src.size and (src.min() < 0 or dst.min() < 0):
         raise GraphFormatError(f"{path}: indices must be 1-based positive")
     return CSRGraph.from_edges(

@@ -10,17 +10,15 @@ that check plan-priced counters equal live-kernel counters.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch.machine import PlanStep, SimReport, SimulatedMachine
-from repro.bfs.bottomup import bottom_up_step
+from repro.bfs.engine import LevelObserver, LevelState, traverse
+from repro.bfs.hybrid import SCAN
 from repro.bfs.profiler import profile_bfs
-from repro.bfs.result import BFSResult, Direction
-from repro.bfs.topdown import top_down_step
+from repro.bfs.result import BFSResult
 from repro.bfs.workspace import BFSWorkspace
-from repro.errors import PlanError
+from repro.errors import BFSError, PlanError
 from repro.graph.csr import CSRGraph
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.tracer import Span, Tracer, get_tracer
 
 __all__ = ["execute_plan", "annotate_sim_report"]
 
@@ -59,6 +57,29 @@ def annotate_sim_report(tracer: Tracer, report: SimReport) -> None:
         t += dur
 
 
+class _PlanPolicy(LevelObserver):
+    """A plan as a direction policy: level ``i`` runs ``plan[i]``'s
+    direction, and its ``bfs.level`` span carries ``plan[i]``'s device
+    and lands on that device's ``dev:<device>`` track."""
+
+    def __init__(self, plan: list[PlanStep]) -> None:
+        self.plan = plan
+
+    def direction(self, state: LevelState) -> str:
+        if state.depth >= len(self.plan):
+            raise PlanError(
+                f"plan has {len(self.plan)} levels but the traversal "
+                f"reached level {state.depth + 1}"
+            )
+        return self.plan[state.depth].direction
+
+    def before_level(self, state, frontier, parent, level, span) -> None:
+        device = self.plan[state.depth].device
+        span.set("device", device)
+        if isinstance(span, Span):  # a disabled tracer's span has no track
+            span.track = f"dev:{device}"
+
+
 def execute_plan(
     machine: SimulatedMachine,
     graph: CSRGraph,
@@ -71,88 +92,32 @@ def execute_plan(
     """Traverse ``graph`` from ``source`` following ``plan``.
 
     Each level runs the direction the plan prescribes with the real
-    vectorized kernel; the returned :class:`SimReport` prices the same
+    serial kernel; the returned :class:`SimReport` prices the same
     levels on the plan's devices.  Raises
     :class:`~repro.errors.PlanError` when the plan is shorter or longer
-    than the traversal it claims to describe.
+    than the traversal it claims to describe, or the source is invalid.
 
-    ``tracer`` overrides the process-global tracer: each level's real
-    wall time lands on a per-device track (``dev:<name>``) and the
-    priced schedule is appended as simulated-clock spans
+    ``workspace`` and ``tracer`` are as for
+    :func:`~repro.bfs.engine.traverse`: each level is a ``bfs.level``
+    span carrying its ``device`` on that device's ``dev:<name>`` track,
+    and the priced schedule follows as simulated-clock spans
     (:func:`annotate_sim_report`).
-
-    Ownership note: plan execution is strictly single-threaded — this
-    function is the sole owner of ``workspace`` (parent/level maps,
-    frontier bitmap, scratch) for the duration of the call, so the
-    parallel engine's ownership protocol does not apply here.  The
-    returned result aliases the workspace arrays until ``detach()``,
-    exactly like the other engines (deep lint rule ``RPR011`` guards
-    post-return writes).
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise PlanError(f"source {source} out of range [0, {n})")
     tr = tracer if tracer is not None else get_tracer()
-
-    ws = workspace if workspace is not None else BFSWorkspace(n)
-    parent, level = ws.begin(source)
-    frontier = np.array([source], dtype=np.int64)
-
-    directions: list[str] = []
-    edges_examined: list[int] = []
-    depth = 0
+    policy = _PlanPolicy(plan)
     with tr.span("hetero.execute_plan", source=source, levels=len(plan)):
-        while frontier.size:
-            if depth >= len(plan):
-                raise PlanError(
-                    f"plan has {len(plan)} levels but the traversal reached "
-                    f"level {depth + 1}"
-                )
-            step = plan[depth]
-            fv = int(frontier.size)
-            with tr.span(
-                "hetero.level",
-                track=f"dev:{step.device}",
-                depth=depth,
-                device=step.device,
-                direction=step.direction,
-            ) as sp:
-                if step.direction == Direction.TOP_DOWN:
-                    frontier, work = top_down_step(
-                        graph, frontier, parent, level, depth, ws
-                    )
-                else:
-                    bits = ws.load_frontier(frontier)
-                    unvisited = ws.unvisited_ids(graph, parent)
-                    frontier, work = bottom_up_step(
-                        graph,
-                        bits,
-                        parent,
-                        level,
-                        depth,
-                        unvisited=unvisited,
-                        workspace=ws,
-                    )
-                ws.retire_claimed(parent)
-                sp.set("frontier_vertices", fv)
-                sp.set("edges_examined", work)
-                sp.set("claimed", int(frontier.size))
-            directions.append(step.direction)
-            edges_examined.append(work)
-            depth += 1
-        if depth != len(plan):
-            raise PlanError(
-                f"plan has {len(plan)} levels but the traversal finished "
-                f"after {depth}"
+        try:
+            result = traverse(
+                graph, source, policy, SCAN, workspace=workspace, tracer=tr,
+                observers=(policy,),
             )
-
-    result = BFSResult(
-        source=source,
-        parent=parent,
-        level=level,
-        directions=directions,
-        edges_examined=edges_examined,
-    )
+        except BFSError as exc:
+            raise PlanError(str(exc)) from exc
+    if len(result.directions) != len(plan):
+        raise PlanError(
+            f"plan has {len(plan)} levels but the traversal finished "
+            f"after {len(result.directions)}"
+        )
     # Price the identical traversal (counters re-measured for fidelity).
     profile, _ = profile_bfs(graph, source)
     report = machine.run(profile, plan)

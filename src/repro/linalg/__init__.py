@@ -27,9 +27,9 @@ Entry points:
   also reachable as ``bfs_hybrid(..., bottom_up="tiles")``.
 """
 
-from repro.linalg.engine import bfs_bottom_up_tiles
 from repro.linalg.kernels import (
     DEFAULT_WORD_WINDOW,
+    bfs_bottom_up_tiles,
     bottom_up_tiles_step,
     msbfs_tiles_step,
 )

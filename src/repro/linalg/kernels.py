@@ -1,4 +1,5 @@
-"""Masked bitmap-tile kernels: SpMV bottom-up step and MS-BFS SpMM.
+"""Masked bitmap-tile kernels: SpMV bottom-up step, its full traversal
+(:func:`bfs_bottom_up_tiles`) and MS-BFS SpMM.
 
 Both kernels compute ``frontier_next = (Aᵀ ⊗ frontier) ⊙ ¬visited``
 over the Boolean semiring, operating on whole ``uint64`` words of the
@@ -41,18 +42,23 @@ streaming.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import numpy as np
 
 from repro.bfs._gather import _iota
+from repro.bfs.engine import Steps, forced, sanitizers, traverse
+from repro.bfs.result import BFSResult, Direction
 from repro.bfs.workspace import BFSWorkspace
 from repro.errors import BFSError
 from repro.graph.bitmap import WORD_BITS, Bitmap
 from repro.graph.csr import CSRGraph
 from repro.linalg.tiles import BitmapTileMatrix, tile_matrix
+from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = [
     "DEFAULT_WORD_WINDOW",
+    "bfs_bottom_up_tiles",
     "bottom_up_tiles_step",
     "msbfs_tiles_step",
 ]
@@ -277,6 +283,43 @@ def bottom_up_tiles_step(
         level[winners] = depth + 1
     # `unvisited` is ascending, so the winners are too.
     return winners, examined
+
+
+def bfs_bottom_up_tiles(
+    graph: CSRGraph,
+    source: int,
+    *,
+    sanitize: bool = False,
+    workspace: BFSWorkspace | None = None,
+    tracer: Tracer | None = None,
+    window: int = DEFAULT_WORD_WINDOW,
+) -> BFSResult:
+    """Full bottom-up traversal from ``source`` on the tile kernel.
+
+    The measurement vehicle for the tile family: like
+    :func:`repro.bfs.bottomup.bfs_bottom_up` (same ``sanitize``,
+    ``workspace`` and ``tracer`` contract) with
+    :func:`bottom_up_tiles_step` as its bottom-up kernel, so
+    ``parent``/``level`` are bit-identical and ``edges_examined``
+    follows the word-granular accounting above.  Levels become
+    ``bfs.level`` spans under a ``bfs.bottomup`` root, both carrying
+    ``kernel="tiles"``.
+    """
+    step = partial(bottom_up_tiles_step, tiles=tile_matrix(graph),
+                   window=window)
+    tr = tracer if tracer is not None else get_tracer()
+    with tr.span(
+        "bfs.bottomup", source=source, num_vertices=graph.num_vertices,
+        kernel="tiles",
+    ) as root:
+        result = traverse(
+            graph, source, forced(Direction.BOTTOM_UP),
+            Steps(None, step, "tiles"), workspace=workspace, tracer=tr,
+            observers=sanitizers(graph, source, bool(sanitize)),
+        )
+        root.set("levels", len(result.directions))
+    tr.count("linalg.tile_passes", len(result.directions))
+    return result
 
 
 def _word_byte(words: np.ndarray, byte_view: np.ndarray | None, p: int) -> np.ndarray:

@@ -5,8 +5,8 @@ graph-sized allocations — every ``O(V)`` array is drawn from the
 :class:`~repro.bfs.workspace.BFSWorkspace`.  This module proves (or
 falsifies) that claim on real runs: an :class:`AllocationProfiler`
 attaches to the tracer as a :class:`~repro.obs.tracer.TraceListener`,
-opens a ``tracemalloc`` window when a watched span (``bfs.level``,
-``hetero.level``) opens, and on close attributes what was allocated.
+opens a ``tracemalloc`` window when a watched span (``bfs.level``)
+opens, and on close attributes what was allocated.
 
 Two accounting modes:
 
@@ -42,7 +42,7 @@ __all__ = ["DEFAULT_WATCHED_SPANS", "DEFAULT_SIZE_FLOOR", "AllocationProfiler"]
 
 #: Span names whose windows are measured by default: the per-level
 #: kernels of every engine (the allocation-freedom claim is per level).
-DEFAULT_WATCHED_SPANS = ("bfs.level", "hetero.level")
+DEFAULT_WATCHED_SPANS = ("bfs.level",)
 
 #: Default "graph-sized" floor for detailed mode; callers that know the
 #: graph should pass ``8 * num_vertices`` instead.

@@ -3,7 +3,8 @@
 These all satisfy :class:`repro.bfs.hybrid.DirectionPolicy`, so they
 plug into the live hybrid engine as well as the plan builders:
 
-* :class:`AlwaysTopDown` / :class:`AlwaysBottomUp` — the pure baselines;
+* :class:`AlwaysTopDown` / :class:`AlwaysBottomUp` — the pure baselines
+  (:func:`repro.bfs.engine.forced` hands them out);
 * :class:`FixedPlanPolicy` — replay a per-level direction list (e.g. an
   oracle plan) on a live traversal;
 * :class:`HeuristicBeamerPolicy` — Beamer's original growing/shrinking
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bfs.engine import AlwaysBottomUp, AlwaysTopDown
 from repro.bfs.hybrid import LevelState
 from repro.bfs.result import Direction
 from repro.errors import TuningError
@@ -26,24 +28,6 @@ __all__ = [
     "FixedPlanPolicy",
     "HeuristicBeamerPolicy",
 ]
-
-
-@dataclass(frozen=True)
-class AlwaysTopDown:
-    """The conventional BFS (the paper's Algorithm 1 baseline)."""
-
-    def direction(self, state: LevelState) -> str:
-        """Always top-down."""
-        return Direction.TOP_DOWN
-
-
-@dataclass(frozen=True)
-class AlwaysBottomUp:
-    """Pure bottom-up (the paper's Algorithm 2 baseline)."""
-
-    def direction(self, state: LevelState) -> str:
-        """Always bottom-up."""
-        return Direction.BOTTOM_UP
 
 
 class FixedPlanPolicy:

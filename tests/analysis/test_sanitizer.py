@@ -88,6 +88,8 @@ class TestInjectedCorruption:
     def test_bad_source_rejected(self, rmat_small):
         with pytest.raises(BFSError):
             Sanitizer(rmat_small, -1)
+        with pytest.raises(BFSError):
+            Sanitizer(rmat_small, 3.5)
 
     def test_parent_corruption_engine_level(self, rmat_small, rmat_source, monkeypatch):
         """An engine whose claim step mis-levels a vertex must trip the
@@ -198,6 +200,8 @@ class TestRaceTracker:
     def test_bad_source_rejected(self, rmat_small):
         with pytest.raises(BFSError):
             RaceTracker(rmat_small, rmat_small.num_vertices)
+        with pytest.raises(BFSError):
+            RaceTracker(rmat_small, 3.5)
 
     def test_clean_level_verifies(self):
         g = CSRGraph.from_edges([0, 1, 2], [1, 2, 3], 4)

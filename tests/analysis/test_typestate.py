@@ -61,6 +61,37 @@ def _lint_fixture(name: str, rule: str):
     )
 
 
+_FORWARDING = """\
+from repro.bfs.workspace import BFSWorkspace
+
+__all__ = ["sweep", "pair"]
+
+
+def run(graph, source, *, workspace=None):
+    return inner(graph, source, workspace=workspace)
+
+
+def inner(graph, source, *, workspace=None):
+    return workspace.begin(source)
+
+
+def sweep(graph, roots):
+    ws = BFSWorkspace(graph.num_vertices)
+    best = 0
+    for root in roots:
+        result = run(graph, root, workspace=ws)
+        best = max(best, int(result[0][0]))
+    return best
+
+
+def pair(graph, a, b):
+    ws = BFSWorkspace(graph.num_vertices)
+    first = run(graph, a, workspace=ws)
+    second = run(graph, b, workspace=ws)
+    return int(first[0][0]) + int(second[0][0])
+"""
+
+
 class _FakeSink:
     """Pipe stand-in: accepts frames, optionally replays them."""
 
@@ -95,6 +126,23 @@ class TestGoldenFixtures:
         (violation,) = _lint_fixture("rpr024_bad.py", "RPR024")
         assert "`first`" in violation.message
         assert "detach" in violation.message
+
+    def test_rpr024_forwarded_workspace_is_one_traversal(self):
+        """Handing ``workspace=`` to a function that forwards it to
+        another traversal is one traversal, not two: a loop rebinding
+        its result stays silent, and a second traversal while the
+        first result is live is still caught."""
+        violations = lint_source(
+            _FORWARDING,
+            path="src/repro/bfs/forwarding.py",
+            select=["RPR024"],
+            deep=True,
+        )
+        assert len(violations) == 1
+        assert violations[0].line == _FORWARDING.splitlines().index(
+            "    second = run(graph, b, workspace=ws)"
+        ) + 1
+        assert "`first`" in violations[0].message
 
     def test_rpr026_names_the_guilty_function(self):
         (violation,) = _lint_fixture("rpr026_bad.py", "RPR026")

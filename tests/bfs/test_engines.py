@@ -25,6 +25,7 @@ from repro.graph.generators import (
     star,
     two_cliques_bridge,
 )
+from repro.linalg import bfs_bottom_up_tiles
 
 ENGINES = {
     "top_down": bfs_top_down,
@@ -63,6 +64,20 @@ def test_bad_source_rejected(engine, rmat_small):
         ENGINES[engine](rmat_small, rmat_small.num_vertices)
     with pytest.raises(BFSError):
         ENGINES[engine](rmat_small, -1)
+    with pytest.raises(BFSError):
+        ENGINES[engine](rmat_small, 3.5)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [bfs_reference, bfs_bottom_up_tiles],
+    ids=["reference", "tiles"],
+)
+@pytest.mark.parametrize("source", [3.5, 3.0, np.float64(2.0)])
+def test_non_integral_source_rejected(engine, source, rmat_small):
+    """A float source is refused with BFSError, never truncated."""
+    with pytest.raises(BFSError, match="integer"):
+        engine(rmat_small, source)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -84,3 +84,5 @@ class TestValidation:
             msbfs(rmat_small, np.array([-1]))
         with pytest.raises(BFSError):
             msbfs(rmat_small, np.array([10**7]))
+        with pytest.raises(BFSError):
+            msbfs(rmat_small, [3.5])

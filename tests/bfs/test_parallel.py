@@ -67,6 +67,8 @@ class TestValidation:
     def test_bad_source(self, engine, rmat_small):
         with pytest.raises(BFSError):
             engine.run(rmat_small, -1)
+        with pytest.raises(BFSError):
+            engine.run(rmat_small, 3.5)
 
     def test_bad_direction(self, engine, rmat_small, rmat_source):
         with pytest.raises(BFSError):

@@ -43,6 +43,8 @@ class TestProfileBFS:
     def test_bad_source(self, rmat_small):
         with pytest.raises(BFSError):
             profile_bfs(rmat_small, -5)
+        with pytest.raises(BFSError):
+            profile_bfs(rmat_small, 3.5)
 
     def test_star_profile_shape(self):
         profile, _ = profile_bfs(star(10), 0)

@@ -52,6 +52,8 @@ class TestTimedBFS:
         with pytest.raises(BFSError):
             timed_bfs(rmat_small, -1)
         with pytest.raises(BFSError):
+            timed_bfs(rmat_small, 3.5)
+        with pytest.raises(BFSError):
             timed_bfs(rmat_small, 0, direction="sideways")
 
     def test_policy_argument(self, rmat_small, rmat_source):

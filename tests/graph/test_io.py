@@ -85,6 +85,12 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError):
             load_edgelist(tmp_path / "nope.txt")
 
+    def test_id_beyond_int64(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 {2**63}\n")
+        with pytest.raises(GraphFormatError, match="g.txt"):
+            load_edgelist(path)
+
     def test_no_header_option(self, tmp_path):
         g = CSRGraph.from_edges([0], [1], 2)
         path = tmp_path / "g.txt"

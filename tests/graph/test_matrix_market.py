@@ -122,6 +122,31 @@ class TestParsing:
         with pytest.raises(GraphFormatError):
             load_matrix_market(tmp_path / "nope.mtx")
 
+    def test_non_numeric_token(self, tmp_path):
+        path = tmp_path / "x.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 x\n"
+        )
+        with pytest.raises(GraphFormatError, match="x.mtx"):
+            load_matrix_market(path)
+
+    def test_one_column_entry_line(self, tmp_path):
+        path = tmp_path / "x.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1\n"
+        )
+        with pytest.raises(GraphFormatError, match="x.mtx"):
+            load_matrix_market(path)
+
+    def test_fractional_index_not_truncated(self, tmp_path):
+        path = tmp_path / "x.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n"
+            "1.5 2\n"
+        )
+        with pytest.raises(GraphFormatError, match="x.mtx"):
+            load_matrix_market(path)
+
     def test_empty_graph(self, tmp_path):
         path = tmp_path / "e.mtx"
         path.write_text(

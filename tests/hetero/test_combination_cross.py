@@ -133,6 +133,8 @@ class TestExecutePlan:
     def test_bad_source(self, machine, rmat_small):
         with pytest.raises(PlanError):
             execute_plan(machine, rmat_small, -1, [])
+        with pytest.raises(PlanError):
+            execute_plan(machine, rmat_small, 3.5, [])
 
     def test_oracle_plan_executes(self, machine):
         g = rmat(11, 16, seed=24)

@@ -1,12 +1,75 @@
 """Every engine emits the observability schema when a tracer is on."""
 
+import numpy as np
 import pytest
 
-from repro.bfs import ParallelBFS, bfs_bottom_up, bfs_hybrid, bfs_top_down
+from repro.arch.machine import SimulatedMachine
+from repro.arch.specs import CPU_SANDY_BRIDGE, GPU_K20X
+from repro.bfs import (
+    ParallelBFS,
+    bfs_bottom_up,
+    bfs_hybrid,
+    bfs_top_down,
+    timed_bfs,
+)
 from repro.bfs.multisource import msbfs
 from repro.bfs.profiler import profile_bfs
 from repro.graph500 import HybridEngine, run_graph500
+from repro.hetero import cross_plan, execute_plan
+from repro.linalg import bfs_bottom_up_tiles
 from repro.obs import Tracer, use_tracer
+
+#: The attributes every ``bfs.level`` span carries, whatever the engine.
+LEVEL_ATTRS = {
+    "depth",
+    "direction",
+    "kernel",
+    "frontier_vertices",
+    "frontier_edges",
+    "edges_examined",
+    "claimed",
+}
+
+
+def _parallel(graph, source, tracer):
+    with ParallelBFS.hybrid(2, 14.0, 24.0) as engine:
+        return engine.run(graph, source, tracer=tracer)
+
+
+def _plan(graph, source, tracer):
+    machine = SimulatedMachine({"cpu": CPU_SANDY_BRIDGE, "gpu": GPU_K20X})
+    profile, _ = profile_bfs(graph, source)
+    plan = cross_plan(profile, 50, 50, 50, 50)
+    result, _ = execute_plan(machine, graph, source, plan, tracer=tracer)
+    return result
+
+
+#: The eight traversal entry points: root span name and a runner
+#: ``(graph, source, tracer) -> BFSResult``.
+ENTRY_POINTS = {
+    "bfs_top_down": (
+        "bfs.topdown", lambda g, s, t: bfs_top_down(g, s, tracer=t)
+    ),
+    "bfs_bottom_up": (
+        "bfs.bottomup", lambda g, s, t: bfs_bottom_up(g, s, tracer=t)
+    ),
+    "bfs_hybrid": (
+        "bfs.hybrid",
+        lambda g, s, t: bfs_hybrid(g, s, m=14.0, n=24.0, tracer=t),
+    ),
+    "timed_bfs": (
+        "bfs.timed",
+        lambda g, s, t: timed_bfs(g, s, m=14.0, n=24.0, tracer=t).result,
+    ),
+    "profile_bfs": (
+        "bfs.profile", lambda g, s, t: profile_bfs(g, s, tracer=t)[1]
+    ),
+    "ParallelBFS.run": ("bfs.parallel", _parallel),
+    "bfs_bottom_up_tiles": (
+        "bfs.bottomup", lambda g, s, t: bfs_bottom_up_tiles(g, s, tracer=t)
+    ),
+    "execute_plan": ("hetero.execute_plan", _plan),
+}
 
 
 @pytest.fixture()
@@ -14,32 +77,54 @@ def tracer():
     return Tracer()
 
 
-class TestSingleThreadEngines:
-    @pytest.mark.parametrize(
-        "engine,root_span",
-        [
-            (bfs_top_down, "bfs.topdown"),
-            (bfs_bottom_up, "bfs.bottomup"),
-        ],
-    )
-    def test_root_and_level_spans(
-        self, rmat_small, rmat_source, engine, root_span, tracer
-    ):
-        result = engine(rmat_small, rmat_source, tracer=tracer)
-        (root,) = tracer.spans(root_span)
+class TestLevelSpans:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_level_span_schema(self, rmat_small, rmat_source, entry, tracer):
+        root_name, run = ENTRY_POINTS[entry]
+        result = run(rmat_small, rmat_source, tracer)
+        (root,) = tracer.spans(root_name)
         levels = tracer.spans("bfs.level")
         assert root.attrs["levels"] == result.num_levels
         assert len(levels) == result.num_levels
         assert all(r.parent_id == root.span_id for r in levels)
-        assert [r.attrs["depth"] for r in levels] == list(
-            range(result.num_levels)
+        for rec in levels:
+            assert LEVEL_ATTRS <= set(rec.attrs), rec.attrs
+        attrs = {key: [r.attrs[key] for r in levels] for key in LEVEL_ATTRS}
+        assert attrs["depth"] == list(range(result.num_levels))
+        assert attrs["direction"] == list(result.directions)
+        assert attrs["edges_examined"] == list(result.edges_examined)
+        assert all(
+            (kernel == "td") == (direction == "td")
+            for kernel, direction in zip(attrs["kernel"], attrs["direction"])
         )
+        # Frontier sizes and degree mass per level follow from the
+        # level map alone, whichever engine produced it.
+        sizes = result.frontier_sizes()
+        assert attrs["frontier_vertices"] == list(sizes)
+        assert attrs["claimed"] == list(sizes[1:]) + [0]
+        mass = np.bincount(
+            result.level[result.level >= 0],
+            weights=rmat_small.degrees[result.level >= 0],
+        )
+        assert attrs["frontier_edges"] == [int(x) for x in mass]
         snap = tracer.metrics.snapshot()
         assert snap["bfs.levels"]["value"] == result.num_levels
         assert snap["bfs.edges_examined"]["value"] == sum(
             result.edges_examined
         )
 
+    def test_timed_totals_equal_level_span_sums(
+        self, rmat_small, rmat_source, tracer
+    ):
+        run = timed_bfs(rmat_small, rmat_source, m=14.0, n=24.0, tracer=tracer)
+        levels = tracer.spans("bfs.level")
+        assert [lv.seconds for lv in run.levels] == [
+            r.duration for r in levels
+        ]
+        assert run.total_seconds == sum(r.duration for r in levels)
+
+
+class TestSingleThreadEngines:
     def test_hybrid_emits_direction_decisions(
         self, rmat_small, rmat_source, tracer
     ):
@@ -105,20 +190,6 @@ class TestMultiSource:
         sweeps = tracer.spans("bfs.level")
         assert sweeps
         assert all(r.parent_id == root.span_id for r in sweeps)
-
-
-class TestProfiler:
-    def test_profile_spans_match_profile(
-        self, rmat_small, rmat_source, tracer
-    ):
-        profile, _ = profile_bfs(rmat_small, rmat_source, tracer=tracer)
-        (root,) = tracer.spans("bfs.profile")
-        levels = tracer.spans("bfs.level")
-        assert len(levels) == len(profile)
-        for rec, prof_rec in zip(levels, profile):
-            assert (
-                rec.attrs["frontier_vertices"] == prof_rec.frontier_vertices
-            )
 
 
 class TestGraph500:

@@ -37,7 +37,7 @@ class TestExecutePlan:
         result.validate(rmat_small)
         # Real wall spans on dev:<device> tracks, one per plan step.
         dev_tracks = {
-            r.track for r in tracer.spans("hetero.level")
+            r.track for r in tracer.spans("bfs.level")
         }
         assert dev_tracks == {f"dev:{step.device}" for step in plan}
         # Simulated schedule laid on sim:<device> tracks with the
