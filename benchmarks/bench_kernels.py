@@ -53,10 +53,6 @@ _TRACING_OVERHEAD_LIMIT = 0.03
 _SAMPLER_OVERHEAD_LIMIT = 0.05
 _RECORDER_OVERHEAD_LIMIT = 0.01
 
-#: The live tier (collector aggregation + SLO evaluation + one 4 Hz
-#: dashboard refresh) rides the same budget as the disabled tracer.
-_COLLECTOR_OVERHEAD_LIMIT = _TRACING_OVERHEAD_LIMIT
-
 _RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 #: The committed numbers from the last benchmarked revision, captured
@@ -136,15 +132,6 @@ def _append_bench_history(bench_config):
     if profiler.get("recorder_overhead") is not None:
         metrics["bench.profiler_recorder_overhead"] = {
             "type": "gauge", "value": profiler["recorder_overhead"],
-        }
-    live = _bench_results.get("collector_overhead", {})
-    if live.get("collector_listener_frac") is not None:
-        metrics["bench.collector_listener_frac"] = {
-            "type": "gauge", "value": live["collector_listener_frac"],
-        }
-    if live.get("dashboard_duty_frac") is not None:
-        metrics["bench.dashboard_duty_frac"] = {
-            "type": "gauge", "value": live["dashboard_duty_frac"],
         }
     if not metrics:
         return
@@ -714,105 +701,3 @@ def test_profiler_overhead(workload, bench_config, tmp_path):
             f"hybrid traversal (limit {_RECORDER_OVERHEAD_LIMIT:.0%})"
         )
 
-
-def test_collector_overhead(workload, bench_config):
-    """The live tier must fit inside the tracing budget when armed.
-
-    ``repro-bfs top`` attaches a :class:`~repro.obs.live.Collector`
-    (windowed aggregation + burn-rate evaluation on every span close)
-    and redraws a dashboard at most 4 times a second.  Both ride the
-    same <=3% budget the disabled tracer already honours, and — like
-    the profiler guard above — both are enforced on direct
-    measurements rather than end-to-end wall ratios, which sit below
-    this host's noise floor for a milliseconds-long traversal:
-
-    * **collector** — a traversal-shaped span storm timed with and
-      without the collector listening; the difference is the
-      aggregation cost per traversal, divided by the measured warm
-      traversal time;
-    * **dashboard** — seconds per ``render()`` + ``evaluate()`` frame
-      times the 4 Hz ceiling: the duty fraction of one core the
-      refresh loop can ever claim, independent of workload length.
-
-    The end-to-end ratio is still recorded so creep stays visible in
-    ``BENCH_kernels.json``.
-    """
-    from repro.obs.live import Collector, SLOPolicy, render
-
-    graph, source = workload
-    m, n = 20.0, 100.0
-    ws = BFSWorkspace.for_graph(graph)
-    bfs_hybrid(graph, source, m=m, n=n, workspace=ws)  # warm the workspace
-
-    batch, repeat = 8, 12
-
-    def run():
-        for _ in range(batch):
-            bfs_hybrid(graph, source, m=m, n=n, workspace=ws)
-
-    with use_tracer(Tracer()):
-        plain_s = _best_of(run, repeat=repeat)
-    traversal_s = plain_s / batch
-
-    policies = [SLOPolicy.parse("graph500.bfs<1.0@0.9")]
-    armed_tracer = Tracer()
-    with Collector(armed_tracer, policies=policies) as collector:
-        with use_tracer(armed_tracer):
-            armed_s = _best_of(run, repeat=repeat)
-            # Storm while the collector is still listening, with its
-            # windows already populated by the real runs above.
-            armed_storm_s = _span_storm_s(armed_tracer)
-        # One dashboard frame: evaluate every policy, render the
-        # sparklines/active-span sections from live state.
-
-        def frame():
-            collector.evaluate()
-            render(collector)
-
-        frame_s = _best_of(frame, repeat=5)
-    bare_storm_s = _span_storm_s(Tracer())
-    collector_frac = (armed_storm_s - bare_storm_s) / traversal_s
-    dashboard_duty = frame_s * 4.0  # 4 Hz refresh ceiling
-    armed_overhead = armed_s / plain_s - 1.0
-
-    base = _BASELINE.get("collector_overhead", {})
-    drift = None
-    if (
-        bool(base.get("plain_s"))
-        and bool(base.get("armed_s"))
-        and _BASELINE.get("scale") == bench_config.base_scale
-    ):
-        drift = (armed_s / plain_s) / (
-            base["armed_s"] / base["plain_s"]
-        ) - 1.0
-
-    _record(
-        "collector_overhead",
-        {
-            "batch": batch,
-            "plain_s": plain_s,
-            "armed_s": armed_s,
-            "frame_s": frame_s,
-            "collector_listener_frac": round(collector_frac, 4),
-            "dashboard_duty_frac": round(dashboard_duty, 4),
-            "armed_overhead": round(armed_overhead, 4),
-            "drift": None if drift is None else round(drift, 4),
-            "limit": _COLLECTOR_OVERHEAD_LIMIT,
-        },
-        bench_config,
-    )
-    print(
-        f"\ncollector overhead: listener {collector_frac:.2%} of a "
-        f"{traversal_s * 1e3:.3f} ms traversal, dashboard frame "
-        f"{frame_s * 1e3:.3f} ms ({dashboard_duty:.2%} duty at 4 Hz, "
-        f"wall ratio {armed_overhead:+.2%})"
-    )
-    if bench_config.base_scale >= _ENFORCE_SCALE:
-        assert collector_frac <= _COLLECTOR_OVERHEAD_LIMIT, (
-            f"armed collector costs {collector_frac:.2%} of a warm "
-            f"hybrid traversal (limit {_COLLECTOR_OVERHEAD_LIMIT:.0%})"
-        )
-        assert dashboard_duty <= _COLLECTOR_OVERHEAD_LIMIT, (
-            f"dashboard refresh claims {dashboard_duty:.2%} of a core "
-            f"at 4 Hz (limit {_COLLECTOR_OVERHEAD_LIMIT:.0%})"
-        )

@@ -21,13 +21,11 @@ Four coordinated correctness tools (see ``docs/static_analysis.md``):
   writes, ownership gating and hot-path call cycles.  Exposed as
   ``repro-bfs callgraph`` and folded into ``lint --deep``.
 * :mod:`repro.analysis.typestate` — typestate & protocol verification:
-  a declarative registry of protocol state machines (live-channel
-  handshake, ``ChannelExporter``, ``Collector``, ``FlightRecorder``,
+  a declarative registry of protocol state machines (``FlightRecorder``,
   ``BFSWorkspace``, ``ParallelBFS``) plus an abstract interpreter that
-  checks each handle's lifecycle along the call graph.  Five more
-  ``lint --deep`` rules (``RPR022`` … ``RPR026``) and the machinery
-  behind the dynamic twin (:class:`repro.obs.live.ProtocolMonitor`,
-  strict capture conformance).  Exposed as ``repro-bfs protocols``.
+  checks each handle's lifecycle along the call graph.  Two more
+  ``lint --deep`` rules (``RPR023``, ``RPR024``).  Exposed as
+  ``repro-bfs protocols``.
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime harness
   (``sanitize=True`` on the BFS engines) that freezes CSR arrays during
   traversal and checks per-level invariants, raising structured
@@ -69,7 +67,7 @@ from repro.analysis.units import (
     check_cost_model,
 )
 
-# Importing the rule modules registers RPR001..RPR026 in RULES.
+# Importing the rule modules registers RPR001..RPR024 in RULES.
 from repro.analysis import dataflow as _dataflow  # noqa: F401
 from repro.analysis import program as _program  # noqa: F401
 from repro.analysis import races as _races  # noqa: F401

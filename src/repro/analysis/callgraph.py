@@ -9,7 +9,7 @@ module only.  This module lifts those summaries to the whole program:
    record an import table, the class/method layout, per-function
    :class:`~repro.analysis.effects.FunctionEffects` base summaries,
    thread-pool dispatch sites, resource acquisitions
-   (``ParallelBFS()``, executors, ``serve(...)``) and a lightweight
+   (``ParallelBFS()``, executors) and a lightweight
    receiver-typing environment.  Records are keyed by the file's
    SHA-256, so unchanged files are never re-analyzed
    (:class:`SummaryCache` persists them across runs).
@@ -72,10 +72,8 @@ RESOURCE_CTORS = frozenset(
     {"ParallelBFS", "ThreadPoolExecutor", "ProcessPoolExecutor",
      "WorkspacePool"}
 )
-#: Factory functions returning a resource that must be closed.
-RESOURCE_FACTORIES = frozenset({"serve"})
 #: Methods that release any of the above.
-CLOSE_METHODS = frozenset({"close", "shutdown", "server_close"})
+CLOSE_METHODS = frozenset({"close", "shutdown"})
 
 #: Receiver-name conventions mapped to class *bare* names; only applied
 #: when the project actually defines the class (mirrors the seeding
@@ -330,7 +328,7 @@ def _is_resource_call(call: ast.Call) -> str | None:
     if raw is None:
         return None
     leaf = raw.rsplit(".", 1)[-1]
-    if leaf in RESOURCE_CTORS or leaf in RESOURCE_FACTORIES:
+    if leaf in RESOURCE_CTORS:
         return raw
     return None
 
@@ -769,7 +767,7 @@ def record_from_dict(d: dict) -> ModuleRecord:
 #: entries written under another version are treated as misses, so a
 #: rule upgrade can never be served stale summaries for unchanged
 #: files.
-ANALYSIS_VERSION = 2
+ANALYSIS_VERSION = 3
 
 
 def _cache_key(sha: str) -> str:

@@ -7,11 +7,10 @@ violations that the intraprocedural tier (RPR010–RPR014) provably
 cannot:
 
 ========  ==============================================================
-RPR015    resource lifecycle: a ``ParallelBFS`` / executor /
-          ``serve(...)``'d HTTP server acquired on a path that can
-          raise before ``close()`` (exception-flow close-on-all-paths),
-          a bound resource never closed, or a temporary engine that is
-          never closed at all
+RPR015    resource lifecycle: a ``ParallelBFS`` / executor acquired on
+          a path that can raise before ``close()`` (exception-flow
+          close-on-all-paths), a bound resource never closed, or a
+          temporary engine that is never closed at all
 RPR016    a *public* function returns workspace-aliased storage derived
           from its workspace parameter without ``detach()``/``copy()``
           — the interprocedural generalization of RPR011
@@ -312,7 +311,7 @@ def _check_hot_cycles(project: Project, add) -> None:
 
 @rule(
     "RPR015",
-    "resource (ParallelBFS / executor / HTTP server) acquired on a path "
+    "resource (ParallelBFS / executor) acquired on a path "
     "that can raise before close(); close-on-all-paths exception-flow "
     "analysis",
     deep=True,

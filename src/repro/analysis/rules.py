@@ -1,4 +1,4 @@
-"""Concrete lint rules (``RPR001`` … ``RPR009``, ``RPR020``, ``RPR021``).
+"""Concrete lint rules (``RPR001`` … ``RPR009``, ``RPR020``).
 
 Each rule encodes an invariant this codebase depends on:
 
@@ -27,20 +27,12 @@ RPR008    no ad-hoc ``time.perf_counter()`` outside ``repro/obs/`` —
 RPR009    metric names passed to the registry/tracer must be lowercase
           dotted identifiers from the declared catalog
           (:data:`repro.obs.metrics.METRIC_CATALOG`) — ad-hoc names
-          fragment the run-history trajectory and the OpenMetrics
-          exposition
+          fragment the run-history trajectory
 RPR020    no ``tracemalloc`` / ``sys.settrace`` / ``sys.setprofile``
           outside ``repro/obs/`` — interpreter-level instrumentation
           distorts the kernels being measured and belongs to the
           profiling tier (:mod:`repro.obs.profile`), whose sampler and
           allocation windows are overhead-bounded by the benchmarks
-RPR021    (deep) no span/metric emission inside a ``multiprocessing``
-          target whose call path never installs a
-          :class:`~repro.obs.live.ChannelExporter` /
-          :class:`~repro.obs.TraceContext` — a child process gets a
-          fresh interpreter, so its telemetry dies with it unless a
-          channel carries it home; spawn the child with
-          :func:`repro.obs.live.spawn_traced`
 ========  ==============================================================
 
 Rules yield ``(line, col, message)``; the engine applies suppression and
@@ -65,7 +57,6 @@ __all__ = [
     "check_adhoc_perf_counter",
     "check_metric_names",
     "check_adhoc_instrumentation",
-    "check_untraced_process_target",
 ]
 
 # Names whose iteration in a hot-path module almost certainly means a
@@ -599,139 +590,3 @@ def check_adhoc_instrumentation(
                     "repro.obs.profile.AllocationProfiler windows",
                 )
 
-
-#: Tracer/registry emission methods whose records live only in the
-#: process that made them.
-_CHILD_EMIT_METHODS = {"span", "instant", "count", "gauge_set", "observe"}
-
-#: Names whose presence on a multiprocessing target's call path means
-#: the child's telemetry has a channel back to the parent (or the spawn
-#: site wires one up itself).
-_CHANNEL_INSTALLERS = {
-    "ChannelExporter",
-    "TraceContext",
-    "use_context",
-    "spawn_traced",
-    "adopt_record",
-}
-
-
-def _local_function_defs(
-    tree: ast.Module,
-) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Map every function defined anywhere in the module by name."""
-    defs: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defs.setdefault(node.name, node)
-    return defs
-
-
-def _mentions_channel_installer(fn_node: ast.AST) -> bool:
-    """Whether the function references any channel/context installer."""
-    for sub in ast.walk(fn_node):
-        if isinstance(sub, ast.Name) and sub.id in _CHANNEL_INSTALLERS:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in _CHANNEL_INSTALLERS:
-            return True
-    return False
-
-
-def _first_emission(fn_node: ast.AST) -> ast.Call | None:
-    """The first tracer/metric emission call inside the function."""
-    for sub in ast.walk(fn_node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in _CHILD_EMIT_METHODS
-        ):
-            return sub
-    return None
-
-
-@rule(
-    "RPR021",
-    "multiprocessing target emits spans/metrics but its call path never "
-    "installs a ChannelExporter/TraceContext; child telemetry is "
-    "orphaned — spawn with repro.obs.live.spawn_traced",
-    deep=True,
-)
-def check_untraced_process_target(
-    ctx: ModuleContext,
-) -> Iterator[tuple[int, int, str]]:
-    """Flag ``Process(target=f)`` spawns whose target emits telemetry
-    into the void.
-
-    A forked/spawned child gets a fresh interpreter: a tracer or
-    registry created there is invisible to the parent, so spans,
-    events and metric increments emitted inside the target are lost
-    when the child exits — silently, which is why runs "missing" child
-    telemetry are so hard to diagnose.  The live tier exists for this:
-    :func:`repro.obs.live.spawn_traced` installs the parent's
-    :class:`~repro.obs.TraceContext` and a
-    :class:`~repro.obs.live.ChannelExporter` in the child so everything
-    stitches back into one trace.
-
-    Module-local analysis: the target name is resolved to a function
-    defined in this module, and its body plus one hop of module-local
-    callees is searched for emission calls (``span`` / ``instant`` /
-    ``count`` / ``gauge_set`` / ``observe``).  The spawn is exempt when
-    that call path — or the function enclosing the spawn site — ever
-    references a channel installer (``ChannelExporter``,
-    ``TraceContext``, ``use_context``, ``spawn_traced``,
-    ``adopt_record``): wiring we can see locally is assumed correct.
-    Targets defined in other modules are out of scope (the discipline
-    travels by convention or a ``# repro: noqa[RPR021]``).
-    """
-    if "repro/obs/" in ctx.path.replace("\\", "/"):
-        return
-    local_defs = _local_function_defs(ctx.tree)
-    if not local_defs:
-        return
-    for call in ctx.nodes(ast.Call):
-        if _terminal_name(call.func) != "Process":
-            continue
-        target = next(
-            (kw.value for kw in call.keywords if kw.arg == "target"), None
-        )
-        if not isinstance(target, ast.Name):
-            continue
-        fn_node = local_defs.get(target.id)
-        if fn_node is None:
-            continue
-        # The checked call path: the target plus one hop of
-        # module-local callees (helpers the target delegates to).
-        path_nodes: list[ast.AST] = [fn_node]
-        for sub in ast.walk(fn_node):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
-                callee = local_defs.get(sub.func.id)
-                if callee is not None and callee not in path_nodes:
-                    path_nodes.append(callee)
-        # The function enclosing the spawn site may wire the channel
-        # from the parent side; innermost def containing the call.
-        enclosing = None
-        for node in local_defs.values():
-            end = getattr(node, "end_lineno", node.lineno)
-            if node.lineno <= call.lineno <= end:
-                if enclosing is None or node.lineno > enclosing.lineno:
-                    enclosing = node
-        if any(_mentions_channel_installer(n) for n in path_nodes):
-            continue
-        if enclosing is not None and _mentions_channel_installer(enclosing):
-            continue
-        emission = None
-        for node in path_nodes:
-            emission = _first_emission(node)
-            if emission is not None:
-                break
-        if emission is None:
-            continue
-        yield (
-            call.lineno,
-            call.col_offset,
-            f"multiprocessing target {target.id!r} emits telemetry "
-            f"(.{emission.func.attr}() at line {emission.lineno}) but "
-            "its call path never installs a ChannelExporter/"
-            "TraceContext; the child's spans and metrics die with it "
-            "— spawn it with repro.obs.live.spawn_traced",
-        )

@@ -2,14 +2,11 @@
 
 A declarative registry of protocol state machines
 (:class:`~repro.analysis.typestate.spec.ProtocolSpec`) for the repo's
-stateful contracts — the ``repro.obs.live/1`` frame handshake,
-``ChannelExporter``, ``Collector``, ``FlightRecorder``,
-``BFSWorkspace`` and ``ParallelBFS`` lifecycles — plus an abstract
-interpreter (:mod:`~repro.analysis.typestate.interp`) that checks
-every function against those machines along the PR 6 call graph.
-Registers lint rules RPR022–RPR026; the same machines power the
-dynamic twin (:class:`repro.obs.live.ProtocolMonitor` and strict
-capture conformance replay).
+stateful contracts — the ``FlightRecorder``, ``BFSWorkspace`` and
+``ParallelBFS`` lifecycles — plus an abstract interpreter
+(:mod:`~repro.analysis.typestate.interp`) that checks every function
+against those machines along the project call graph.  Registers lint
+rules RPR023 and RPR024.
 """
 
 from __future__ import annotations
@@ -21,25 +18,18 @@ from repro.analysis.typestate.interp import (
 )
 from repro.analysis.typestate.spec import (
     BFS_WORKSPACE,
-    CHANNEL_EXPORTER,
-    COLLECTOR,
     FLIGHT_RECORDER,
-    LIVE_CHANNEL,
     PARALLEL_BFS,
     PROTOCOLS,
     ProtocolSpec,
     all_ctor_names,
     get_protocol,
     protocol_for_ctor,
-    protocol_for_type,
 )
 
 __all__ = [
     "BFS_WORKSPACE",
-    "CHANNEL_EXPORTER",
-    "COLLECTOR",
     "FLIGHT_RECORDER",
-    "LIVE_CHANNEL",
     "PARALLEL_BFS",
     "PROTOCOLS",
     "ProtocolSpec",
@@ -48,6 +38,5 @@ __all__ = [
     "all_ctor_names",
     "get_protocol",
     "protocol_for_ctor",
-    "protocol_for_type",
     "typestate_report",
 ]

@@ -1,4 +1,4 @@
-"""The typestate abstract interpreter (RPR022–RPR026 engine).
+"""The typestate abstract interpreter (RPR023/RPR024 engine).
 
 Per function, an abstract environment maps local variables to the
 *set of protocol states* their handle may occupy (the finite powerset
@@ -6,12 +6,9 @@ lattice over each machine's states).  The interpreter walks the
 function body in order, stepping machines on constructor calls, method
 calls, ``with`` entry/exit, and — interprocedurally — on the *protocol
 summaries* of resolved callees, with set-union joins at control-flow
-merges (``if``/``else``, loops, ``try`` handlers).  It reuses PR 6's
-resource-acquisition vocabulary: ``try/finally`` blocks whose
-``finally`` closes a handle protect the spanned statements, handles
-that escape (returned, stored on an object, captured by a nested def)
-stop being tracked, and raise-capable calls are judged against the
-call-graph fixpoint ``raises`` facts.
+merges (``if``/``else``, loops, ``try`` handlers).  Handles that
+escape (returned, stored on an object, captured by a nested def) stop
+being tracked.
 
 Interprocedural lifting: a *protocol summary* per function records, in
 order, the lifecycle events the function performs on each of its
@@ -51,7 +48,7 @@ __all__ = [
 ]
 
 #: Rule codes this engine produces.
-TYPESTATE_RULES = ("RPR022", "RPR023", "RPR024", "RPR025", "RPR026")
+TYPESTATE_RULES = ("RPR023", "RPR024")
 
 #: Pseudo-event a ``workspace=``/``ws=`` keyword argument signifies
 #: (the callee traversal resets the workspace).
@@ -85,47 +82,26 @@ class PEvent:
 class _Track:
     """Abstract state of one tracked handle (mutable, alias-shared)."""
 
-    __slots__ = (
-        "spec", "var", "ctor", "states", "escaped", "ctor_line",
-        "ctor_col", "protected", "pending", "risk", "reported",
-    )
+    __slots__ = ("spec", "var", "states", "escaped", "pending", "reported")
 
-    def __init__(
-        self, spec: ProtocolSpec, var: str, ctor: str,
-        line: int, col: int,
-    ) -> None:
+    def __init__(self, spec: ProtocolSpec, var: str) -> None:
         self.spec = spec
         self.var = var
-        self.ctor = ctor
         self.states: frozenset[str] = frozenset({spec.initial})
         self.escaped = False
-        self.ctor_line = line
-        self.ctor_col = col
-        #: Line spans covered by a finally-close or a ``with`` body.
-        self.protected: list[tuple[int, int]] = []
         #: Workspace only: ``(result_var, bind_line, escaped)`` of the
         #: live result aliasing this workspace.
         self.pending: tuple[str, int, bool] | None = None
-        #: First unprotected raise-capable statement reached while the
-        #: machine could not yet reach an accepting state.
-        self.risk: tuple[int, str] | None = None
         #: Dedup key set for reported violations.
         self.reported: set = set()
 
     def copy(self) -> "_Track":
-        out = _Track(
-            self.spec, self.var, self.ctor, self.ctor_line, self.ctor_col
-        )
+        out = _Track(self.spec, self.var)
         out.states = self.states
         out.escaped = self.escaped
-        out.protected = list(self.protected)
         out.pending = self.pending
-        out.risk = self.risk
         out.reported = self.reported  # shared: dedupe across branches
         return out
-
-    def is_protected(self, line: int) -> bool:
-        return any(lo <= line <= hi for lo, hi in self.protected)
 
 
 def _clone_env(env: dict) -> dict:
@@ -144,9 +120,7 @@ def _join_tracks(a: _Track, b: _Track) -> _Track:
     out = a.copy()
     out.states = a.states | b.states
     out.escaped = a.escaped or b.escaped
-    out.protected = list({*a.protected, *b.protected})
     out.pending = a.pending if a.pending is not None else b.pending
-    out.risk = a.risk if a.risk is not None else b.risk
     return out
 
 
@@ -234,7 +208,7 @@ class _FunctionPass:
         self.param_log: dict[str, list[PEvent]] = {
             p: [] for p in self.params
         }
-        self.violations: list[tuple[str, int, int, str, str]] = []
+        self.violations: list[tuple[str, int, int, str]] = []
         # name -> sorted Load lines (workspace result liveness).
         self.uses: dict[str, list[int]] = {}
         for node in ast.walk(fn):
@@ -256,32 +230,15 @@ class _FunctionPass:
     # -- reporting -----------------------------------------------------------
 
     def _report(
-        self, code: str, line: int, col: int, machine: str, msg: str,
-        track: _Track | None = None,
+        self, code: str, line: int, col: int, msg: str, track: _Track
     ) -> None:
         key = (code, line, col, msg)
-        if track is not None:
-            if key in track.reported:
-                return
-            track.reported.add(key)
-        self.violations.append((code, line, col, machine, msg))
+        if key in track.reported:
+            return
+        track.reported.add(key)
+        self.violations.append(key)
 
     # -- protocol stepping ---------------------------------------------------
-
-    def _state_hint(self, track: _Track) -> str:
-        states = ", ".join(sorted(track.states))
-        spec = track.spec
-        if spec.name == "channel-exporter":
-            if "created" in track.states:
-                return (
-                    f"the stream is not open yet (state: {states}) — "
-                    "frames would flow before hello"
-                )
-            return (
-                f"the stream already said bye (state: {states}) — "
-                "frames after the close handshake are dropped"
-            )
-        return f"illegal in state(s): {states}"
 
     def _step(
         self,
@@ -313,12 +270,12 @@ class _FunctionPass:
             allowed = set()
             for state in sorted(track.states):
                 allowed.update(spec.allowed(state))
-            hint = self._state_hint(track)
+            states = ", ".join(sorted(track.states))
             self._report(
-                spec.owner_rule or "RPR023", line, col, spec.name,
+                spec.owner_rule or "RPR023", line, col,
                 f"`{track.var}.{event}()`{suffix} violates the "
-                f"{spec.name} protocol: {hint}; allowed next: "
-                f"{', '.join(sorted(allowed)) or 'nothing'}",
+                f"{spec.name} protocol: illegal in state(s): {states}; "
+                f"allowed next: {', '.join(sorted(allowed)) or 'nothing'}",
                 track,
             )
             return
@@ -346,7 +303,7 @@ class _FunctionPass:
         )
         suffix = f" (via `{via}(...)`)" if via else ""
         self._report(
-            "RPR024", line, col, track.spec.name,
+            "RPR024", line, col,
             f"traversal reuses workspace `{track.var}`{suffix} while "
             f"result `{res_var}` (bound at line {bind_line}) still "
             f"aliases its arrays and {how}; call `{res_var}.detach()` "
@@ -389,43 +346,6 @@ class _FunctionPass:
             track.states = frozenset({"lent"})
             track.pending = (bind, line, False)
 
-    # -- risk (RPR025) -------------------------------------------------------
-
-    def _mark_risk(
-        self, env: dict, line: int, why: str,
-        skip: _Track | None = None,
-    ) -> None:
-        seen: set[int] = set()
-        for track in env.values():
-            if id(track) in seen or track is skip:
-                continue
-            seen.add(id(track))
-            if (
-                track.escaped
-                or track.risk is not None
-                or track.spec.raise_rule is None
-                or track.states & track.spec.accepting
-                or track.is_protected(line)
-            ):
-                continue
-            track.risk = (line, why)
-
-    def _call_raise_reason(self, call: ast.Call) -> str | None:
-        raw = _dotted(call.func)
-        if raw is None:
-            return None
-        edge = self.edges.get((raw, call.lineno))
-        if edge is None or edge.callee is None:
-            return None
-        if self.analysis.interprocedural:
-            summary = self.analysis.project.summaries.get(edge.callee)
-        else:
-            info = self.analysis.project.functions.get(edge.callee)
-            summary = info.summary if info is not None else None
-        if summary is not None and summary.raises:
-            return f"`{raw}(...)` (which can raise)"
-        return None
-
     # -- call handling -------------------------------------------------------
 
     def _resolve_edge(self, call: ast.Call) -> CallEdge | None:
@@ -444,29 +364,6 @@ class _FunctionPass:
         line, col = call.lineno, call.col_offset
         raw = _dotted(call.func)
 
-        # Raise-capable call while a protocol cannot reach acceptance.
-        # Judged against the *pre-call* states: if the call raises, we
-        # conservatively assume its own transition did not complete
-        # (so `exporter.hello()` from the accepting "created" state is
-        # not a leak — the canonical handshake stays clean).
-        why = self._call_raise_reason(call)
-        if why is not None:
-            # A protocol event on a handle is never a leak risk for
-            # that same handle (close() raising is close's own
-            # failure — the code did attempt finalization).
-            skip: _Track | None = None
-            if isinstance(call.func, ast.Attribute) and isinstance(
-                call.func.value, ast.Name
-            ):
-                t = env.get(call.func.value.id)
-                if (
-                    t is not None
-                    and t.spec.event_for_method(call.func.attr)
-                    is not None
-                ):
-                    skip = t
-            self._mark_risk(env, line, why, skip=skip)
-
         # Constructor of a protocol-governed handle.
         if raw is not None and bind is not None:
             parts = raw.split(".")
@@ -478,8 +375,8 @@ class _FunctionPass:
                     and parts[-1] in base.classmethod_ctors
                 ):
                     spec = base
-            if spec is not None and not spec.frame_kinds:
-                env[bind] = _Track(spec, bind, parts[-1], line, col)
+            if spec is not None:
+                env[bind] = _Track(spec, bind)
                 return
 
         # Direct method event on a tracked handle or a parameter.
@@ -601,9 +498,7 @@ class _FunctionPass:
     # -- statement walk ------------------------------------------------------
 
     def run(self) -> None:
-        env: dict[str, _Track] = {}
-        env = self._exec_block(self.fn.body, env, False)
-        self._finish(env)
+        self._exec_block(self.fn.body, {}, False)
 
     def _exec_block(
         self, stmts: list, env: dict, maybe: bool
@@ -654,7 +549,6 @@ class _FunctionPass:
 
         if isinstance(stmt, ast.Raise):
             self._process_expr(stmt.exc, env, maybe)
-            self._mark_risk(env, stmt.lineno, "an explicit raise")
             return env
 
         if isinstance(stmt, ast.If):
@@ -756,30 +650,6 @@ class _FunctionPass:
         return env
 
     def _exec_try(self, stmt: ast.Try, env: dict, maybe: bool) -> dict:
-        # A finally that fires a protocol event on a handle protects
-        # the try body's raise-capable statements (PR 6's
-        # finally-span rule, generalized to protocol machines).
-        if stmt.finalbody and stmt.body:
-            span = (
-                stmt.lineno,
-                max(
-                    getattr(s, "end_lineno", s.lineno) or s.lineno
-                    for s in stmt.body
-                ),
-            )
-            for node in ast.walk(ast.Module(body=stmt.finalbody,
-                                            type_ignores=[])):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                ):
-                    t = env.get(node.func.value.id)
-                    if t is not None and t.spec.event_for_method(
-                        node.func.attr
-                    ):
-                        t.protected.append(span)
-
         env_body = self._exec_block(stmt.body, env, maybe)
         if stmt.handlers:
             pre = _join_env(env, env_body)
@@ -800,10 +670,7 @@ class _FunctionPass:
 
     def _exec_with(self, stmt, env: dict, maybe: bool) -> dict:
         managed: list[_Track] = []
-        body_span = (
-            stmt.lineno,
-            getattr(stmt, "end_lineno", stmt.lineno) or stmt.lineno,
-        )
+        end_line = getattr(stmt, "end_lineno", stmt.lineno) or stmt.lineno
         for item in stmt.items:
             ce = item.context_expr
             bind = (
@@ -823,51 +690,14 @@ class _FunctionPass:
                         track, track.spec.enter_event,
                         stmt.lineno, stmt.col_offset, maybe=maybe,
                     )
-                track.protected.append(body_span)
                 managed.append(track)
         env = self._exec_block(stmt.body, env, maybe)
         for track in managed:
             if track.spec.exit_event:
                 self._step(
-                    track, track.spec.exit_event,
-                    body_span[1], 0, maybe=maybe,
+                    track, track.spec.exit_event, end_line, 0, maybe=maybe
                 )
         return env
-
-    # -- end of function -----------------------------------------------------
-
-    def _finish(self, env: dict) -> None:
-        seen: set[int] = set()
-        for track in env.values():
-            if id(track) in seen:
-                continue
-            seen.add(id(track))
-            if track.escaped:
-                continue
-            complete = bool(track.states & track.spec.accepting)
-            if not complete and track.spec.name == "channel-exporter":
-                self._report(
-                    "RPR022", track.ctor_line, track.ctor_col,
-                    track.spec.name,
-                    f"`{track.var} = {track.ctor}(...)` opens the "
-                    "live stream (hello) but no path sends "
-                    "metrics_final/bye before the function exits; "
-                    "call close() so the final registry merge and "
-                    "the close handshake reach the collector",
-                    track,
-                )
-            elif complete and track.risk is not None:
-                rline, why = track.risk
-                self._report(
-                    track.spec.raise_rule or "RPR025",
-                    track.ctor_line, track.ctor_col, track.spec.name,
-                    f"`{track.var} = {track.ctor}(...)` can be left "
-                    f"open: {why} at line {rline} exits before the "
-                    f"{track.spec.name} protocol reaches an accepting "
-                    "state; move the close/finalize into a finally or "
-                    "use `with`",
-                    track,
-                )
 
 
 class TypestateAnalysis:
@@ -887,7 +717,6 @@ class TypestateAnalysis:
         self._params: dict[str, tuple[str, ...]] = {}
         # (path, qname, FunctionDef) work list.
         self._functions: list[tuple[str, str | None, ast.AST]] = []
-        self._trees: dict[str, ast.Module] = {}
         sources = dict(extra_sources or {})
         for rec in project.modules.values():
             source = sources.get(rec.path)
@@ -900,7 +729,6 @@ class TypestateAnalysis:
                 tree = ast.parse(source, filename=rec.path)
             except SyntaxError:
                 continue
-            self._trees[rec.path] = tree
             by_key = {
                 (info.name, info.line): info.qname
                 for info in rec.functions
@@ -943,8 +771,7 @@ class TypestateAnalysis:
         return changed
 
     def run(self) -> dict[str, dict[str, list[tuple[int, int, str]]]]:
-        """Compute the full report: ``code -> path -> triples`` plus
-        per-function channel findings for RPR026."""
+        """Compute the full report: ``code -> path -> triples``."""
         if self.interprocedural:
             for _round in range(_MAX_ROUNDS):
                 if not self._summary_pass():
@@ -952,88 +779,17 @@ class TypestateAnalysis:
         report: dict[str, dict[str, list[tuple[int, int, str]]]] = {
             code: {} for code in TYPESTATE_RULES
         }
-        channel_viols: dict[str, list[tuple[int, int, str]]] = {}
         for path, qname, node in self._functions:
             fpass = _FunctionPass(self, node, qname, path)
             fpass.run()
-            for code, line, col, machine, msg in fpass.violations:
+            for code, line, col, msg in fpass.violations:
                 report[code].setdefault(path, []).append(
                     (line, col, msg)
                 )
-                if machine == "channel-exporter" and qname:
-                    channel_viols.setdefault(qname, []).append(
-                        (line, col, msg)
-                    )
-        self._check_spawn_conformance(report, channel_viols)
         for buckets in report.values():
             for triples in buckets.values():
                 triples.sort()
         return report
-
-    # -- RPR026: spawned children must drive the channel in order ----------
-
-    def _check_spawn_conformance(
-        self,
-        report: dict,
-        channel_viols: dict[str, list[tuple[int, int, str]]],
-    ) -> None:
-        if not channel_viols:
-            return
-        project = self.project
-        for rec in project.modules.values():
-            tree = self._trees.get(rec.path)
-            if tree is None:
-                continue
-            infos = sorted(rec.functions, key=lambda i: i.line)
-            for call in ast.walk(tree):
-                if not isinstance(call, ast.Call):
-                    continue
-                raw = _dotted(call.func)
-                if raw is None or raw.split(".")[-1] != "Process":
-                    continue
-                target = next(
-                    (
-                        kw.value.id
-                        for kw in call.keywords
-                        if kw.arg == "target"
-                        and isinstance(kw.value, ast.Name)
-                    ),
-                    None,
-                )
-                if target is None:
-                    continue
-                owner = None
-                for info in infos:
-                    if info.line <= call.lineno <= info.end_line:
-                        owner = info
-                if owner is None:
-                    continue
-                callee = project._resolve_plain(owner, target)
-                if callee is None:
-                    continue
-                reach = {callee} | project.reachable_from(callee)
-                hits = [
-                    (fn, v)
-                    for fn in sorted(reach)
-                    for v in channel_viols.get(fn, ())
-                ]
-                if not hits:
-                    continue
-                fn, (vline, _vcol, vmsg) = hits[0]
-                where = project.functions[fn]
-                report["RPR026"].setdefault(rec.path, []).append(
-                    (
-                        call.lineno, call.col_offset,
-                        f"spawned child target `{target}` can emit "
-                        "frames without a conformant handshake: "
-                        f"`{fn.rsplit('.', 1)[-1]}` "
-                        f"({where.path}:{vline}) drives its channel "
-                        "out of order — a conformant stream is hello "
-                        "-> frames -> metrics_final -> bye (tightens "
-                        "RPR021: having a channel is not enough, it "
-                        "must be driven in order)",
-                    )
-                )
 
 
 def typestate_report(

@@ -1,4 +1,4 @@
-"""Lint registrations for the typestate tier (RPR022–RPR026).
+"""Lint registrations for the typestate tier (RPR023, RPR024).
 
 Thin adapters: all the work happens in
 :func:`repro.analysis.typestate.interp.typestate_report`, which runs
@@ -9,19 +9,9 @@ module being linted, so the usual ``# repro: noqa[RPR02x]`` and
 baseline machinery apply unchanged.
 
 ========  ==============================================================
-RPR022    frame-protocol ordering: frames sent before hello / after
-          the close handshake, or a clean exit that never sends
-          ``metrics_final``/``bye``
-RPR023    use of a closed/undrained handle (``Collector``,
-          ``ChannelExporter``, ``FlightRecorder``, ``ParallelBFS``)
+RPR023    use of a closed handle (``FlightRecorder``, ``ParallelBFS``)
 RPR024    a workspace result still live (read later or escaped) when
           the workspace is re-lent to another traversal
-RPR025    a raise-capable path on which an open protocol can never
-          reach an accepting state (interprocedural; builds on RPR015's
-          raise facts, judged against the protocol machine instead of
-          a close-call grep)
-RPR026    a spawned child whose call path can emit frames without a
-          conformant hello→…→bye handshake (tightens RPR021)
 ========  ==============================================================
 """
 
@@ -61,20 +51,8 @@ def _yield_for(
 
 
 @rule(
-    "RPR022",
-    "live-channel frame-protocol ordering violation "
-    "(frames before hello / after bye, or no metrics_final on exit)",
-    deep=True,
-    whole_program=True,
-)
-def _check_rpr022(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    yield from _yield_for(ctx, "RPR022")
-
-
-@rule(
     "RPR023",
-    "use of a closed or undrained handle "
-    "(Collector/ChannelExporter/FlightRecorder/ParallelBFS)",
+    "use of a closed handle (FlightRecorder/ParallelBFS)",
     deep=True,
     whole_program=True,
 )
@@ -92,24 +70,3 @@ def _check_rpr023(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
 def _check_rpr024(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
     yield from _yield_for(ctx, "RPR024")
 
-
-@rule(
-    "RPR025",
-    "raise-capable path on which an open protocol can never reach "
-    "an accepting state",
-    deep=True,
-    whole_program=True,
-)
-def _check_rpr025(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    yield from _yield_for(ctx, "RPR025")
-
-
-@rule(
-    "RPR026",
-    "spawned child whose call path can emit frames without a "
-    "conformant handshake",
-    deep=True,
-    whole_program=True,
-)
-def _check_rpr026(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    yield from _yield_for(ctx, "RPR026")

@@ -1,23 +1,14 @@
 """Declarative protocol state machines for the typestate tier.
 
 A :class:`ProtocolSpec` is a finite state machine over the *lifecycle
-events* of one kind of handle: constructor calls, method calls, and —
-for the live telemetry stream — frame kinds.  The static typestate
-interpreter (:mod:`repro.analysis.typestate.interp`) drives these
-machines over abstract states per variable; the dynamic
-:class:`~repro.obs.live.protocol.ProtocolMonitor` drives the *same*
-machines over real method calls and captured frames, so every static
-rule has a runtime twin proven on the same scenarios.
+events* of one kind of handle: constructor calls, method calls and
+``with`` entry/exit.  The static typestate interpreter
+(:mod:`repro.analysis.typestate.interp`) drives these machines over
+abstract states per variable.
 
 Built-in machines (:data:`PROTOCOLS`):
 
 ================  =========================================================
-live-channel      the ``repro.obs.live/1`` frame handshake:
-                  hello → spans/metrics → metrics_final → bye
-channel-exporter  :class:`~repro.obs.live.channel.ChannelExporter`:
-                  created → (hello) open → (close) closed
-collector         :class:`~repro.obs.live.collector.Collector`:
-                  created → (enter) attached → (exit) detached
 flight-recorder   :class:`~repro.obs.profile.FlightRecorder` attach/detach
 bfs-workspace     :class:`~repro.bfs.workspace.BFSWorkspace`:
                   idle → (begin/traverse) active → (result bound) lent
@@ -27,8 +18,7 @@ parallel-bfs      :class:`~repro.bfs.parallel.ParallelBFS`:
 ================  =========================================================
 
 Each machine carries the lint rule that owns its misuse findings
-(``owner_rule``) and, where applicable, the rule reporting raise-path
-incompleteness (``raise_rule``, RPR025).  Machines export to DOT via
+(``owner_rule``).  Machines export to DOT via
 :meth:`ProtocolSpec.to_dot` (``repro-bfs protocols --format dot``).
 """
 
@@ -44,7 +34,6 @@ __all__ = [
     "PROTOCOLS",
     "get_protocol",
     "protocol_for_ctor",
-    "protocol_for_type",
     "all_ctor_names",
 ]
 
@@ -74,13 +63,6 @@ class ProtocolSpec:
     exit_event: str | None = None
     #: Rule code that owns ordering/use-after-close findings.
     owner_rule: str | None = None
-    #: Rule code for "a raise-capable path leaves the protocol unable
-    #: to reach an accepting state" (None when another rule owns it,
-    #: e.g. RPR015 already reports leaked ``ParallelBFS`` engines).
-    raise_rule: str | None = None
-    #: Whether events are frame kinds (the live stream) rather than
-    #: method calls on a Python object.
-    frame_kinds: bool = False
     _table: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -104,11 +86,6 @@ class ProtocolSpec:
 
     # -- stepping ------------------------------------------------------------
 
-    def step(self, state: str, event: str) -> str | None:
-        """Next state, or ``None`` when ``event`` violates the
-        protocol in ``state``."""
-        return self._table.get((state, event))
-
     def step_set(
         self, states: frozenset[str], event: str
     ) -> tuple[frozenset[str], bool]:
@@ -129,10 +106,6 @@ class ProtocolSpec:
         return tuple(sorted(
             ev for (s, ev) in self._table if s == state
         ))
-
-    def is_accepting(self, state: str) -> bool:
-        """Whether a handle may legally end its life in ``state``."""
-        return state in self.accepting
 
     def event_for_method(self, method: str) -> str | None:
         """The event a call to ``handle.method(...)`` signifies."""
@@ -160,7 +133,6 @@ class ProtocolSpec:
             "transitions": [list(t) for t in self.transitions],
             "events": list(self.events()),
             "owner_rule": self.owner_rule,
-            "raise_rule": self.raise_rule,
         }
 
     def to_dot(self) -> str:
@@ -194,111 +166,6 @@ def _self_loops(
         (state, event, state) for state in states for event in events
     )
 
-
-#: The ``repro.obs.live/1`` frame handshake over one stream (keyed by
-#: the frame ``source``).  ``span``/``event`` frames may trail into the
-#: ``finalized`` state — a listener racing ``close()`` can land one
-#: after ``metrics_final`` — but nothing follows ``bye``, nothing
-#: precedes ``hello``, and ``bye`` without ``metrics_final`` means the
-#: final registry merge was lost.
-LIVE_CHANNEL = ProtocolSpec(
-    name="live-channel",
-    subject="repro.obs.live/1 frame stream",
-    description=(
-        "hello opens the stream, spans/events/metrics flow, "
-        "metrics_final carries the exact registry merge, bye closes"
-    ),
-    states=("idle", "open", "streaming", "finalized", "closed"),
-    initial="idle",
-    accepting=frozenset({"closed"}),
-    transitions=(
-        ("idle", "hello", "open"),
-        ("open", "span_open", "streaming"),
-        ("open", "span", "streaming"),
-        ("open", "event", "streaming"),
-        ("open", "metrics", "streaming"),
-        ("open", "metrics_final", "finalized"),
-        ("streaming", "span_open", "streaming"),
-        ("streaming", "span", "streaming"),
-        ("streaming", "event", "streaming"),
-        ("streaming", "metrics", "streaming"),
-        ("streaming", "metrics_final", "finalized"),
-        ("finalized", "span_open", "finalized"),
-        ("finalized", "span", "finalized"),
-        ("finalized", "event", "finalized"),
-        ("finalized", "bye", "closed"),
-    ),
-    owner_rule="RPR022",
-    frame_kinds=True,
-)
-
-#: ``ChannelExporter``: ``hello()`` before any frame flows, ``close()``
-#: sends ``metrics_final`` + ``bye`` exactly once.  Flushing before
-#: hello puts frames on the wire outside the handshake; flushing after
-#: close is silently dropped telemetry.
-CHANNEL_EXPORTER = ProtocolSpec(
-    name="channel-exporter",
-    subject="ChannelExporter",
-    description=(
-        "hello() opens the stream; flush() requires an open stream; "
-        "close() finalizes (idempotent)"
-    ),
-    states=("created", "open", "closed"),
-    initial="created",
-    accepting=frozenset({"created", "closed"}),
-    transitions=(
-        ("created", "hello", "open"),
-        ("open", "flush", "open"),
-        ("open", "close", "closed"),
-        ("closed", "close", "closed"),
-    ),
-    ctors=frozenset({"ChannelExporter"}),
-    method_events=(
-        ("hello", "hello"),
-        ("flush", "flush"),
-        ("close", "close"),
-    ),
-    owner_rule="RPR022",
-    raise_rule="RPR025",
-)
-
-#: ``Collector``: attach with ``with``, drain with ``close()``, detach
-#: on exit.  Watching or polling a detached collector silently loses
-#: parent-side telemetry.
-COLLECTOR = ProtocolSpec(
-    name="collector",
-    subject="Collector",
-    description=(
-        "context entry attaches to the tracer; watch/poll/replay need "
-        "an attached (or not-yet-attached) collector; exit detaches"
-    ),
-    states=("created", "attached", "detached"),
-    initial="created",
-    accepting=frozenset({"created", "detached"}),
-    transitions=(
-        ("created", "enter", "attached"),
-        ("attached", "exit", "detached"),
-        ("created", "use", "created"),
-        ("created", "drain", "created"),
-        ("created", "evaluate", "created"),
-        ("attached", "use", "attached"),
-        ("attached", "drain", "attached"),
-        ("attached", "evaluate", "attached"),
-        ("detached", "evaluate", "detached"),
-    ),
-    ctors=frozenset({"Collector"}),
-    method_events=(
-        ("watch", "use"),
-        ("poll", "use"),
-        ("replay", "use"),
-        ("close", "drain"),
-        ("evaluate", "evaluate"),
-    ),
-    enter_event="enter",
-    exit_event="exit",
-    owner_rule="RPR023",
-    raise_rule="RPR025",
-)
 
 #: ``FlightRecorder``: attach/detach bracket; ``trigger()`` works in
 #: any state (a manual snapshot needs no listener).
@@ -387,9 +254,6 @@ PARALLEL_BFS = ProtocolSpec(
 PROTOCOLS: dict[str, ProtocolSpec] = {
     spec.name: spec
     for spec in (
-        LIVE_CHANNEL,
-        CHANNEL_EXPORTER,
-        COLLECTOR,
         FLIGHT_RECORDER,
         BFS_WORKSPACE,
         PARALLEL_BFS,
@@ -413,15 +277,6 @@ def protocol_for_ctor(leaf: str) -> ProtocolSpec | None:
     """The machine whose handles ``leaf(...)`` constructs, if any."""
     for spec in PROTOCOLS.values():
         if leaf in spec.ctors:
-            return spec
-    return None
-
-
-def protocol_for_type(type_name: str) -> ProtocolSpec | None:
-    """The machine governing instances of ``type_name`` (the dynamic
-    monitor's auto-detection)."""
-    for spec in PROTOCOLS.values():
-        if spec.subject == type_name or type_name in spec.ctors:
             return spec
     return None
 

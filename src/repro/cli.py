@@ -10,9 +10,8 @@ Subcommands::
     repro-bfs trace --scale 14 [--out PREFIX]
     repro-bfs profile --scale 12 [--flight-recorder] [--out DIR]
     repro-bfs monitor record|check|report|drift [--history PATH]
-    repro-bfs serve-metrics --scale 12 [--port 9464]
-    repro-bfs top --scale 8 --children 1 [--once]
-    repro-bfs live record|check [--policy SPEC]
+    repro-bfs lint|callgraph|dataflow|sanitize ...
+    repro-bfs protocols [--machine NAME] [--format text|json|dot]
     repro-bfs info                       # architecture presets
 
 ``run``/``all`` regenerate the paper's tables and figures and print
@@ -38,19 +37,12 @@ meta either way.
 the JSONL history store, ``check`` gates the newest run against the
 rolling baseline (nonzero exit on regression — the CI gate), ``report``
 prints the trajectory, and ``drift`` replays the stored audit verdicts
-through the predictor drift monitor.  ``serve-metrics`` exposes a live
-registry as an OpenMetrics v1 endpoint.
+through the predictor drift monitor.
 
-``top`` and ``live`` are the cross-process tier (:mod:`repro.obs.live`):
-``top`` runs a traced parent+children demo workload and renders the
-streaming dashboard (windows, sparklines, active spans, burn-rate SLO
-state; ``--once`` degrades to one plain-text frame for non-TTY use),
-``live record`` persists the whole frame stream to a capture file
-(optionally arming the flight recorder so an SLO alert dumps a
-snapshot), and ``live check`` replays a capture against SLO policies
-with a CI-friendly nonzero exit on violation — the live analogue of
-``monitor check``.  SLO specs read ``metric<threshold@objective``,
-e.g. ``graph500.bfs<0.5@0.9``.
+``lint``, ``callgraph``, ``dataflow`` and ``sanitize`` front the static
+and runtime checks of :mod:`repro.analysis`; ``protocols`` lists the
+typestate machines behind rules RPR023 and RPR024 and exports them as
+Graphviz DOT.
 """
 
 from __future__ import annotations
@@ -144,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help="also run the deep dataflow/race/typestate rules "
-        "(RPR010..RPR026)",
+        "(RPR010..RPR019, RPR023, RPR024)",
     )
     lint_p.add_argument(
         "--changed",
@@ -451,101 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     dr_p.add_argument("--json", action="store_true")
     _history_arg(dr_p)
 
-    srv_p = sub.add_parser(
-        "serve-metrics",
-        help="expose a traced run's metrics as an OpenMetrics endpoint",
-    )
-    srv_p.add_argument("--scale", type=int, default=12)
-    srv_p.add_argument("--edgefactor", type=int, default=16)
-    srv_p.add_argument("--roots", type=int, default=4)
-    srv_p.add_argument("--seed", type=int, default=0)
-    srv_p.add_argument("--host", default="127.0.0.1")
-    srv_p.add_argument("--port", type=int, default=9464)
-    srv_p.add_argument(
-        "--once",
-        action="store_true",
-        help="serve exactly one scrape, then exit (CI smoke mode)",
-    )
-
-    top_p = sub.add_parser(
-        "top",
-        help="live telemetry dashboard over a traced parent+children "
-        "demo workload",
-    )
-    _live_workload_args(top_p)
-    top_p.add_argument(
-        "--interval",
-        type=float,
-        default=0.25,
-        help="refresh period in seconds (capped at 4 Hz)",
-    )
-    top_p.add_argument(
-        "--once",
-        action="store_true",
-        help="run the workload to completion, then print one plain-text "
-        "frame (the non-TTY degradation)",
-    )
-    top_p.add_argument(
-        "--duration",
-        type=float,
-        default=120.0,
-        help="hard cap on the watch loop in seconds",
-    )
-    _slo_args(top_p)
-
-    live_p = sub.add_parser(
-        "live",
-        help="record/replay live-telemetry captures against SLO policies",
-    )
-    live_sub = live_p.add_subparsers(dest="live_command")
-
-    lrec_p = live_sub.add_parser(
-        "record",
-        help="run the traced demo workload and persist the frame stream",
-    )
-    _live_workload_args(lrec_p)
-    lrec_p.add_argument(
-        "--out",
-        type=Path,
-        default=Path("live.capture"),
-        help="capture file (length-prefixed live frames)",
-    )
-    lrec_p.add_argument(
-        "--flight-dir",
-        type=Path,
-        default=None,
-        dest="flight_dir",
-        help="arm the flight recorder: an slo.alert event dumps a "
-        "snapshot here",
-    )
-    _slo_args(lrec_p)
-
-    lchk_p = live_sub.add_parser(
-        "check",
-        help="replay a capture against SLO policies (nonzero exit on "
-        "any burn-rate alert — the CI gate)",
-    )
-    lchk_p.add_argument("capture", type=Path, help="capture file to replay")
-    lchk_p.add_argument("--json", action="store_true")
-    lchk_p.add_argument(
-        "--strict-protocol",
-        action="store_true",
-        dest="strict_protocol",
-        help="additionally replay the capture through the live-channel "
-        "protocol machines: out-of-order frames or an incomplete "
-        "hello→…→bye handshake fail the gate (exit 2)",
-    )
-    _slo_args(lchk_p)
-
     proto_p = sub.add_parser(
         "protocols",
-        help="list the typestate protocol machines (RPR022..RPR026) "
+        help="list the typestate protocol machines (RPR023, RPR024) "
         "and export them as DOT",
     )
     proto_p.add_argument(
         "--machine",
         default=None,
-        help="show only this machine (e.g. channel-exporter)",
+        help="show only this machine (e.g. bfs-workspace)",
     )
     proto_p.add_argument(
         "--format",
@@ -563,71 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         "directory (the CI artifact export)",
     )
     return parser
-
-
-#: SLO specs assumed when none are passed (generous: the demo workload
-#: at small scales stays far under a second per traversal).
-DEFAULT_SLO_SPECS = ("graph500.bfs<1.0@0.9",)
-
-
-def _live_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", type=int, default=8)
-    p.add_argument("--edgefactor", type=int, default=8)
-    p.add_argument("--roots", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--children",
-        type=int,
-        default=1,
-        help="traced child processes to spawn",
-    )
-    p.add_argument(
-        "--child-delay",
-        type=float,
-        default=0.0,
-        dest="child_delay",
-        help="inject N seconds of sleep per child traversal (trips a "
-        "tight SLO for the acceptance run)",
-    )
-
-
-def _slo_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="SLO spec metric<threshold@objective (repeatable; default "
-        f"{DEFAULT_SLO_SPECS[0]})",
-    )
-    p.add_argument(
-        "--slo-window",
-        type=float,
-        default=1.0,
-        dest="slo_window",
-        help="SLO window length in seconds",
-    )
-    p.add_argument(
-        "--fast-windows",
-        type=int,
-        default=5,
-        dest="fast_windows",
-        help="fast burn-rate window span (in windows)",
-    )
-    p.add_argument(
-        "--slow-windows",
-        type=int,
-        default=60,
-        dest="slow_windows",
-        help="slow burn-rate window span (in windows)",
-    )
-    p.add_argument(
-        "--burn-threshold",
-        type=float,
-        default=2.0,
-        dest="burn_threshold",
-        help="burn rate both windows must reach to alert",
-    )
 
 
 def _history_arg(p: argparse.ArgumentParser) -> None:
@@ -1120,9 +961,20 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
             predictor = train_default_predictor(
                 BenchConfig(base_scale=max(args.scale - 1, 12))
             )
-            m, n = predictor.predict_mn(graph, CPU_SANDY_BRIDGE, GPU_K20X)
+            pm, pn = predictor.predict_mn(graph, CPU_SANDY_BRIDGE, GPU_K20X)
+            # Only the threshold left unset is predicted; one given on
+            # the command line is used as is.
             if not quiet:
-                print(f"predicted switching point: M={m:.1f} N={n:.1f}")
+                predicted = " ".join(
+                    f"{name}={value:.1f}"
+                    for name, value, given in (
+                        ("M", pm, m), ("N", pn, n)
+                    )
+                    if given is None
+                )
+                print(f"predicted switching point: {predicted}")
+            m = pm if m is None else m
+            n = pn if n is None else n
         m = 64.0 if m is None else m
         n = 512.0 if n is None else n
         runner = lambda: bfs_hybrid(
@@ -1875,252 +1727,6 @@ def _cmd_monitor_drift(args: argparse.Namespace) -> int:
     return 1 if monitor.alerts else 0
 
 
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    from repro.graph500 import HybridEngine, run_graph500
-    from repro.obs import Tracer, use_tracer
-    from repro.obs.openmetrics import serve
-
-    print(
-        f"populating registry: graph500 SCALE={args.scale} "
-        f"NBFS={args.roots} ..."
-    )
-    tracer = Tracer()
-    with use_tracer(tracer):
-        run_graph500(
-            args.scale,
-            args.edgefactor,
-            num_roots=args.roots,
-            engine=HybridEngine(),
-            seed=args.seed,
-            tracer=tracer,
-        )
-    server = serve(tracer.metrics, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    print(f"serving OpenMetrics at http://{host}:{port}/metrics")
-    # SIGINT/SIGTERM must end serve_forever() without a traceback and
-    # still run server_close() — a signal can land inside accept(),
-    # where a bare KeyboardInterrupt would otherwise escape.
-    import signal
-
-    interrupted = {"by": None}
-
-    def _graceful(signum, frame):
-        interrupted["by"] = signal.Signals(signum).name
-        raise KeyboardInterrupt
-
-    previous = {
-        sig: signal.signal(sig, _graceful)
-        for sig in (signal.SIGINT, signal.SIGTERM)
-    }
-    try:
-        if args.once:
-            server.handle_request()
-        else:
-            server.serve_forever()
-    except KeyboardInterrupt:
-        print(
-            f"serve-metrics: shutting down "
-            f"({interrupted['by'] or 'interrupt'})"
-        )
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        server.server_close()
-    return 0
-
-
-def _parse_slo_policies(args: argparse.Namespace) -> list:
-    from repro.obs.live import SLOPolicy
-
-    specs = args.policy if args.policy else list(DEFAULT_SLO_SPECS)
-    return [
-        SLOPolicy.parse(
-            spec,
-            window_seconds=args.slo_window,
-            fast_windows=args.fast_windows,
-            slow_windows=args.slow_windows,
-            burn_threshold=args.burn_threshold,
-        )
-        for spec in specs
-    ]
-
-
-def _print_live_summary(collector) -> None:
-    print(
-        f"live: {collector.frames} frame(s) "
-        f"({collector.dropped} dropped), "
-        f"{len(collector.channels)} channel(s), "
-        f"{len(collector.alerts)} alert(s)"
-    )
-    for alert in collector.alerts:
-        print(f"  {alert.describe()}")
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import threading
-
-    from repro.obs import Tracer, use_tracer
-    from repro.obs.live import Collector, Dashboard, run_traced_pair
-
-    policies = _parse_slo_policies(args)
-    tracer = Tracer()
-    ansi = sys.stdout.isatty() and not args.once
-    with use_tracer(tracer), Collector(
-        tracer, policies=policies, window_seconds=args.slo_window
-    ) as collector:
-        done = threading.Event()
-        failure: list[BaseException] = []
-
-        def _work() -> None:
-            try:
-                run_traced_pair(
-                    args.scale,
-                    edgefactor=args.edgefactor,
-                    num_roots=args.roots,
-                    children=args.children,
-                    child_delay=args.child_delay,
-                    collector=collector,
-                    tracer=tracer,
-                    seed=args.seed,
-                )
-            except BaseException as exc:  # surfaced after the loop
-                failure.append(exc)
-            finally:
-                done.set()
-
-        worker = threading.Thread(target=_work, name="workload", daemon=True)
-        worker.start()
-        dashboard = Dashboard(
-            collector, interval=args.interval, ansi=ansi
-        )
-        if args.once:
-            done.wait(args.duration)
-            worker.join(5.0)
-            collector.close(timeout=5.0)
-            collector.evaluate()
-            dashboard.refresh()
-        else:
-            dashboard.run(done.is_set, max_seconds=args.duration)
-            worker.join(5.0)
-            collector.close(timeout=5.0)
-            collector.evaluate()
-        if failure:
-            raise failure[0]
-    _print_live_summary(collector)
-    return 0
-
-
-def _cmd_live_record(args: argparse.Namespace) -> int:
-    from repro.obs import Tracer, use_tracer
-    from repro.obs.live import (
-        CaptureFile,
-        ChannelExporter,
-        Collector,
-        run_traced_pair,
-    )
-
-    policies = _parse_slo_policies(args)
-    tracer = Tracer()
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    writer = CaptureFile(args.out)
-    # The tee exporter listens on the *parent* tracer, so locally
-    # recorded spans and adopted child spans alike land in the capture.
-    tee = ChannelExporter(writer, tracer, source="main")
-    flight = None
-    if args.flight_dir is not None:
-        from repro.obs.profile import FlightRecorder
-
-        flight = FlightRecorder(
-            tracer,
-            snapshot_dir=args.flight_dir,
-            context={"workload": f"live-s{args.scale}"},
-        )
-        tracer.add_listener(flight)
-    try:
-        with use_tracer(tracer), Collector(
-            tracer, policies=policies, window_seconds=args.slo_window
-        ) as collector:
-            tee.hello()
-            try:
-                tracer.add_listener(tee)
-                run_traced_pair(
-                    args.scale,
-                    edgefactor=args.edgefactor,
-                    num_roots=args.roots,
-                    children=args.children,
-                    child_delay=args.child_delay,
-                    collector=collector,
-                    tracer=tracer,
-                    seed=args.seed,
-                )
-                collector.close(timeout=10.0)
-                collector.evaluate()
-            finally:
-                # An aborted run still writes the metrics_final/bye
-                # handshake into the capture before the file closes,
-                # so partial captures stay protocol-conformant.
-                tee.close()
-    finally:
-        writer.close()
-        if flight is not None:
-            tracer.remove_listener(flight)
-    print(f"wrote {writer.frames} frame(s) to {args.out}")
-    _print_live_summary(collector)
-    if flight is not None:
-        for info in flight.snapshots:
-            print(f"  snapshot: {info.path} ({info.reason})")
-    return 0
-
-
-def _cmd_live_check(args: argparse.Namespace) -> int:
-    from repro.errors import LiveError
-    from repro.obs import Tracer
-    from repro.obs.live import Collector
-
-    policies = _parse_slo_policies(args)
-    tracer = Tracer()
-    with Collector(
-        tracer, policies=policies, window_seconds=args.slo_window
-    ) as collector:
-        try:
-            alerts = collector.replay(
-                args.capture,
-                strict=True,
-                conformance=(
-                    "strict"
-                    if getattr(args, "strict_protocol", False)
-                    else None
-                ),
-            )
-        except (OSError, LiveError) as exc:
-            # ProtocolError is a LiveError: a non-conformant handshake
-            # fails the gate the same way a corrupt capture does.
-            print(f"live check: {exc}", file=sys.stderr)
-            return 2
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "capture": str(args.capture),
-                    "frames": collector.frames,
-                    "dropped": collector.dropped,
-                    "policies": [p.spec() for p in policies],
-                    "alerts": [a.as_dict() for a in alerts],
-                },
-                indent=2,
-            )
-        )
-        return 1 if alerts else 0
-    verdict = "FAIL" if alerts else "ok"
-    print(
-        f"live check: {args.capture} — {collector.frames} frame(s), "
-        f"{len(policies)} policy(ies) — {verdict}"
-    )
-    for alert in alerts:
-        print(f"  {alert.describe()}")
-    return 1 if alerts else 0
-
-
 def _cmd_protocols(args: argparse.Namespace) -> int:
     """List/export the typestate protocol state machines."""
     from repro.analysis.typestate import PROTOCOLS, get_protocol
@@ -2162,28 +1768,20 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
             f"  states: {', '.join(spec.states)} "
             f"(initial: {spec.initial}; accepting: {accepting})"
         )
-        rules = [r for r in (spec.owner_rule, spec.raise_rule) if r]
-        if rules:
-            print(f"  lint rules: {', '.join(dict.fromkeys(rules))}")
+        if spec.owner_rule:
+            print(f"  lint rule: {spec.owner_rule}")
         for state, event, nxt in spec.transitions:
             print(f"    {state} --{event}--> {nxt}")
     return 0
-
-
-def _cmd_live(args: argparse.Namespace) -> int:
-    if args.live_command == "record":
-        return _cmd_live_record(args)
-    if args.live_command == "check":
-        return _cmd_live_check(args)
-    print("usage: repro-bfs live {record,check} ...", file=sys.stderr)
-    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
     A library error no command handles is reported as one stderr line,
-    ``repro-bfs: <ErrorClass>: <message>``, with exit status 2.
+    ``repro-bfs: <ErrorClass>: <message>``, with exit status 2; so is a
+    file the command cannot open or create (``repro-bfs: <path>:
+    <reason>``).
     """
     from repro.errors import ReproError
 
@@ -2193,6 +1791,11 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(parser, args)
     except ReproError as exc:
         print(f"repro-bfs: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"repro-bfs: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 
@@ -2217,12 +1820,6 @@ def _dispatch(
         return _cmd_profile(args)
     if args.command == "monitor":
         return _cmd_monitor(args)
-    if args.command == "serve-metrics":
-        return _cmd_serve_metrics(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "live":
-        return _cmd_live(args)
     if args.command == "protocols":
         return _cmd_protocols(args)
     if args.command == "lint":

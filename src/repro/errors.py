@@ -31,7 +31,6 @@ __all__ = [
     "HistoryError",
     "MonitorError",
     "ProfileError",
-    "LiveError",
 ]
 
 
@@ -148,7 +147,7 @@ class ObsError(ReproError):
 class ExportError(ObsError):
     """Raised when a trace export/import fails or an exported trace
     does not conform to its schema (JSONL event stream, Chrome
-    trace-event format, OpenMetrics exposition)."""
+    trace-event format)."""
 
 
 class HistoryError(ObsError):
@@ -167,18 +166,3 @@ class ProfileError(ObsError):
     """Raised by the profiling tier (:mod:`repro.obs.profile`): sampler
     lifecycle misuse, explain inputs that do not describe the same
     traversal, malformed flight-recorder snapshots."""
-
-
-class LiveError(ObsError):
-    """Raised by the live-telemetry tier (:mod:`repro.obs.live`):
-    malformed channel frames, collector lifecycle misuse, invalid SLO
-    policy specifications, capture files from a newer schema."""
-
-
-class ProtocolError(LiveError):
-    """Raised on a protocol-state-machine conformance failure
-    (:mod:`repro.obs.live.protocol`, strict capture replay): an event
-    illegal in the subject's current state, or a stream/handle ending
-    outside an accepting state.  Subclasses :class:`LiveError` so the
-    existing live-gate error paths treat non-conformance as a failed
-    check."""

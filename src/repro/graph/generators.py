@@ -14,6 +14,7 @@ structures against which the engines are verified.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,15 @@ class RMATParams:
 GRAPH500_PARAMS = RMATParams(0.57, 0.19, 0.19, 0.05)
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an ``int`` (numpy integers accepted); raises
+    :class:`~repro.errors.GraphError` for anything non-integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{name} must be an integer, got {value!r}") from None
+
+
 def rmat_edges(
     scale: int,
     edgefactor: int = 16,
@@ -85,6 +95,8 @@ def rmat_edges(
     removes them.  Vertex ids are randomly permuted so vertex id carries
     no degree information (the reference generator's final shuffle).
     """
+    scale = _as_int("scale", scale)
+    edgefactor = _as_int("edgefactor", edgefactor)
     if scale < 0:
         raise GraphError(f"scale must be >= 0, got {scale}")
     if edgefactor < 0:
@@ -126,6 +138,8 @@ def rmat(
     undirected edges (slightly fewer after removing duplicates and
     self loops, as in the benchmark itself).
     """
+    scale = _as_int("scale", scale)
+    edgefactor = _as_int("edgefactor", edgefactor)
     src, dst = rmat_edges(scale, edgefactor, params, seed=seed)
     g = CSRGraph.from_edges(src, dst, 1 << scale, symmetrize=True)
     g.meta.update(
@@ -151,10 +165,13 @@ def erdos_renyi(
     Uniform random endpoints; used as a low-skew contrast workload for
     the degree-skewed R-MAT graphs.
     """
+    n = _as_int("n", n)
     if n <= 0:
         raise GraphError(f"n must be positive, got {n}")
-    if avg_degree < 0:
-        raise GraphError(f"avg_degree must be >= 0, got {avg_degree}")
+    if not (np.isfinite(avg_degree) and avg_degree >= 0):
+        raise GraphError(
+            f"avg_degree must be finite and >= 0, got {avg_degree}"
+        )
     rng = np.random.default_rng(seed)
     m = int(round(n * avg_degree / 2))
     src = rng.integers(0, n, size=m, dtype=np.int64).astype(np.int32)

@@ -90,7 +90,8 @@ def load_edgelist(
     """Parse a text edge list into a CSR graph.
 
     ``num_vertices`` defaults to ``max id + 1``.  Raises
-    :class:`~repro.errors.GraphFormatError` on malformed lines.
+    :class:`~repro.errors.GraphFormatError` on malformed lines and on
+    ids ``>= num_vertices``.
     """
     path = Path(path)
     src_list: list[int] = []
@@ -120,6 +121,11 @@ def load_edgelist(
                     raise GraphFormatError(
                         f"{path}:{lineno}: vertex id exceeds int64 in "
                         f"{line!r}"
+                    )
+                if num_vertices is not None and max(u, v) >= num_vertices:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: vertex id {max(u, v)} out of "
+                        f"range for num_vertices={num_vertices}"
                     )
                 src_list.append(u)
                 dst_list.append(v)
@@ -225,6 +231,12 @@ def load_matrix_market(path: str | Path) -> CSRGraph:
     dst = index[:, 1].astype(np.int64) - 1
     if src.size and (src.min() < 0 or dst.min() < 0):
         raise GraphFormatError(f"{path}: indices must be 1-based positive")
+    top = int(max(src.max(), dst.max())) if src.size else -1
+    if top >= rows:
+        # Report the index as written in the file (1-based).
+        raise GraphFormatError(
+            f"{path}: index {top + 1} exceeds the matrix size {rows}"
+        )
     return CSRGraph.from_edges(
         src, dst, rows, symmetrize=(qualifier == "symmetric")
     )

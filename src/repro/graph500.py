@@ -201,15 +201,8 @@ def run_graph500(
     if num_roots < 1:
         raise BenchError(f"num_roots must be >= 1, got {num_roots}")
     tr = tracer if tracer is not None else get_tracer()
-    # A child process runs this under an installed TraceContext; its
-    # baggage (workload identity the spawner attached) is stamped onto
-    # kernel 1's span so the stitched trace is self-describing.
-    baggage = tr.current_context().baggage
-    construction_attrs: dict = {"scale": scale}
-    if baggage:
-        construction_attrs["baggage"] = dict(baggage)
     src, dst = rmat_edges(scale, edgefactor, params, seed=seed)
-    with tr.span("graph500.construction", **construction_attrs):
+    with tr.span("graph500.construction", scale=scale):
         t0 = now()
         graph = CSRGraph.from_edges(src, dst, 1 << scale, symmetrize=True)
         construction = now() - t0

@@ -1,6 +1,6 @@
 """Observability for the BFS stack: tracing, metrics, telemetry audit.
 
-Four pieces, designed to be threaded through every engine in the
+Five pieces, designed to be threaded through every engine in the
 repository:
 
 * :mod:`repro.obs.tracer` — span-based tracing (nestable, thread-safe,
@@ -18,11 +18,7 @@ repository:
 * :mod:`repro.obs.profile` — the continuous-profiling tier: sampling
   stack profiler (span-tagged flamegraphs), per-span ``tracemalloc``
   allocation windows, measured-vs-predicted explain reports and the
-  anomaly flight recorder;
-* :mod:`repro.obs.live` — the cross-process live tier: trace-context
-  propagation into child processes (:func:`spawn_traced`), the frame
-  channel and :class:`Collector`, streaming window aggregation with
-  SLO burn-rate alerting, and the ``repro-bfs top`` dashboard.
+  anomaly flight recorder.
 
 Nothing records unless a real :class:`Tracer` is installed
 (:func:`set_tracer` / :func:`use_tracer`) or passed explicitly; the
@@ -41,7 +37,6 @@ from repro.obs.export import (
 from repro.obs.log import ROOT_LOGGER_NAME, basic_config, get_logger
 from repro.obs.metrics import (
     METRIC_CATALOG,
-    METRICS_PAYLOAD_SCHEMA,
     Counter,
     Gauge,
     Histogram,
@@ -89,10 +84,6 @@ _LAZY = {
     "price_directions": "monitor",
     "oracle_directions": "monitor",
     "audit_policy_directions": "monitor",
-    "OPENMETRICS_CONTENT_TYPE": "openmetrics",
-    "render_openmetrics": "openmetrics",
-    "validate_openmetrics": "openmetrics",
-    "serve_metrics": "openmetrics",
     "StackSampler": "profile",
     "AllocationProfiler": "profile",
     "ExplainReport": "profile",
@@ -101,27 +92,6 @@ _LAZY = {
     "graph_fingerprint": "profile",
     "validate_snapshot": "profile",
     "ProfileSession": "profile",
-    "FRAME_SCHEMA": "live",
-    "ChannelExporter": "live",
-    "CaptureFile": "live",
-    "read_capture": "live",
-    "spawn_traced": "live",
-    "Collector": "live",
-    "QuantileSketch": "live",
-    "LiveAggregator": "live",
-    "SLOPolicy": "live",
-    "SLOAlert": "live",
-    "BurnRateEvaluator": "live",
-    "Dashboard": "live",
-}
-
-# The openmetrics module names its exports without the namespace prefix;
-# map the package-level aliases back to their in-module names.
-_LAZY_ALIASES = {
-    "OPENMETRICS_CONTENT_TYPE": "CONTENT_TYPE",
-    "render_openmetrics": "render",
-    "validate_openmetrics": "validate",
-    "serve_metrics": "serve",
 }
 
 
@@ -132,7 +102,7 @@ def __getattr__(name: str):
         import importlib
 
         module = importlib.import_module(f"repro.obs.{modname}")
-        return getattr(module, _LAZY_ALIASES.get(name, name))
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -140,7 +110,6 @@ __all__ = [
     "now",
     "ManualClock",
     "METRIC_CATALOG",
-    "METRICS_PAYLOAD_SCHEMA",
     "Counter",
     "Gauge",
     "Histogram",
@@ -184,10 +153,6 @@ __all__ = [
     "price_directions",
     "oracle_directions",
     "audit_policy_directions",
-    "OPENMETRICS_CONTENT_TYPE",
-    "render_openmetrics",
-    "validate_openmetrics",
-    "serve_metrics",
     "StackSampler",
     "AllocationProfiler",
     "ExplainReport",
@@ -196,18 +161,6 @@ __all__ = [
     "graph_fingerprint",
     "validate_snapshot",
     "ProfileSession",
-    "FRAME_SCHEMA",
-    "ChannelExporter",
-    "CaptureFile",
-    "read_capture",
-    "spawn_traced",
-    "Collector",
-    "QuantileSketch",
-    "LiveAggregator",
-    "SLOPolicy",
-    "SLOAlert",
-    "BurnRateEvaluator",
-    "Dashboard",
     "get_logger",
     "basic_config",
     "ROOT_LOGGER_NAME",

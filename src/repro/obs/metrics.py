@@ -25,7 +25,6 @@ from repro.errors import ObsError
 
 __all__ = [
     "METRIC_CATALOG",
-    "METRICS_PAYLOAD_SCHEMA",
     "Counter",
     "Gauge",
     "Histogram",
@@ -35,8 +34,8 @@ __all__ = [
 #: Every metric name the library emits through the registry, in one
 #: place.  Lint rule ``RPR009`` enforces that registry/tracer metric
 #: call sites in ``src/`` use lowercase dotted identifiers drawn from
-#: this catalog — ad-hoc names fragment the history trajectory and the
-#: OpenMetrics exposition.  Add the name here *before* emitting it.
+#: this catalog — ad-hoc names fragment the history trajectory.  Add
+#: the name here *before* emitting it.
 METRIC_CATALOG = (
     "bfs.levels",
     "bfs.edges_examined",
@@ -50,30 +49,7 @@ METRIC_CATALOG = (
     "alloc.blocks",
     "profile.samples",
     "profile.anomalies",
-    "slo.alerts",
-    "live.frames",
-    "live.frames_dropped",
 )
-
-#: Schema tag carried by :meth:`MetricsRegistry.to_payload` output so a
-#: payload written by one process version can be rejected (not silently
-#: misread) by another.
-METRICS_PAYLOAD_SCHEMA = "repro.obs.metrics/1"
-
-
-def _check_payload_type(inst, payload, expected: str) -> None:
-    """Shared guard for the instrument ``merge_payload`` methods."""
-    if not isinstance(payload, dict):
-        raise ObsError(
-            f"metric {inst.name!r}: payload must be a dict, "
-            f"got {type(payload).__name__}"
-        )
-    got = payload.get("type")
-    if got != expected:
-        raise ObsError(
-            f"metric {inst.name!r}: payload type {got!r} does not match "
-            f"instrument type {expected!r}"
-        )
 
 
 class Counter:
@@ -104,18 +80,6 @@ class Counter:
         """JSON-ready state."""
         return {"type": "counter", "value": self._value}
 
-    def to_payload(self) -> dict:
-        """Stable serialized state (see :data:`METRICS_PAYLOAD_SCHEMA`).
-
-        For a counter the payload is its total; merging *adds* it, so a
-        child process's payload folds into the parent as a delta."""
-        return {"type": "counter", "value": self._value}
-
-    def merge_payload(self, payload: dict) -> None:
-        """Fold a :meth:`to_payload` dict in (counter totals add)."""
-        _check_payload_type(self, payload, "counter")
-        self.add(float(payload.get("value", 0.0)))
-
     def reset(self) -> None:
         """Zero the count."""
         with self._lock:
@@ -145,18 +109,6 @@ class Gauge:
     def snapshot(self) -> dict:
         """JSON-ready state."""
         return {"type": "gauge", "value": self._value}
-
-    def to_payload(self) -> dict:
-        """Stable serialized state (see :data:`METRICS_PAYLOAD_SCHEMA`)."""
-        return {"type": "gauge", "value": self._value}
-
-    def merge_payload(self, payload: dict) -> None:
-        """Fold a :meth:`to_payload` dict in (last-write-wins: an unset
-        payload gauge leaves the current value alone)."""
-        _check_payload_type(self, payload, "gauge")
-        value = payload.get("value")
-        if value is not None:
-            self.set(float(value))
 
     def reset(self) -> None:
         """Forget the recorded value."""
@@ -221,8 +173,8 @@ class Histogram:
 
     def quantiles(self, qs: Iterable[float] = (0.5, 0.9, 0.99)) -> dict:
         """``{q: value}`` for several quantiles at once (default
-        p50/p90/p99 — the set the snapshot, regression detector, and
-        OpenMetrics exposition report)."""
+        p50/p90/p99 — the set the snapshot and regression detector
+        report)."""
         return {float(q): self.quantile(q) for q in qs}
 
     def bucket_bounds(self, max_buckets: int = 10) -> tuple[float, ...]:
@@ -260,7 +212,7 @@ class Histogram:
         return tuple(bounds)
 
     def buckets(self, max_buckets: int = 10) -> list[list[float]]:
-        """Cumulative ``[upper_bound, count]`` pairs (OpenMetrics-style).
+        """Cumulative ``[upper_bound, count]`` pairs.
 
         Counts are cumulative (each bucket includes everything below
         it) and the last pair's count equals :attr:`count`; the
@@ -275,7 +227,7 @@ class Histogram:
 
     def snapshot(self) -> dict:
         """JSON-ready summary: count/sum/min/max/mean/p50/p90/p99 plus
-        cumulative ``buckets`` for the OpenMetrics exposition."""
+        cumulative ``buckets``."""
         with self._lock:
             vals = list(self._values)
         if not vals:
@@ -294,28 +246,6 @@ class Histogram:
             "p99": float(p99),
             "buckets": self.buckets(),
         }
-
-    def to_payload(self) -> dict:
-        """Stable serialized state (see :data:`METRICS_PAYLOAD_SCHEMA`).
-
-        The payload carries the *raw observations* — histograms here are
-        small (per-level / per-root, not per-edge) — so merging across
-        processes is exact: every quantile of the merged histogram
-        equals the quantile over the concatenated observations."""
-        with self._lock:
-            return {"type": "histogram", "values": list(self._values)}
-
-    def merge_payload(self, payload: dict) -> None:
-        """Fold a :meth:`to_payload` dict in (observations concatenate)."""
-        _check_payload_type(self, payload, "histogram")
-        values = payload.get("values", [])
-        if not isinstance(values, (list, tuple)):
-            raise ObsError(
-                f"histogram {self.name!r}: payload 'values' must be a "
-                f"list, got {type(values).__name__}"
-            )
-        with self._lock:
-            self._values.extend(float(v) for v in values)
 
     def reset(self) -> None:
         """Drop all observations."""
@@ -397,65 +327,6 @@ class MetricsRegistry:
                 if value is not None:
                     out[name] = float(value)
         return out
-
-    def to_payload(self) -> dict:
-        """Serialize every instrument for an exact cross-process merge.
-
-        The result is JSON-ready and schema-tagged
-        (:data:`METRICS_PAYLOAD_SCHEMA`); feed it to another registry's
-        :meth:`merge_payload`.  Unlike :meth:`snapshot` (a lossy
-        human/report view) this round-trips: counters carry totals,
-        gauges their last value, histograms their raw observations.
-        """
-        with self._lock:
-            instruments = dict(self._instruments)
-        return {
-            "schema": METRICS_PAYLOAD_SCHEMA,
-            "instruments": {
-                name: inst.to_payload()
-                for name, inst in sorted(instruments.items())
-            },
-        }
-
-    def merge_payload(self, payload: dict) -> None:
-        """Fold a :meth:`to_payload` dict from another registry in.
-
-        Counters add, gauges last-write-win, histogram observations
-        concatenate.  Instruments missing here are created; a name bound
-        to a different instrument type raises
-        :class:`~repro.errors.ObsError` (nothing is partially merged
-        before the offending name because payload instruments are
-        validated first).
-        """
-        if not isinstance(payload, dict):
-            raise ObsError(
-                f"registry payload must be a dict, got {type(payload).__name__}"
-            )
-        schema = payload.get("schema")
-        if schema != METRICS_PAYLOAD_SCHEMA:
-            raise ObsError(
-                f"unsupported metrics payload schema {schema!r}, "
-                f"expected {METRICS_PAYLOAD_SCHEMA!r}"
-            )
-        instruments = payload.get("instruments", {})
-        if not isinstance(instruments, dict):
-            raise ObsError("metrics payload 'instruments' must be a dict")
-        classes = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-        plan = []
-        for name, inst_payload in instruments.items():
-            if not isinstance(inst_payload, dict):
-                raise ObsError(
-                    f"metric {name!r}: payload entry must be a dict"
-                )
-            cls = classes.get(inst_payload.get("type"))
-            if cls is None:
-                raise ObsError(
-                    f"metric {name!r}: unknown payload type "
-                    f"{inst_payload.get('type')!r}"
-                )
-            plan.append((self._get(name, cls), inst_payload))
-        for inst, inst_payload in plan:
-            inst.merge_payload(inst_payload)
 
     def reset(self, names: Iterable[str] | None = None) -> None:
         """Reset all instruments (or just ``names``), keeping them

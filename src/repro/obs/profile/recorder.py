@@ -61,9 +61,9 @@ DEFAULT_WATCHED_SPANS = (
 )
 
 #: Instant-event names that trigger a snapshot immediately (the drift
-#: monitor's alert channel and the live tier's SLO burn-rate alerts;
-#: extend with ``alert_events=`` for custom alarms).
-DEFAULT_ALERT_EVENTS = ("tuning.drift_alert", "slo.alert")
+#: monitor's alert channel; extend with ``alert_events=`` for custom
+#: alarms).
+DEFAULT_ALERT_EVENTS = ("tuning.drift_alert",)
 
 
 def graph_fingerprint(graph) -> dict:

@@ -27,19 +27,15 @@ Synthetic spans (:meth:`Tracer.add_span`) carry externally computed
 start/end times — that is how the heterogeneous executor lays the
 *simulated* device schedule onto its own trace tracks.
 
-Cross-process propagation: every tracer owns a ``trace_id`` and can
-describe its current position as a :class:`TraceContext`
-(:meth:`Tracer.current_context`) — trace id, innermost open span id,
-and caller-attached baggage.  Installing that context in another
-tracer (:meth:`Tracer.use_context`, typically in a child process via
-:func:`repro.obs.live.spawn_traced`) makes the child's *root* spans
-parent under the recorded span id and adopt the parent's trace id, so
-the stitched recording reads as one tree.
+:meth:`Tracer.current_context` describes the calling thread's position
+as a :class:`TraceContext` — trace id, innermost open span id and
+caller-attached baggage.  The thread-parallel engine reads it on the
+level loop's thread to parent its pool workers' spans under the open
+``bfs.level`` span.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
 import logging
@@ -69,12 +65,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TraceContext:
-    """A tracer's position, portable across threads and processes.
+    """A tracer's position on one thread.
 
     ``trace_id`` identifies the recording, ``parent_span_id`` is the
-    span new root spans should parent under (``None`` for a fresh
-    trace), and ``baggage`` carries caller-attached JSON-ready facts
-    (graph fingerprint, traversal root, …) that travel with the
+    innermost open span new work should parent under (``None`` when no
+    span is open), and ``baggage`` carries caller-attached JSON-ready
+    facts (graph fingerprint, traversal root, …) that travel with the
     context rather than with any single span.
     """
 
@@ -83,7 +79,7 @@ class TraceContext:
     baggage: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """JSON-ready representation (what crosses the process pipe)."""
+        """JSON-ready representation."""
         return {
             "trace_id": self.trace_id,
             "parent_span_id": self.parent_span_id,
@@ -252,14 +248,6 @@ class TraceListener:
     def on_event(self, record: EventRecord) -> None:
         """Called after an instant event has been appended."""
 
-    def on_metric(self, name: str, kind: str, value: float) -> None:
-        """Called after a metric shorthand updated the registry.
-
-        ``kind`` is ``"count"`` / ``"gauge"`` / ``"observe"`` and
-        ``value`` the increment, new gauge value, or observation —
-        the streaming-aggregation hook (each observation is visible,
-        unlike the registry's aggregated state)."""
-
 
 class Tracer:
     """Collects spans, instant events and metrics for one recording.
@@ -277,20 +265,9 @@ class Tracer:
         logger, see :mod:`repro.obs.log`): every finished span and every
         instant event is mirrored as a DEBUG record with the structured
         payload under ``extra={"repro_event": ...}``.
-    capacity:
-        When given, retain only the most recent ``capacity`` finished
-        spans and the most recent ``capacity`` events (a bounded deque
-        each).  Long-lived service tracers use this so memory stays
-        flat; the flight recorder keeps its own independent ring.
-    trace_id:
-        Identity of the recording (a random 16-hex-char string by
-        default).  Child-process tracers adopt the parent's id via
-        :meth:`use_context` so stitched recordings share one trace.
-    span_id_start:
-        First span id handed out.  Cross-process stitching preserves
-        child span ids verbatim, so each child tracer must draw from a
-        disjoint range (:func:`repro.obs.live.spawn_traced` passes
-        ``(child_index + 1) << 32``).
+
+    Each recording carries a random 16-hex-char ``trace_id``, written
+    into the JSONL header and the Chrome trace metadata.
     """
 
     enabled = True
@@ -301,9 +278,6 @@ class Tracer:
         clock: Callable[[], float] = now,
         metrics: MetricsRegistry | None = None,
         logger: logging.Logger | bool | None = None,
-        capacity: int | None = None,
-        trace_id: str | None = None,
-        span_id_start: int = 1,
     ) -> None:
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -312,23 +286,11 @@ class Tracer:
 
             logger = get_logger("trace")
         self.logger: logging.Logger | None = logger or None
-        if capacity is not None and capacity < 1:
-            raise ObsError(f"tracer capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
         self._lock = threading.Lock()
-        if capacity is None:
-            self._spans: list[SpanRecord] | collections.deque = []
-            self._events: list[EventRecord] | collections.deque = []
-        else:
-            self._spans = collections.deque(maxlen=capacity)
-            self._events = collections.deque(maxlen=capacity)
-        if span_id_start < 1:
-            raise ObsError(
-                f"span_id_start must be >= 1, got {span_id_start}"
-            )
-        self.trace_id = trace_id or os.urandom(8).hex()
-        self._context: TraceContext | None = None
-        self._ids = itertools.count(span_id_start)
+        self._spans: list[SpanRecord] = []
+        self._events: list[EventRecord] = []
+        self.trace_id = os.urandom(8).hex()
+        self._ids = itertools.count(1)
         self._local = threading.local()
         # Thread id -> that thread's live span stack.  Stacks are only
         # mutated by their owning thread; the registry lets the sampling
@@ -368,13 +330,8 @@ class Tracer:
 
     def _open(self, span: Span) -> None:
         stack = self._stack()
-        if span.parent_id is None:
-            if stack:
-                span.parent_id = stack[-1].span_id
-            elif self._context is not None:
-                # A root span under an installed cross-process context
-                # parents under the remote span that spawned this work.
-                span.parent_id = self._context.parent_span_id
+        if span.parent_id is None and stack:
+            span.parent_id = stack[-1].span_id
         stack.append(span)
         span.start = self.clock()
         if self._listeners:
@@ -453,90 +410,19 @@ class Tracer:
                 listener.on_span_close(record)
         return record
 
-    def adopt_record(
-        self, record: SpanRecord | EventRecord
-    ) -> SpanRecord | EventRecord:
-        """Append a record from *another* tracer verbatim.
-
-        The collector stitches child-process telemetry in through
-        here: span/parent ids are preserved (children draw ids from a
-        disjoint range, see ``span_id_start``), so cross-process
-        parent links survive into the export.  Listeners are notified
-        exactly as for a locally recorded span/event.
-        """
-        if isinstance(record, SpanRecord):
-            if record.end < record.start:
-                raise ObsError(
-                    f"adopted span {record.name!r} ends before it starts"
-                )
-            with self._lock:
-                self._spans.append(record)
-            if self._listeners:
-                for listener in self._listeners:
-                    listener.on_span_close(record)
-        elif isinstance(record, EventRecord):
-            with self._lock:
-                self._events.append(record)
-            if self._listeners:
-                for listener in self._listeners:
-                    listener.on_event(record)
-        else:
-            raise ObsError(
-                "adopt_record needs a SpanRecord or EventRecord, got "
-                f"{type(record).__name__}"
-            )
-        return record
-
-    # -- trace-context propagation -------------------------------------------
-
     def current_context(self, **baggage) -> TraceContext:
         """The calling thread's position as a :class:`TraceContext`.
 
         The parent span id is the innermost open span on this thread
-        (falling back to the installed context's parent when the stack
-        is empty, so a context survives re-export from a child).
-        Keyword arguments extend the baggage; installed-context baggage
-        is inherited.
+        (``None`` when none is open); keyword arguments become the
+        baggage.
         """
         stack = getattr(self._local, "stack", None)
-        if stack:
-            parent: int | None = stack[-1].span_id
-        elif self._context is not None:
-            parent = self._context.parent_span_id
-        else:
-            parent = None
-        merged: dict = {}
-        if self._context is not None:
-            merged.update(self._context.baggage)
-        merged.update(baggage)
         return TraceContext(
-            trace_id=self.trace_id, parent_span_id=parent, baggage=merged
+            trace_id=self.trace_id,
+            parent_span_id=stack[-1].span_id if stack else None,
+            baggage=baggage,
         )
-
-    @contextlib.contextmanager
-    def use_context(self, context: TraceContext) -> Iterator[TraceContext]:
-        """Temporarily install ``context`` on this tracer.
-
-        While installed, the tracer reports the context's trace id and
-        new *root* spans (empty thread stack, no explicit parent)
-        parent under ``context.parent_span_id``.  This is how a child
-        process stitches into the parent's trace: build a fresh tracer,
-        install the shipped context, run the work.
-        """
-        if not isinstance(context, TraceContext):
-            raise ObsError(
-                f"use_context needs a TraceContext, got "
-                f"{type(context).__name__}"
-            )
-        previous_context = self._context
-        previous_trace_id = self.trace_id
-        self._context = context
-        self.trace_id = context.trace_id
-        try:
-            yield context
-        finally:
-            self._context = previous_context
-            self.trace_id = previous_trace_id
 
     # -- instant events ------------------------------------------------------
 
@@ -605,23 +491,14 @@ class Tracer:
     def count(self, name: str, value: float = 1.0) -> None:
         """Increment the counter ``name``."""
         self.metrics.counter(name).add(value)
-        if self._listeners:
-            for listener in self._listeners:
-                listener.on_metric(name, "count", value)
 
     def gauge_set(self, name: str, value: float) -> None:
         """Set the gauge ``name``."""
         self.metrics.gauge(name).set(value)
-        if self._listeners:
-            for listener in self._listeners:
-                listener.on_metric(name, "gauge", value)
 
     def observe(self, name: str, value: float) -> None:
         """Observe ``value`` into the histogram ``name``."""
         self.metrics.histogram(name).observe(value)
-        if self._listeners:
-            for listener in self._listeners:
-                listener.on_metric(name, "observe", value)
 
     # -- reading the recording ----------------------------------------------
 
@@ -698,10 +575,6 @@ class NullTracer(Tracer):
     def add_span(self, name, start, end, *, track=None, **attrs):  # type: ignore[override]
         """Discard the synthetic span."""
         return None
-
-    def adopt_record(self, record):  # type: ignore[override]
-        """Discard the adopted record."""
-        return record
 
     def instant(self, name: str, *, track: str | None = None, **attrs) -> None:
         """Discard the event."""

@@ -2,8 +2,7 @@
 
 ``first`` still aliases the workspace arrays when the second traversal
 reuses ``ws`` — the rerun silently rewrites ``first.parent`` before
-the final sum reads it.  The dynamic twin observes the same scenario
-through :meth:`repro.obs.live.ProtocolMonitor.lend`.
+the final sum reads it.
 """
 
 from repro.bfs.parallel import ParallelBFS

@@ -43,12 +43,8 @@ class TestRegistry:
             "RPR018",
             "RPR019",
             "RPR020",
-            "RPR021",
-            "RPR022",
             "RPR023",
             "RPR024",
-            "RPR025",
-            "RPR026",
         }
 
     def test_deep_rules_flagged(self):
@@ -57,16 +53,14 @@ class TestRegistry:
         assert deep_rule_codes() == [
             "RPR010", "RPR011", "RPR012", "RPR013", "RPR014",
             "RPR015", "RPR016", "RPR017", "RPR018", "RPR019",
-            "RPR021",
-            "RPR022", "RPR023", "RPR024", "RPR025", "RPR026",
+            "RPR023", "RPR024",
         ]
         for code in deep_rule_codes():
             assert RULES[code].deep
         # the whole-program subset is flagged as such
         for code in ("RPR015", "RPR016", "RPR017", "RPR018", "RPR019"):
             assert RULES[code].whole_program
-        for code in ("RPR010", "RPR011", "RPR012", "RPR013", "RPR014",
-                     "RPR021"):
+        for code in ("RPR010", "RPR011", "RPR012", "RPR013", "RPR014"):
             assert not RULES[code].whole_program
 
     def test_deep_rules_excluded_by_default(self):
@@ -422,121 +416,6 @@ class TestRPR020AdhocInstrumentation:
             select=["RPR020"],
         )
         assert v == []
-
-
-class TestRPR021UntracedProcessTarget:
-    FIXTURES = Path(__file__).parent / "fixtures"
-
-    def _lint_fixture(self, name):
-        text = (self.FIXTURES / name).read_text(encoding="utf-8")
-        return lint_source(
-            text,
-            path=f"src/repro/hetero/{name}",
-            select=["RPR021"],
-            deep=True,
-        )
-
-    def test_bad_fixture_is_caught(self):
-        v = self._lint_fixture("rpr021_bad.py")
-        assert codes(v) == ["RPR021"]
-        # anchored at the Process(...) spawn site, naming the target
-        # and the one-hop emission it resolved
-        assert "'worker'" in v[0].message
-        assert "spawn_traced" in v[0].message
-
-    def test_clean_fixture_is_silent(self):
-        assert self._lint_fixture("rpr021_clean.py") == []
-
-    def test_direct_emission_in_target(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "def child():\n"
-            "    tracer.count('bfs.levels', 1)\n"
-            "def go():\n"
-            "    Process(target=child).start()\n"
-        )
-        v = lint_source(body, select=["RPR021"], deep=True)
-        assert codes(v) == ["RPR021"]
-        assert v[0].line == 5
-
-    def test_target_without_emission_is_silent(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "def child():\n"
-            "    return 1 + 1\n"
-            "def go():\n"
-            "    Process(target=child).start()\n"
-        )
-        assert lint_source(body, select=["RPR021"], deep=True) == []
-
-    def test_installer_on_call_path_exempts(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "from repro.obs.live import ChannelExporter\n"
-            "def child(conn):\n"
-            "    exporter = ChannelExporter(conn, tracer, source='c')\n"
-            "    tracer.count('bfs.levels', 1)\n"
-            "def go(conn):\n"
-            "    Process(target=child, args=(conn,)).start()\n"
-        )
-        assert lint_source(body, select=["RPR021"], deep=True) == []
-
-    def test_installer_at_spawn_site_exempts(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "def child():\n"
-            "    tracer.count('bfs.levels', 1)\n"
-            "def go(tracer):\n"
-            "    payload = tracer.current_context().as_dict()\n"
-            "    ctx = TraceContext.from_dict(payload)\n"
-            "    Process(target=child).start()\n"
-        )
-        assert lint_source(body, select=["RPR021"], deep=True) == []
-
-    def test_external_target_out_of_scope(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "from elsewhere import child\n"
-            "def go():\n"
-            "    Process(target=child).start()\n"
-        )
-        assert lint_source(body, select=["RPR021"], deep=True) == []
-
-    def test_excluded_without_deep(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "def child():\n"
-            "    tracer.count('bfs.levels', 1)\n"
-            "def go():\n"
-            "    Process(target=child).start()\n"
-        )
-        assert "RPR021" not in codes(lint_source(body))
-
-    def test_silent_inside_obs(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "def child():\n"
-            "    tracer.count('live.frames', 1)\n"
-            "def go():\n"
-            "    Process(target=child).start()\n"
-        )
-        v = lint_source(
-            body,
-            path="src/repro/obs/live/channel.py",
-            select=["RPR021"],
-            deep=True,
-        )
-        assert v == []
-
-    def test_noqa_suppresses(self):
-        body = (
-            "from multiprocessing import Process\n"
-            "def child():\n"
-            "    tracer.count('bfs.levels', 1)\n"
-            "def go():\n"
-            "    Process(target=child).start()  # repro: noqa[RPR021]\n"
-        )
-        assert lint_source(body, select=["RPR021"], deep=True) == []
 
 
 class TestSuppression:

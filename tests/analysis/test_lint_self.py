@@ -46,11 +46,9 @@ def test_deep_baseline_report_is_current():
     assert baseline["violations"] == []
     assert baseline["deep_rules"] == deep_rule_codes()
     # the typestate tier must be part of the committed gate — a
-    # regenerated baseline that silently dropped RPR022..RPR026 would
+    # regenerated baseline that silently dropped RPR023/RPR024 would
     # pass the equality above only if registration broke too
-    assert {"RPR022", "RPR023", "RPR024", "RPR025", "RPR026"} <= set(
-        baseline["deep_rules"]
-    )
+    assert {"RPR023", "RPR024"} <= set(baseline["deep_rules"])
     violations, checked = lint_paths([PACKAGE_DIR], deep=True)
     assert [v.as_dict() for v in violations] == baseline["violations"]
     assert checked >= baseline["files_checked"], (

@@ -60,6 +60,24 @@ class TestRmatEdges:
         with pytest.raises(GraphError):
             rmat_edges(4, -1)
 
+    def test_non_integer_parameters_rejected(self):
+        with pytest.raises(GraphError, match="scale"):
+            rmat_edges(1.5)
+        with pytest.raises(GraphError, match="scale"):
+            rmat(1.5)
+        with pytest.raises(GraphError, match="edgefactor"):
+            rmat(4, edgefactor=1.5)
+
+    def test_numpy_integers_accepted(self):
+        a = rmat_edges(np.int64(6), np.int32(8), seed=3)
+        b = rmat_edges(6, 8, seed=3)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert rmat(np.int8(4)).num_vertices == 16
+        # 1 << np.int8(7) would wrap to -128 without the int conversion.
+        g = rmat(np.int8(7), np.int8(4))
+        assert g.num_vertices == 128
+        assert type(g.meta["scale"]) is int
+
     def test_skew_toward_a_quadrant(self):
         """With A=0.57 the bit distributions must be skewed (before the
         permutation the low half of id space would dominate; after
@@ -168,6 +186,13 @@ class TestErdosRenyi:
             erdos_renyi(0, 10.0)
         with pytest.raises(GraphError):
             erdos_renyi(10, -1.0)
+        with pytest.raises(GraphError):
+            erdos_renyi(10, float("nan"))
+        with pytest.raises(GraphError):
+            erdos_renyi(10, float("inf"))
+        with pytest.raises(GraphError, match="n must be an integer"):
+            erdos_renyi(2.5, 1.0)
+        assert erdos_renyi(np.int64(10), 2.0, seed=0).num_vertices == 10
 
     def test_low_skew(self):
         g = erdos_renyi(4096, 16.0, seed=1)

@@ -91,6 +91,13 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError, match="g.txt"):
             load_edgelist(path)
 
+    def test_id_beyond_num_vertices(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 5\n")
+        with pytest.raises(GraphFormatError, match=r"g\.txt:2: vertex id 5"):
+            load_edgelist(path, num_vertices=3)
+        assert load_edgelist(path).num_vertices == 6
+
     def test_no_header_option(self, tmp_path):
         g = CSRGraph.from_edges([0], [1], 2)
         path = tmp_path / "g.txt"

@@ -138,6 +138,17 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match="x.mtx"):
             load_matrix_market(path)
 
+    def test_index_beyond_size(self, tmp_path):
+        path = tmp_path / "x.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n"
+            "1 2\n2 7\n"
+        )
+        # names the file and the 1-based index as written, not the
+        # CSR builder's 0-based endpoint
+        with pytest.raises(GraphFormatError, match=r"x\.mtx: index 7 "):
+            load_matrix_market(path)
+
     def test_fractional_index_not_truncated(self, tmp_path):
         path = tmp_path / "x.mtx"
         path.write_text(

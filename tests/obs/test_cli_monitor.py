@@ -1,5 +1,5 @@
-"""The ``repro-bfs monitor`` / ``serve-metrics`` subcommands and the
-history-aware ``--json`` outputs of ``bfs``/``graph500``."""
+"""The ``repro-bfs monitor`` subcommands and the history-aware
+``--json`` outputs of ``bfs``/``graph500``."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs.history import HistoryStore, RunRecord
-from repro.obs.openmetrics import validate
 
 
 def _seed_history(path, teps_series, *, audit_slowdown=None):
@@ -42,10 +41,6 @@ class TestParser:
         args = build_parser().parse_args(["monitor", "record"])
         assert args.scale == 10 and args.roots == 8
         assert args.m == 20.0 and args.n == 100.0
-
-    def test_serve_metrics_defaults(self):
-        args = build_parser().parse_args(["serve-metrics"])
-        assert args.port == 9464 and not args.once
 
 
 class TestMonitorCheck:
@@ -181,81 +176,3 @@ class TestRecordedRunsEndToEnd:
         rc = main(["monitor", "check", "--history", str(hist)])
         assert rc == 0
 
-
-class TestServeMetrics:
-    def test_once_mode_serves_valid_openmetrics(self, capsys):
-        import threading
-        import urllib.request
-
-        # Drive main() in a thread bound to an ephemeral port; scrape
-        # once; --once exits after the first request.
-        from repro.graph500 import HybridEngine, run_graph500
-        from repro.obs import Tracer, use_tracer
-        from repro.obs.openmetrics import CONTENT_TYPE, serve
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            run_graph500(
-                10, 16, num_roots=2, engine=HybridEngine(), seed=0,
-                tracer=tracer,
-            )
-        server = serve(tracer.metrics, port=0)
-        try:
-            host, port = server.server_address[:2]
-            thread = threading.Thread(target=server.handle_request)
-            thread.start()
-            resp = urllib.request.urlopen(f"http://{host}:{port}/metrics")
-            body = resp.read().decode("utf-8")
-            thread.join(timeout=5)
-            assert resp.headers["Content-Type"] == CONTENT_TYPE
-            assert validate(body) > 0
-            assert "graph500_bfs_seconds" in body
-        finally:
-            server.server_close()
-
-    def test_sigint_shuts_down_gracefully(self):
-        """SIGINT during serve_forever() must end the process with exit
-        code 0 and the shutdown line — no KeyboardInterrupt traceback —
-        even when the signal lands inside accept()."""
-        import os
-        import signal
-        import subprocess
-        import sys
-        import time
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo / "src")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve-metrics",
-                "--scale", "6", "--edgefactor", "4", "--roots", "1",
-                "--port", "0",
-            ],
-            env=env,
-            cwd=repo,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            # wait until the server is inside serve_forever()
-            banner = []
-            for line in proc.stdout:
-                banner.append(line)
-                if "serving OpenMetrics" in line:
-                    break
-            else:
-                pytest.fail(f"server never came up: {''.join(banner)}")
-            time.sleep(0.2)
-            proc.send_signal(signal.SIGINT)
-            rest, _ = proc.communicate(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        output = "".join(banner) + rest
-        assert proc.returncode == 0, output
-        assert "serve-metrics: shutting down (SIGINT)" in output
-        assert "Traceback" not in output

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import METRICS_PAYLOAD_SCHEMA, MetricsRegistry
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture()
@@ -166,112 +166,3 @@ class TestRegistry:
         with pytest.raises(ObsError):
             registry.reset(names=["missing"])
 
-
-class TestPayloadRoundTrip:
-    """to_payload()/merge_payload(): the exact cross-process merge the
-    live channel's metrics_final frame rides on."""
-
-    @pytest.fixture
-    def registry(self):
-        return MetricsRegistry()
-
-    def _populated(self):
-        registry = MetricsRegistry()
-        registry.counter("bfs.levels").add(3)
-        registry.gauge("frontier.claim_ratio").set(0.25)
-        registry.histogram("teps").observe(1e6)
-        registry.histogram("teps").observe(2e6)
-        return registry
-
-    def test_payload_is_schema_tagged_and_json_ready(self):
-        import json
-
-        payload = self._populated().to_payload()
-        assert payload["schema"] == METRICS_PAYLOAD_SCHEMA
-        # JSON round-trip preserves it verbatim (the frame protocol does
-        # exactly this)
-        assert json.loads(json.dumps(payload)) == payload
-
-    def test_merge_into_empty_registry_reproduces_state(self, registry):
-        source = self._populated()
-        registry.merge_payload(source.to_payload())
-        assert registry.snapshot() == source.snapshot()
-
-    def test_counters_add_as_deltas(self, registry):
-        registry.counter("bfs.levels").add(10)
-        registry.merge_payload(self._populated().to_payload())
-        assert registry.counter("bfs.levels").value == 13.0
-
-    def test_gauges_last_write_wins(self, registry):
-        registry.gauge("frontier.claim_ratio").set(0.9)
-        registry.merge_payload(self._populated().to_payload())
-        assert registry.gauge("frontier.claim_ratio").value == 0.25
-
-    def test_histogram_observations_concatenate_exactly(self, registry):
-        registry.histogram("teps").observe(5e5)
-        registry.merge_payload(self._populated().to_payload())
-        hist = registry.histogram("teps")
-        assert hist.values == (5e5, 1e6, 2e6)
-        # quantiles of the merge equal quantiles of the concatenation
-        assert hist.quantile(1.0) == 2e6
-
-    def test_wrong_schema_rejected(self, registry):
-        with pytest.raises(ObsError, match="schema"):
-            registry.merge_payload(
-                {"schema": "repro.obs.metrics/99", "instruments": {}}
-            )
-        with pytest.raises(ObsError):
-            registry.merge_payload("not a dict")
-
-    def test_type_conflict_merges_nothing(self, registry):
-        """Validation runs before any merge: a payload whose second
-        instrument clashes must not partially apply its first."""
-        registry.gauge("frontier.claim_ratio")  # clashes with counter
-        payload = {
-            "schema": METRICS_PAYLOAD_SCHEMA,
-            "instruments": {
-                "bfs.levels": {"type": "counter", "value": 3.0},
-                "frontier.claim_ratio": {"type": "counter", "value": 1.0},
-            },
-        }
-        with pytest.raises(ObsError):
-            registry.merge_payload(payload)
-        # the instrument may exist (created during validation) but no
-        # value landed: the merge happens only after the full plan holds
-        assert registry.counter("bfs.levels").value == 0.0
-
-    def test_unknown_instrument_type_rejected(self, registry):
-        payload = {
-            "schema": METRICS_PAYLOAD_SCHEMA,
-            "instruments": {"x": {"type": "summary", "value": 1.0}},
-        }
-        with pytest.raises(ObsError, match="unknown payload type"):
-            registry.merge_payload(payload)
-
-    def test_instrument_payload_type_guard(self, registry):
-        counter = registry.counter("c")
-        with pytest.raises(ObsError):
-            counter.merge_payload({"type": "gauge", "value": 1.0})
-        with pytest.raises(ObsError):
-            counter.merge_payload([1.0])
-        hist = registry.histogram("h")
-        with pytest.raises(ObsError, match="'values' must be a list"):
-            hist.merge_payload({"type": "histogram", "values": 3.0})
-
-    def test_merge_is_associative_across_children(self, registry):
-        """Merging child A then B equals merging B then A — the
-        collector's arrival order must not matter."""
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("bfs.levels").add(2)
-        a.histogram("teps").observe(1.0)
-        b.counter("bfs.levels").add(5)
-        b.histogram("teps").observe(2.0)
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.merge_payload(a.to_payload())
-        left.merge_payload(b.to_payload())
-        right.merge_payload(b.to_payload())
-        right.merge_payload(a.to_payload())
-        assert left.flat()["bfs.levels"] == right.flat()["bfs.levels"] == 7.0
-        assert sorted(left.histogram("teps").values) == sorted(
-            right.histogram("teps").values
-        )

@@ -86,6 +86,52 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "repro-bfs: GraphError: scale must be >= 0, got -1\n"
 
+    def test_bfs_lone_threshold_is_kept(self, capsys):
+        # only the missing threshold is predicted
+        assert main(["bfs", "--scale", "8", "--m", "7", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["engine"] == "auto"
+        assert payload["m"] == 7.0
+        assert payload["n"] > 0
+
+    def test_bfs_zero_threshold_is_rejected(self, capsys):
+        assert main(["bfs", "--scale", "8", "--m", "0"]) == 2
+        out, err = capsys.readouterr()
+        # the given M is not reported as a prediction
+        predicted = [
+            line for line in out.splitlines()
+            if line.startswith("predicted switching point:")
+        ]
+        assert len(predicted) == 1
+        assert "N=" in predicted[0] and "M=" not in predicted[0]
+        assert err.startswith(
+            "repro-bfs: BFSError: M and N must be positive, "
+        )
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            (["trace", "--scale", "6", "--out", "{missing}/x"],
+             "{missing}/x"),
+            (["callgraph", "{src}", "--format", "dot", "--out",
+              "{missing}/cg.dot"], "{missing}/cg.dot"),
+            (["protocols", "--dot-dir", "/proc/nope"], "/proc/nope"),
+        ],
+        ids=["trace", "callgraph", "protocols"],
+    )
+    def test_unwritable_output_is_one_stderr_line(
+        self, capsys, tmp_path, argv, named
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "m.py").write_text("def f():\n    return 1\n")
+        fill = {"missing": tmp_path / "missing", "src": src}
+        assert main([a.format(**fill) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-bfs: {named.format(**fill)}")
+        assert err.count("\n") == 1
+
     def test_bfs_topdown(self, capsys):
         assert main(["bfs", "--scale", "9", "--engine", "td"]) == 0
         assert "GTEPS" in capsys.readouterr().out
@@ -364,3 +410,16 @@ class TestCallgraphCommand:
     def test_parser_accepts_lint_changed(self):
         args = build_parser().parse_args(["lint", "--changed", "src"])
         assert args.changed is True
+
+
+class TestProtocolsCommand:
+    def test_lists_the_three_machines(self, capsys):
+        assert main(["protocols", "--format", "json"]) == 0
+        names = [m["name"] for m in json.loads(capsys.readouterr().out)]
+        assert names == ["bfs-workspace", "flight-recorder", "parallel-bfs"]
+
+    def test_dot_dir_export(self, capsys, tmp_path):
+        assert main(["protocols", "--dot-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bfs-workspace.dot", "flight-recorder.dot", "parallel-bfs.dot",
+        ]

@@ -73,14 +73,3 @@ def test_trace_bfs(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "trace_bfs.trace.json").exists()
     assert (tmp_path / "trace_bfs.jsonl").exists()
 
-
-def test_live_bfs(monkeypatch, capsys, tmp_path):
-    monkeypatch.chdir(tmp_path)  # the capture/trace land in a scratch dir
-    out = run_example(monkeypatch, capsys, "live_bfs", ["8"])
-    assert "SLO: graph500.bfs<1@0.9" in out
-    assert "Stitched:" in out
-    assert "Merged teps observations: 8" in out
-    assert "repro-bfs top" in out  # the dashboard frame
-    assert "ok" in out and "FAIL" not in out
-    assert (tmp_path / "live_bfs.capture").exists()
-    assert (tmp_path / "live_bfs.trace.json").exists()

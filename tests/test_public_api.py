@@ -164,42 +164,6 @@ PUBLIC = {
         "basic_config",
         "ROOT_LOGGER_NAME",
         "TraceContext",
-        "METRICS_PAYLOAD_SCHEMA",
-        "FRAME_SCHEMA",
-        "ChannelExporter",
-        "CaptureFile",
-        "read_capture",
-        "spawn_traced",
-        "Collector",
-        "QuantileSketch",
-        "LiveAggregator",
-        "SLOPolicy",
-        "SLOAlert",
-        "BurnRateEvaluator",
-        "Dashboard",
-    ],
-    "repro.obs.live": [
-        "FRAME_SCHEMA",
-        "encode_frame",
-        "decode_frame",
-        "CaptureFile",
-        "read_capture",
-        "ChannelExporter",
-        "TracedChild",
-        "spawn_traced",
-        "Collector",
-        "QuantileSketch",
-        "Window",
-        "WindowRing",
-        "LiveAggregator",
-        "SLOPolicy",
-        "SLOAlert",
-        "BurnRateEvaluator",
-        "Dashboard",
-        "render",
-        "sparkline",
-        "child_workload",
-        "run_traced_pair",
     ],
 }
 
