@@ -6,10 +6,10 @@ reference code does: an ``offsets`` array of length ``n + 1`` and a
 directions read only these two arrays, so the cost model can charge
 memory traffic directly against their dtypes.
 
-Construction is fully vectorized: an edge list becomes CSR via one sort
-(or bincount + cumsum) with optional symmetrization, de-duplication and
-self-loop removal — the preprocessing Graph 500 applies to Kronecker
-output before timing BFS.
+Construction is fully vectorized: an edge list becomes CSR via one
+in-place sort of composite ``(src, dst)`` keys, with optional
+symmetrization, de-duplication and self-loop removal — the preprocessing
+Graph 500 applies to Kronecker output before timing BFS.
 """
 
 from __future__ import annotations
@@ -36,14 +36,20 @@ def coalesce_edges(
     """Canonicalize an edge list.
 
     Returns the (possibly symmetrized, de-duplicated, loop-free) directed
-    edge list sorted by ``(src, dst)``.  This is the Graph 500 kernel-1
-    preprocessing step, vectorized.
+    edge list sorted by ``(src, dst)``, as two ``int32`` arrays.  This is
+    the Graph 500 kernel-1 preprocessing step, vectorized.  Endpoints
+    must be integers in ``[0, num_vertices)``.
     """
     src = np.asarray(src)
     dst = np.asarray(dst)
     if src.shape != dst.shape or src.ndim != 1:
         raise GraphError("src/dst must be 1-D arrays of equal length")
     if src.size:
+        for ends in (src, dst):
+            if ends.dtype.kind not in "iu":
+                raise GraphError(
+                    f"edge endpoints must be integers, got dtype {ends.dtype}"
+                )
         lo = min(int(src.min()), int(dst.min()))
         hi = max(int(src.max()), int(dst.max()))
         if lo < 0 or hi >= num_vertices:
@@ -51,24 +57,34 @@ def coalesce_edges(
                 f"edge endpoint out of range [0, {num_vertices}): "
                 f"saw [{lo}, {hi}]"
             )
+    else:
+        # An empty list holds no ids, whatever its dtype (``[]`` is float64).
+        src = dst = np.zeros(0, dtype=np.int32)
     if drop_self_loops:
         keep = src != dst
         src, dst = src[keep], dst[keep]
+    # Sort by (src, dst) via a single composite 64-bit key, exact because
+    # both endpoints fit in 32 bits.  Symmetrization writes the reversed
+    # edges' keys into the second half of the same array.  ``dtype=``
+    # keeps every integer input on the int64 loop (uint64 would promote
+    # to float64).
+    m = src.size
+    key = np.empty(2 * m if symmetrize else m, dtype=np.int64)
+    n = np.int64(num_vertices)
+    np.multiply(src, n, out=key[:m], dtype=np.int64)
+    np.add(key[:m], dst, out=key[:m], dtype=np.int64)
     if symmetrize:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    # Sort by (src, dst) via a single composite 64-bit key: cheaper than
-    # lexsort and exact because both endpoints fit in 32 bits.
-    key = src.astype(np.int64) * np.int64(num_vertices) + dst.astype(np.int64)
-    order = np.argsort(key)
-    key = key[order]
+        np.multiply(dst, n, out=key[m:], dtype=np.int64)
+        np.add(key[m:], src, out=key[m:], dtype=np.int64)
+    key.sort()
     if dedup and key.size:
         uniq = np.empty(key.size, dtype=bool)
         uniq[0] = True
         np.not_equal(key[1:], key[:-1], out=uniq[1:])
-        order = order[uniq]
         key = key[uniq]
-    out_src = (key // num_vertices).astype(np.int32)
-    out_dst = (key % num_vertices).astype(np.int32)
+    out_src = np.empty(key.size, dtype=np.int32)
+    out_dst = np.empty(key.size, dtype=np.int32)
+    np.divmod(key, n, out=(out_src, out_dst))
     return out_src, out_dst
 
 
@@ -153,9 +169,14 @@ class CSRGraph:
             dedup=dedup,
             drop_self_loops=drop_self_loops,
         )
-        counts = np.bincount(s, minlength=num_vertices).astype(np.int64)
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        # ``s`` is sorted, so vertex v's list starts at the first entry
+        # whose source is >= v.  int32 queries match ``s`` and spare a
+        # widened copy of it; the last offset is the entry count.
+        offsets = np.empty(num_vertices + 1, dtype=np.int64)
+        offsets[:-1] = np.searchsorted(
+            s, np.arange(num_vertices, dtype=np.int32)
+        )
+        offsets[-1] = s.size
         return cls(
             offsets=offsets,
             targets=d,

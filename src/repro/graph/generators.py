@@ -94,35 +94,50 @@ def rmat_edges(
     output may contain duplicates and self loops; CSR construction
     removes them.  Vertex ids are randomly permuted so vertex id carries
     no degree information (the reference generator's final shuffle).
+    Vertex ids are ``int32``, so ``scale`` must be at most 31.
     """
     scale = _as_int("scale", scale)
     edgefactor = _as_int("edgefactor", edgefactor)
     if scale < 0:
         raise GraphError(f"scale must be >= 0, got {scale}")
+    if scale > 31:
+        raise GraphError(
+            f"scale must be <= 31 (vertex ids are int32), got {scale}"
+        )
     if edgefactor < 0:
         raise GraphError(f"edgefactor must be >= 0, got {edgefactor}")
     rng = np.random.default_rng(seed)
     n = 1 << scale
     m = edgefactor << scale
 
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
     a, b, c, d = params.as_tuple()
     # Probability that the source bit is 1 (lower half): c + d.
     # Conditional probability that the dest bit is 1 given the source bit.
     p_src1 = c + d
     p_dst1_given_src0 = b / (a + b) if (a + b) > 0 else 0.0
     p_dst1_given_src1 = d / (c + d) if (c + d) > 0 else 0.0
+    # One fill per bit draws the same stream as ``u = random(m)`` then
+    # ``v = random(m)``; every buffer is reused across bits.
+    uv = np.empty(2 * m)
+    u, v = uv[:m], uv[m:]
+    src_bit, dst_bit, dst_bit0 = (np.empty(m, dtype=bool) for _ in range(3))
+    src, dst = np.zeros(m, dtype=np.int32), np.zeros(m, dtype=np.int32)
+    shifted = np.empty(m, dtype=np.int32)
     for bit in range(scale):
-        u = rng.random(m)
-        v = rng.random(m)
-        src_bit = u < p_src1
-        thresh = np.where(src_bit, p_dst1_given_src1, p_dst1_given_src0)
-        dst_bit = v < thresh
-        src |= src_bit.astype(np.int64) << bit
-        dst |= dst_bit.astype(np.int64) << bit
-    perm = rng.permutation(n)
-    return perm[src].astype(np.int32), perm[dst].astype(np.int32)
+        rng.random(out=uv)
+        np.less(u, p_src1, out=src_bit)
+        # The destination bit compares v with p_dst1_given_src1 where the
+        # source bit is 1 and with p_dst1_given_src0 where it is 0.
+        np.less(v, p_dst1_given_src1, out=dst_bit)
+        dst_bit &= src_bit
+        np.less(v, p_dst1_given_src0, out=dst_bit0)
+        dst_bit0 &= ~src_bit
+        dst_bit |= dst_bit0
+        for ids, bits in ((src, src_bit), (dst, dst_bit)):
+            np.left_shift(bits, bit, out=shifted, dtype=np.int32)
+            ids |= shifted
+    perm = rng.permutation(n).astype(np.int32)
+    return perm[src], perm[dst]
 
 
 def rmat(

@@ -54,6 +54,19 @@ class TestCoalesce:
         with pytest.raises(GraphError):
             coalesce_edges(np.array([0, 1]), np.array([1]), num_vertices=3)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+    def test_non_integer_endpoints_rejected(self, dtype):
+        src = np.array([0, 1], dtype=dtype)
+        dst = np.array([1, 0], dtype=dtype)
+        with pytest.raises(GraphError, match=f"dtype {np.dtype(dtype)}$"):
+            coalesce_edges(src, dst, num_vertices=3)
+
+    def test_dtype_error_names_the_offending_side(self):
+        with pytest.raises(GraphError, match="dtype float64$"):
+            coalesce_edges(
+                np.array([0, 1]), np.array([1.0, 2.0]), num_vertices=3
+            )
+
     def test_sorted_output(self, rng):
         src = rng.integers(0, 50, 200)
         dst = rng.integers(0, 50, 200)
@@ -83,6 +96,11 @@ class TestConstruction:
     def test_from_edges_python_lists(self):
         g = CSRGraph.from_edges([0], [1], 2)
         assert g.num_edges == 1
+
+    def test_from_edges_float_lists_rejected(self):
+        # Not truncated to edges 0-1 and 1-2.
+        with pytest.raises(GraphError, match="dtype float64"):
+            CSRGraph.from_edges([0.5, 1.9], [1.7, 2.2], 3)
 
     def test_offsets_validation(self):
         with pytest.raises(GraphError):

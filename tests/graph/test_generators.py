@@ -1,5 +1,7 @@
 """Unit tests for repro.graph.generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ class TestRmatEdges:
     def test_negative_scale_rejected(self):
         with pytest.raises(GraphError):
             rmat_edges(-1, 16)
+
+    def test_scale_beyond_int32_ids_rejected(self):
+        # Refused before any buffer is allocated, not by a MemoryError
+        # (or, with enough memory, by ids wrapped through int32).
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="scale must be <= 31"):
+                rmat_edges(32)
+            with pytest.raises(GraphError, match="got 40"):
+                rmat(40, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_negative_edgefactor_rejected(self):
         with pytest.raises(GraphError):

@@ -86,6 +86,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "repro-bfs: GraphError: scale must be >= 0, got -1\n"
 
+    def test_graph500_scale_beyond_int32_ids(self, capsys):
+        assert main(["graph500", "--scale", "32", "--roots", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro-bfs: GraphError: scale must be <= 31 "
+            "(vertex ids are int32), got 32\n"
+        )
+
     def test_bfs_lone_threshold_is_kept(self, capsys):
         # only the missing threshold is predicted
         assert main(["bfs", "--scale", "8", "--m", "7", "--json"]) == 0
