@@ -1,18 +1,34 @@
 """Unit tests for repro.graph.validate (Graph 500-style checks)."""
 
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.bfs import bfs_hybrid
 from repro.bfs.reference import bfs_reference
 from repro.errors import ValidationError
+from repro.graph import validate
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import ring, star
+from repro.graph.generators import ring, rmat, star
 from repro.graph.validate import (
+    _blocks,
     _level_keys,
     _scan_entries,
     check_bfs,
     validate_bfs,
 )
+
+
+@pytest.fixture()
+def blocked(monkeypatch):
+    """Blocks of 64 entries scanned by three worker threads, whatever
+    the host's CPU count."""
+    monkeypatch.setattr(validate, "_BLOCK", 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
 
 
 @pytest.fixture()
@@ -120,6 +136,45 @@ class TestRejects:
     def test_bad_source(self, valid_run):
         g, _, parent, level = valid_run
         assert check_bfs(g, -1, parent, level)
+
+    @pytest.mark.parametrize("source", [1.5, 3.0, "0", None, np.float64(2)])
+    def test_non_integral_source(self, valid_run, source):
+        g, _, parent, level = valid_run
+        expected = [f"source must be an integer vertex id, got {source!r}"]
+        assert check_bfs(g, source, parent, level) == expected
+        with pytest.raises(ValidationError, match="integer vertex id"):
+            validate_bfs(g, source, parent, level)
+
+    def test_integer_like_sources(self, valid_run):
+        """NumPy integers and bools are vertex ids, as for the engines."""
+        g, s, parent, level = valid_run
+        assert check_bfs(g, np.int32(s), parent, level) == []
+        assert check_bfs(g, np.uint64(s), parent, level) == []
+        res = bfs_reference(g, 1)
+        assert check_bfs(g, True, res.parent, res.level) == []
+        assert check_bfs(g, np.int64(g.num_vertices), parent, level) == [
+            f"source {g.num_vertices} out of range [0, {g.num_vertices})"
+        ]
+
+    @pytest.mark.parametrize("which", ["parent", "level", "both"])
+    def test_non_integer_maps(self, valid_run, which):
+        """Maps read back from JSON or CSV are often float64."""
+        g, s, parent, level = valid_run
+        if which != "level":
+            parent = parent.astype(np.float64)
+        if which != "parent":
+            level = level.astype(np.float64)
+        expected = [
+            f"maps must be integer arrays: parent {parent.dtype},"
+            f" level {level.dtype}"
+        ]
+        assert check_bfs(g, s, parent, level) == expected
+        assert check_bfs(g, s, parent.tolist(), level.astype(object)) == [
+            f"maps must be integer arrays: parent {parent.dtype},"
+            " level object"
+        ]
+        with pytest.raises(ValidationError, match="integer arrays"):
+            validate_bfs(g, s, parent, level)
 
     def test_validate_raises(self, valid_run):
         g, s, parent, level = valid_run
@@ -278,3 +333,130 @@ class TestDtypes:
         wide = _scan_entries(g, wide_key, claim)
         assert key.dtype == np.int32 and narrow == wide
         assert narrow[0] > 0 and narrow[1] > 0
+
+    def test_wide_keys_count_alike_in_blocks(self, valid_run, blocked):
+        """The same comparison through the blocked, threaded scan."""
+        assert _blocks(valid_run[0].offsets)[0].size > 3
+        self.test_wide_keys_count_like_narrow_ones(valid_run)
+
+
+def _offsets(degrees):
+    return np.concatenate(([0], np.cumsum(degrees)))
+
+
+class TestBlocks:
+    """The entry scan's row blocks and its worker threads."""
+
+    def test_cuts(self, monkeypatch):
+        monkeypatch.setattr(validate, "_BLOCK", 4)
+        # Row 3 is longer than a block; rows 1, 4, 5 and 8 are empty.
+        first, stop = _blocks(_offsets([2, 0, 3, 9, 0, 0, 1, 4, 0]))
+        assert first.tolist() == [0, 2, 3, 4, 7]
+        assert stop.tolist() == [2, 3, 4, 7, 9]
+
+    def test_empty_blocks_dropped(self, monkeypatch):
+        monkeypatch.setattr(validate, "_BLOCK", 4)
+        first, stop = _blocks(_offsets([0, 0, 9, 1]))
+        assert (first.tolist(), stop.tolist()) == ([2, 3], [3, 4])
+        for degrees in ([], [0], [0, 0, 0]):
+            first, stop = _blocks(_offsets(degrees))
+            assert first.size == stop.size == 0
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 64])
+    def test_blocks_tile_the_entries(self, monkeypatch, block):
+        monkeypatch.setattr(validate, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(20):
+            degrees = rng.integers(0, 3 * block, rng.integers(1, 60))
+            degrees[rng.random(degrees.size) < 0.4] = 0
+            degrees[-1] += 1
+            offsets = _offsets(degrees)
+            first, stop = _blocks(offsets)
+            assert offsets[first[0]] == 0 and offsets[stop[-1]] == offsets[-1]
+            assert (offsets[first[1:]] == offsets[stop[:-1]]).all()
+            size = offsets[stop] - offsets[first]
+            assert (size > 0).all()
+            # A block is a single row, or its rows are shorter than a
+            # block and it spans less than two blocks.
+            single = stop - first == 1
+            assert (size[~single] < 2 * block).all()
+            long_rows = np.flatnonzero(degrees > block)
+            assert set(long_rows) <= set(first[single].tolist())
+
+    def test_threads_count_like_one_block(self, valid_run, monkeypatch):
+        g, s, parent, level = valid_run
+        rng = np.random.default_rng(2)
+        level = np.where(rng.random(level.size) < 0.05, -1, level)
+        parent[rng.integers(parent.size, size=30)] = rng.integers(
+            parent.size, size=30
+        )
+        level[rng.integers(level.size, size=30)] += 2
+        whole = check_bfs(g, s, parent, level)
+        assert len(whole) >= 4
+        for block, workers in ((64, 1), (64, 3), (1000, 2), (7, 16)):
+            monkeypatch.setattr(validate, "_BLOCK", block)
+            monkeypatch.setattr(os, "cpu_count", lambda: workers)
+            assert check_bfs(g, s, parent, level) == whole
+
+    def test_many_threads_short_switch_interval(self, valid_run, monkeypatch):
+        """More workers than cores, switching threads every microsecond: a
+        lost count or mask would change the failure list."""
+        g, s, parent, level = valid_run
+        parent[::97] = (parent[::97] + 1) % parent.size
+        whole = check_bfs(g, s, parent, level)
+        assert "tree edges are not graph edges" in " ".join(whole)
+        monkeypatch.setattr(validate, "_BLOCK", 16)
+        monkeypatch.setattr(os, "cpu_count", lambda: 32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert check_bfs(g, s, parent, level) == whole
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _scan_threads(monkeypatch, valid_run):
+        """Threads that ran ``_scan_run`` during one valid check."""
+        seen = []
+        scan_run = validate._scan_run
+
+        def spy(*args):
+            seen.append(threading.get_ident())
+            return scan_run(*args)
+
+        monkeypatch.setattr(validate, "_scan_run", spy)
+        assert check_bfs(*valid_run) == []
+        return seen
+
+    def test_runs_on_worker_threads(self, valid_run, blocked, monkeypatch):
+        """Three runs: one on the calling thread, two on pool threads."""
+        seen = self._scan_threads(monkeypatch, valid_run)
+        assert len(seen) == 3 and seen.count(threading.get_ident()) == 1
+
+    def test_one_block_runs_inline(self, valid_run, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _blocks(valid_run[0].offsets)[0].size == 1
+        seen = self._scan_threads(monkeypatch, valid_run)
+        assert seen == [threading.get_ident()]
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_entries(self, monkeypatch):
+        """The scan's temporaries are bounded by the block size, so one
+        check's traced peak is the same at 3.3 times the entries (R-MAT
+        scale 15, edgefactor 16 and 64; the whole-array scan it replaced
+        peaked at 15.3 and 48.9 MiB)."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        peaks = []
+        for edgefactor in (16, 64):
+            g = rmat(15, edgefactor, seed=0)
+            root = int(np.argmax(g.degrees))
+            res = bfs_hybrid(g, root, m=20, n=100)
+            tracemalloc.start()
+            try:
+                assert check_bfs(g, root, res.parent, res.level) == []
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks

@@ -4,14 +4,19 @@
 return exactly the failure list of a scalar per-edge oracle, on small
 symmetric and directed graphs with self loops, multi-edges, isolated
 vertices, chains and stars, and it must reject every single-field
-corruption of a valid BFS output.
+corruption of a valid BFS output.  The oracle comparison also runs with
+blocks of a few entries, on one worker and on several threads.
 """
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bfs.reference import bfs_reference
+from repro.graph import validate
 from repro.graph.csr import CSRGraph
 from repro.graph.validate import check_bfs
 
@@ -103,6 +108,17 @@ def test_matches_scalar_oracle(case, data):
     assert check_bfs(graph, source, parent, level) == oracle(
         graph, source, parent, level
     )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_blocked_scan_matches_scalar_oracle(monkeypatch, workers):
+    """With blocks of four entries the small graphs span many blocks: a
+    star's hub row is longer than a block, and sparse graphs put
+    zero-degree rows at the cuts.  Three workers take the threaded path
+    even on a one-CPU host."""
+    monkeypatch.setattr(validate, "_BLOCK", 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    test_matches_scalar_oracle()
 
 
 @given(small_graphs(max_n=12))
