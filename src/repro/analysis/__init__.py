@@ -8,10 +8,12 @@ Four coordinated correctness tools (see ``docs/static_analysis.md``):
   tier-1 test.  Rules ``RPR010+`` are *deep* (dataflow) rules that run
   under ``repro-bfs lint --deep``.
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` /
-  :mod:`repro.analysis.races` — an intraprocedural abstract
-  interpreter (dtype/shape lattice, workspace alias analysis), per-
-  function read/write/escape effect summaries, and a lockset-style
-  static race detector for the parallel BFS worker closures.
+  :mod:`repro.analysis.races` — an abstract interpreter (dtype/shape
+  lattice, workspace alias analysis, and the ``ParallelBFS`` /
+  ``BFSWorkspace`` lifecycle rules ``RPR023``/``RPR024``), per-
+  function read/write/escape/close/reset effect summaries, and a
+  lockset-style static race detector for the parallel BFS worker
+  closures.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.program` —
   whole-program analysis: a project-wide call graph with import-aware
   name resolution and method dispatch, a worklist *fixpoint* that
@@ -20,12 +22,6 @@ Four coordinated correctness tools (see ``docs/static_analysis.md``):
   lifecycle, interprocedural workspace escapes, cross-module worker
   writes, ownership gating and hot-path call cycles.  Exposed as
   ``repro-bfs callgraph`` and folded into ``lint --deep``.
-* :mod:`repro.analysis.typestate` — typestate & protocol verification:
-  a declarative registry of protocol state machines (``BFSWorkspace``,
-  ``ParallelBFS``) plus an abstract interpreter that
-  checks each handle's lifecycle along the call graph.  Two more
-  ``lint --deep`` rules (``RPR023``, ``RPR024``).  Exposed as
-  ``repro-bfs protocols``.
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime harness
   (``sanitize=True`` on the BFS engines) that freezes CSR arrays during
   traversal and checks per-level invariants, raising structured
@@ -37,7 +33,7 @@ Four coordinated correctness tools (see ``docs/static_analysis.md``):
   reduces to seconds.
 
 Exposed on the CLI as ``repro-bfs lint`` (``--deep``),
-``repro-bfs dataflow`` and ``repro-bfs sanitize``.
+``repro-bfs callgraph`` and ``repro-bfs sanitize``.
 """
 
 from repro.analysis.lint import (
@@ -72,7 +68,6 @@ from repro.analysis import dataflow as _dataflow  # noqa: F401
 from repro.analysis import program as _program  # noqa: F401
 from repro.analysis import races as _races  # noqa: F401
 from repro.analysis import rules as _rules  # noqa: F401
-from repro.analysis.typestate import rules as _typestate_rules  # noqa: F401
 from repro.analysis.callgraph import (
     Project,
     SummaryCache,
@@ -94,13 +89,6 @@ from repro.analysis.effects import (
     propagate_one_level,
 )
 from repro.analysis.program import program_report
-from repro.analysis.typestate import (
-    PROTOCOLS,
-    ProtocolSpec,
-    TypestateAnalysis,
-    get_protocol,
-    typestate_report,
-)
 
 __all__ = [
     "RULES",
@@ -120,11 +108,6 @@ __all__ = [
     "build_project",
     "project_from_sources",
     "program_report",
-    "PROTOCOLS",
-    "ProtocolSpec",
-    "TypestateAnalysis",
-    "get_protocol",
-    "typestate_report",
     "AbstractValue",
     "DataflowReport",
     "analyze",

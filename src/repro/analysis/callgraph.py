@@ -23,14 +23,15 @@ module only.  This module lifts those summaries to the whole program:
    ``None`` and are assumed effect-free and non-raising — the same
    optimism the intramodule engine documents.
 3. **Fixpoint**: a worklist iterates over the resolved edges until
-   per-function writes/escapes/raises/workspace-write facts stop
-   changing.  The lattice is the finite powerset of names mentioned in
-   the program and every transfer is monotone, so the iteration
-   terminates; recursion (direct or mutual) simply converges, and a
-   generous round cap widens defensively.
+   per-function writes/escapes/raises/workspace-write and close/reset
+   facts stop changing.  The lattice is the finite powerset of names
+   mentioned in the program and every transfer is monotone, so the
+   iteration terminates; recursion (direct or mutual) simply
+   converges, and a generous round cap widens defensively.
 
 The resulting :class:`Project` answers the queries the whole-program
-rules (:mod:`repro.analysis.program`, RPR015–RPR019) and the
+rules (:mod:`repro.analysis.program`, RPR015–RPR019; the lifecycle
+rules RPR023/RPR024 in :mod:`repro.analysis.dataflow`) and the
 ``repro-bfs callgraph`` CLI need: ``who_writes("workspace.parent")``,
 transitive reachability, strongly-connected components through
 hot-path modules, and DOT/JSON exports.
@@ -67,12 +68,9 @@ __all__ = [
 
 _OWNED_RE = re.compile(r"#\s*repro:\s*owned\[", re.IGNORECASE)
 
-#: Constructors that acquire a joinable/closeable resource (RPR015).
-RESOURCE_CTORS = frozenset(
-    {"ParallelBFS", "ThreadPoolExecutor", "ProcessPoolExecutor"}
-)
-#: Methods that release any of the above.
-CLOSE_METHODS = frozenset({"close", "shutdown"})
+#: Constructors that acquire a joinable/closeable resource (RPR015);
+#: :data:`~repro.analysis.effects.CLOSE_METHODS` release them.
+RESOURCE_CTORS = frozenset({"ParallelBFS", "ThreadPoolExecutor"})
 
 #: Receiver-name conventions mapped to class *bare* names; only applied
 #: when the project actually defines the class (mirrors the seeding
@@ -178,6 +176,7 @@ class CallEdge:
     args: tuple[str | None, ...]
     kwargs: tuple[tuple[str, str], ...]
     dispatch: bool = False
+    maybe: bool = False
 
 
 def edge_bindings(
@@ -393,7 +392,7 @@ def _extract_acquisitions(
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in CLOSE_METHODS
+                and node.func.attr in fx.CLOSE_METHODS
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id == var
             ):
@@ -456,7 +455,7 @@ def _extract_acquisitions(
                 risks.append(("raise", node_line, node.col_offset))
             elif isinstance(node, ast.Call):
                 raw = fx._dotted_name(node.func)
-                if raw is None or raw.rsplit(".", 1)[-1] in CLOSE_METHODS:
+                if raw is None or raw.rsplit(".", 1)[-1] in fx.CLOSE_METHODS:
                     continue
                 risks.append((raw, node_line, node.col_offset))
         acqs.append(
@@ -601,7 +600,7 @@ def _summary_to_dict(s: fx.FunctionEffects) -> dict:
         "escapes": sorted(s.escapes),
         "calls": [
             [c.callee, list(c.args), [list(kv) for kv in c.kwargs],
-             c.line, c.col]
+             c.line, c.col, c.maybe]
             for c in s.calls
         ],
         "line": s.line,
@@ -610,6 +609,8 @@ def _summary_to_dict(s: fx.FunctionEffects) -> dict:
         "ws_writes": sorted(s.ws_writes),
         "returns_ws": s.returns_ws,
         "returns_calls": list(s.returns_calls),
+        "closes": sorted(s.closes),
+        "resets": sorted(s.resets),
     }
 
 
@@ -627,6 +628,7 @@ def _summary_from_dict(d: dict) -> fx.FunctionEffects:
                 kwargs=tuple((k, v) for k, v in c[2]),
                 line=c[3],
                 col=c[4],
+                maybe=c[5],
             )
             for c in d["calls"]
         ),
@@ -636,6 +638,8 @@ def _summary_from_dict(d: dict) -> fx.FunctionEffects:
         ws_writes=frozenset(d["ws_writes"]),
         returns_ws=d["returns_ws"],
         returns_calls=tuple(d["returns_calls"]),
+        closes=frozenset(d["closes"]),
+        resets=frozenset(d["resets"]),
     )
 
 
@@ -766,7 +770,7 @@ def record_from_dict(d: dict) -> ModuleRecord:
 #: entries written under another version are treated as misses, so a
 #: rule upgrade can never be served stale summaries for unchanged
 #: files.
-ANALYSIS_VERSION = 3
+ANALYSIS_VERSION = 4
 
 
 def _cache_key(sha: str) -> str:
@@ -997,6 +1001,7 @@ class Project:
                         receiver=receiver,
                         args=call.args,
                         kwargs=call.kwargs,
+                        maybe=call.maybe,
                     )
                 )
             for worker_raw, line, col in info.dispatch_targets:
@@ -1028,6 +1033,8 @@ class Project:
                 "raises": s.raises,
                 "ws_writes": set(s.ws_writes),
                 "returns_ws": s.returns_ws,
+                "closes": set(s.closes),
+                "resets": set(s.resets),
             }
             for q, s in base.items()
         }
@@ -1072,6 +1079,23 @@ class Project:
                     ):
                         s["escapes"].add(arg)
                         changed = True
+                    # A callee that closes or resets its parameter does
+                    # so to the caller's parameter bound there; a close
+                    # counts only from a call made on every path.
+                    if arg in bs.params:
+                        if (
+                            param in callee_state["resets"]
+                            and arg not in s["resets"]
+                        ):
+                            s["resets"].add(arg)
+                            changed = True
+                        if (
+                            not edge.maybe
+                            and param in callee_state["closes"]
+                            and arg not in s["closes"]
+                        ):
+                            s["closes"].add(arg)
+                            changed = True
                     if param in callee_base.ws_params and (
                         arg in bs.ws_params or arg in fx.WS_PARAM_NAMES
                     ):
@@ -1090,7 +1114,9 @@ class Project:
                     s["returns_ws"] = True
                     changed = True
             if changed:
-                for caller in callers_of.get(q, ()):
+                # Sorted, so the round count does not depend on set
+                # order (and so on PYTHONHASHSEED).
+                for caller in sorted(callers_of.get(q, ())):
                     if caller not in queued:
                         worklist.append(caller)
                         queued.add(caller)
@@ -1103,6 +1129,8 @@ class Project:
                 raises=state[q]["raises"],
                 ws_writes=frozenset(state[q]["ws_writes"]),
                 returns_ws=state[q]["returns_ws"],
+                closes=frozenset(state[q]["closes"]),
+                resets=frozenset(state[q]["resets"]),
             )
             for q in self.functions
         }

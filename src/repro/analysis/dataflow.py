@@ -1,7 +1,7 @@
-"""Intraprocedural abstract interpretation for the deep lint rules.
+"""Abstract interpretation for the deep lint rules.
 
 This module implements a small abstract interpreter over Python AST
-with a NumPy-aware value domain, and registers three deep rules on top
+with a NumPy-aware value domain, and registers five deep rules on top
 of it:
 
 ========  ==============================================================
@@ -18,6 +18,13 @@ RPR011    write to a workspace-aliased array (``parent``, ``level``,
 RPR012    a ``workspace.buffer(...)`` scratch array that is written but
           never read in its function — a dead store burning memory
           bandwidth on the hot path
+RPR023    ``run()`` on a ``ParallelBFS`` engine that is closed on every
+          path: by ``close()``/``shutdown()``, by leaving its ``with``
+          block, or by a callee that closes the bound argument
+RPR024    a workspace re-lent (``workspace=``/``ws=``, ``begin()``, or a
+          callee that may reset it) while an earlier traversal's result
+          still aliases its arrays and is read later, returned, or
+          stored in a container or attribute
 ========  ==============================================================
 
 The value domain tracks, per local variable:
@@ -31,12 +38,26 @@ The value domain tracks, per local variable:
 * an **alias set** of symbolic workspace locations
   (``ws.parent``, ``ws.level``, ``ws.claim``, ``ws.iota``,
   ``ws.buffer:<name>``), seeded from :class:`BFSWorkspace` API calls
-  and preserved through basic-slice views, dropped by copies.
+  and preserved through basic-slice views, dropped by copies;
+* for an ``engine`` (``ParallelBFS``) or ``workspace`` value, the
+  constructor call (or parameter) it came from, so aliases share one
+  identity, and for an engine whether it is **closed**, which branch
+  joins keep only when every path closed it.
+
+The lifecycle rules (RPR023, RPR024) are interprocedural: a call's
+callee facts — the parameters it ``closes`` on every path and the
+parameters it ``resets`` — come from the whole-program fixpoint of
+:mod:`repro.analysis.callgraph` (a one-file project when the lint run
+has none).  A workspace re-lend counts as RPR011's write to
+``ws.parent``/``ws.level``; RPR024 reports it when a result bound from
+an earlier traversal of the same workspace is still read on a later
+line or has escaped.
 
 The interpreter is deliberately approximate: branches are joined
-point-wise, loop bodies are interpreted once, and anything it cannot
-prove is *unknown* — every rule here only fires on facts the lattice
-actually established, so unknown never produces a finding.
+point-wise, loop bodies are interpreted once, ``except`` handlers do
+not flow on, and anything it cannot prove is *unknown* — every rule
+here only fires on facts the lattice actually established, so unknown
+never produces a finding.
 """
 
 from __future__ import annotations
@@ -44,9 +65,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterator
 
+from repro.analysis.callgraph import CallEdge, edge_bindings
+from repro.analysis.effects import (
+    CLOSE_METHODS,
+    WS_PARAM_NAMES,
+    FunctionEffects,
+    _dotted_name,
+)
 from repro.analysis.lint import ModuleContext, rule
+from repro.analysis.program import _project_for
 
 __all__ = [
     "AbstractValue",
@@ -57,6 +87,8 @@ __all__ = [
     "check_dataflow_narrowing",
     "check_alias_writes",
     "check_dead_scratch_stores",
+    "check_closed_engine_use",
+    "check_relent_workspace",
 ]
 
 # -- dtype lattice --------------------------------------------------------
@@ -135,8 +167,10 @@ class AbstractValue:
     """One point in the value lattice.
 
     ``kind`` is one of ``'array'``, ``'scalar'``, ``'workspace'``,
-    ``'result'``, ``'tuple'`` or ``None`` (unknown).  ``rid`` links a
-    result value back to its creation record for ``detach()`` tracking.
+    ``'engine'``, ``'result'``, ``'tuple'`` or ``None`` (unknown).
+    ``rid`` links a result value back to its creation record for
+    ``detach()`` tracking, and gives an engine or workspace value its
+    identity.  ``closed`` marks an engine closed on every path.
     """
 
     dtype: str | None = None
@@ -144,6 +178,7 @@ class AbstractValue:
     aliases: frozenset[str] = frozenset()
     elts: tuple = ()
     rid: int = -1
+    closed: bool = False
 
 
 UNKNOWN = AbstractValue()
@@ -157,6 +192,7 @@ def _join_values(a: AbstractValue, b: AbstractValue) -> AbstractValue:
         kind=a.kind if a.kind == b.kind else None,
         aliases=a.aliases | b.aliases,
         rid=a.rid if a.rid == b.rid else -1,
+        closed=a.closed and b.closed,
     )
 
 
@@ -175,13 +211,21 @@ class DataflowReport:
     narrowing: list[tuple[int, int, str]] = field(default_factory=list)
     alias_writes: list[tuple[int, int, str]] = field(default_factory=list)
     dead_stores: list[tuple[int, int, str]] = field(default_factory=list)
+    closed_use: list[tuple[int, int, str]] = field(default_factory=list)
+    relent: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 # -- the interpreter ------------------------------------------------------
 
-_WORKSPACE_PARAM_NAMES = {"workspace", "ws"}
 _MUTATING_METHODS = {"fill", "sort", "resize", "put", "partition",
                      "setfield", "byteswap"}
+#: Container methods that store their argument (a result escapes).
+_STORE_METHODS = {"append", "add", "extend", "insert", "put",
+                  "setdefault", "update"}
+#: What a workspace re-lend writes (RPR011's view of ``begin()``).
+_WS_MAPS = AbstractValue(
+    dtype="int64", kind="array", aliases=frozenset({"ws.parent", "ws.level"})
+)
 #: np namespace calls whose result keeps the first argument's dtype.
 _PASSTHROUGH_FNS = {
     "sort", "unique", "ravel", "ascontiguousarray", "concatenate",
@@ -216,10 +260,22 @@ class _FunctionInterpreter:
         # Scratch-buffer registry: var -> {"buffer", "line", "col",
         # "writes", "reads"}
         self.buffers: dict[str, dict] = {}
+        # Traversal results bound to a name, per workspace identity:
+        # {"ws", "var", "line", "escaped", "done"}
+        self.lent: list[dict] = []
+        # (call, name) of the assignment being evaluated, so a
+        # traversal knows the name its result binds to.
+        self._bind: tuple[ast.expr, str] | None = None
+        self.fn: ast.FunctionDef | ast.AsyncFunctionDef | None = None
+        self._scope: list[ast.AST] = []
+        self._uses: dict[str, list[int]] | None = None
+        self._calls: dict | None = None
 
     # -- entry points ----------------------------------------------------
 
     def run_function(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self.fn = fn
+        self._scope = [fn]
         self._seed_params(fn)
         self.exec_body(fn.body)
         self._finish_dead_stores()
@@ -231,6 +287,7 @@ class _FunctionInterpreter:
                 s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             )
         ]
+        self._scope = stmts
         self.exec_body(stmts)
         self._finish_dead_stores()
 
@@ -246,12 +303,11 @@ class _FunctionInterpreter:
             elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
                 ann_name = ann.value.strip().split(".")[-1].split(" ")[0]
             if (
-                p.arg in _WORKSPACE_PARAM_NAMES
+                p.arg in WS_PARAM_NAMES
                 or ann_name == "BFSWorkspace"
+                or (p.arg == "self" and self.self_is_workspace)
             ):
-                self.env[p.arg] = AbstractValue(kind="workspace")
-            elif p.arg == "self" and self.self_is_workspace:
-                self.env[p.arg] = AbstractValue(kind="workspace")
+                self.env[p.arg] = AbstractValue(kind="workspace", rid=id(p))
             elif p.arg in ("parent", "level", "cand_parent", "frontier",
                            "unvisited"):
                 # documented convention: the BFS parent/level maps and
@@ -267,11 +323,15 @@ class _FunctionInterpreter:
 
     def exec_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
+            if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
+                self._bind = (stmt.value, stmt.targets[0].id)
             value = self.eval(stmt.value)
             for tgt in stmt.targets:
                 self.bind(tgt, value, stmt.value)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
+                if isinstance(stmt.target, ast.Name):
+                    self._bind = (stmt.value, stmt.target.id)
                 self.bind(stmt.target, self.eval(stmt.value), stmt.value)
         elif isinstance(stmt, ast.AugAssign):
             value = self.eval(stmt.value)
@@ -316,11 +376,16 @@ class _FunctionInterpreter:
             self.exec_body(stmt.orelse)
             self.env = _join_envs(before, self.env)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            managed = []
             for item in stmt.items:
                 val = self.eval(item.context_expr)
+                managed.append(val)
                 if item.optional_vars is not None:
                     self.bind(item.optional_vars, val, item.context_expr)
             self.exec_body(stmt.body)
+            for val in managed:
+                if val.kind == "engine":
+                    self._close(val.rid)  # leaving the block closes it
         elif isinstance(stmt, ast.Try):
             self.exec_body(stmt.body)
             before = dict(self.env)
@@ -368,8 +433,10 @@ class _FunctionInterpreter:
             base = self._eval_store_base(tgt.value)
             self.eval(tgt.slice)
             self.record_write(tgt, base, value)
+            self._escape(src)
         elif isinstance(tgt, ast.Attribute):
             self.eval(tgt.value)
+            self._escape(src)
 
     def _eval_store_base(self, node: ast.expr) -> AbstractValue:
         """Evaluate the base of a pure store target without recording a
@@ -448,6 +515,127 @@ class _FunctionInterpreter:
     def _read_name(self, name: str) -> None:
         if name in self.buffers:
             self.buffers[name]["reads"] += 1
+
+    # -- lifecycle (RPR023, RPR024) --------------------------------------
+
+    def _close(self, rid: int) -> None:
+        """Mark every alias of engine ``rid`` closed."""
+        self.env = {
+            name: replace(v, closed=True)
+            if v.kind == "engine" and v.rid == rid else v
+            for name, v in self.env.items()
+        }
+
+    def _escape(self, *nodes: ast.expr | None) -> None:
+        """A result named in ``nodes`` is stored in a container or an
+        attribute: it outlives any later read this function makes."""
+        names = {
+            n.id for node in nodes if node is not None
+            for n in ast.walk(node) if isinstance(n, ast.Name)
+        }
+        for rec in self.lent:
+            if rec["var"] in names:
+                rec["escaped"] = True
+
+    def _read_after(self, name: str, line: int) -> bool:
+        if self._uses is None:
+            self._uses = {}
+            for root in self._scope:
+                for n in ast.walk(root):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                        self._uses.setdefault(n.id, []).append(n.lineno)
+        return any(u > line for u in self._uses.get(name, ()))
+
+    def _relend(
+        self,
+        node: ast.Call,
+        ws_name: str,
+        rid: int,
+        via: str | None,
+        bind: str | None,
+    ) -> None:
+        """Workspace ``rid`` is reset at ``node``: RPR011's write to its
+        maps, and RPR024 for an earlier result that is still live.
+        ``bind`` names the variable the call's own result binds to."""
+        self.record_write(node, _WS_MAPS, UNKNOWN)
+        if rid == -1:
+            return  # a join of two workspaces: identity unknown
+        for rec in self.lent:
+            if rec["done"] or rec["ws"] != rid:
+                continue
+            rec["done"] = True
+            if rec["var"] == bind and not rec["escaped"]:
+                continue  # the rebinding kills the stale result first
+            if rec["escaped"]:
+                how = "escaped into a container/attribute"
+            elif self._read_after(rec["var"], node.lineno):
+                how = "is still read afterwards"
+            else:
+                continue
+            suffix = f" (via `{via}(...)`)" if via else ""
+            self.report.relent.append((
+                node.lineno, node.col_offset,
+                f"traversal reuses workspace `{ws_name}`{suffix} while "
+                f"result `{rec['var']}` (bound at line {rec['line']}) "
+                f"still aliases its arrays and {how}; call "
+                f"`{rec['var']}.detach()` (or .copy()) before re-running "
+                "— the reused workspace silently rewrites the live result",
+            ))
+
+    def _callee(
+        self, node: ast.Call
+    ) -> tuple[CallEdge, FunctionEffects] | None:
+        """The resolved callee edge of ``node`` and the callee's
+        fixpoint summary (``None`` when unresolved)."""
+        if self.fn is None:
+            return None
+        if self._calls is None:
+            self._calls = _resolved_calls(self.ctx, self.fn)
+        return self._calls.get((_dotted_name(node.func), node.lineno))
+
+    def _lifecycle(self, node: ast.Call) -> None:
+        """The workspaces ``node`` re-lends and the engines its callee
+        closes; a bound traversal result starts aliasing the workspace."""
+        fn = node.func
+        args = [*node.args, *(kw.value for kw in node.keywords)]
+        if isinstance(fn, ast.Attribute):
+            args.append(fn.value)
+        if not any(
+            isinstance(a, ast.Name)
+            and self.env.get(a.id, UNKNOWN).kind in ("engine", "workspace")
+            for a in args
+        ):
+            return
+        relent: dict[int, tuple[str, str | None]] = {}
+        begin = (
+            isinstance(fn, ast.Attribute) and fn.attr == "begin"
+            and isinstance(fn.value, ast.Name)
+            and self.env.get(fn.value.id, UNKNOWN).kind == "workspace"
+        )
+        if begin:
+            relent[self.env[fn.value.id].rid] = (fn.value.id, None)
+        for kw in node.keywords:
+            if kw.arg in WS_PARAM_NAMES and isinstance(kw.value, ast.Name):
+                value = self.env.get(kw.value.id, UNKNOWN)
+                if value.kind == "workspace":
+                    relent[value.rid] = (kw.value.id, None)
+        resolved = self._callee(node)
+        if resolved is not None:
+            edge, summary = resolved
+            for param, arg in edge_bindings(edge, summary.params):
+                value = self.env.get(arg, UNKNOWN)
+                if value.kind == "workspace" and param in summary.resets:
+                    relent.setdefault(value.rid, (arg, edge.raw))
+                elif value.kind == "engine" and param in summary.closes:
+                    self._close(value.rid)
+        bind = self._bind[1] if self._bind and self._bind[0] is node else None
+        for rid, (ws_name, via) in relent.items():
+            self._relend(node, ws_name, rid, via, bind)
+            if bind is not None and rid != -1 and not begin:
+                self.lent.append({
+                    "ws": rid, "var": bind, "line": node.lineno,
+                    "escaped": False, "done": False,
+                })
 
     def _finish_dead_stores(self) -> None:
         for name, entry in self.buffers.items():
@@ -642,6 +830,7 @@ class _FunctionInterpreter:
             if kw.arg == "out" and isinstance(kw.value, ast.Name):
                 continue
             self.eval(kw.value)
+        self._lifecycle(node)
         return result
 
     def _eval_method_call(
@@ -654,7 +843,26 @@ class _FunctionInterpreter:
         else:
             base = self.eval(fn.value)
         args = [self.eval(a) for a in node.args]
+        recv = fn.value.id if isinstance(fn.value, ast.Name) else None
 
+        if attr in _STORE_METHODS:
+            self._escape(*(a for a in node.args if isinstance(a, ast.Name)))
+        if attr == "ParallelBFS":
+            return AbstractValue(kind="engine", rid=id(node))
+        if attr == "BFSWorkspace" or (
+            attr == "for_graph" and recv == "BFSWorkspace"
+        ):
+            return AbstractValue(kind="workspace", rid=id(node))
+        if base.kind == "engine":
+            if attr in CLOSE_METHODS:
+                self._close(base.rid)
+            elif attr == "run" and base.closed:
+                self.report.closed_use.append((
+                    node.lineno, node.col_offset,
+                    f"`{recv}.run()` violates the parallel-bfs protocol: "
+                    "illegal in state(s): closed; allowed next: close",
+                ))
+            return UNKNOWN
         if base.kind == "workspace":
             return self._eval_workspace_call(node, attr, dtype_kw)
 
@@ -678,11 +886,13 @@ class _FunctionInterpreter:
         if attr == "detach":
             if base.kind == "result" and 0 <= base.rid < len(self.results):
                 self.results[base.rid]["detached"] = True
+            for rec in self.lent:
+                if rec["var"] == recv:
+                    rec["done"] = True
             return base
         if attr in _MUTATING_METHODS:
-            name = fn.value.id if isinstance(fn.value, ast.Name) else None
             self.record_write(
-                node, base, args[0] if args else UNKNOWN, target_name=name
+                node, base, args[0] if args else UNKNOWN, target_name=recv
             )
             return UNKNOWN
         if attr == "copy":
@@ -704,12 +914,8 @@ class _FunctionInterpreter:
         for a in node.args:
             self.eval(a)
         if attr == "begin":
-            # begin() resets parent/level in place — a write event
-            target = AbstractValue(
-                dtype="int64", kind="array",
-                aliases=frozenset({"ws.parent", "ws.level"}),
-            )
-            self.record_write(node, target, UNKNOWN)
+            # begin() resets parent/level in place: a write event,
+            # recorded with the other re-lends by _lifecycle
             return AbstractValue(kind="tuple", elts=(
                 AbstractValue(dtype="int64", kind="array",
                               aliases=frozenset({"ws.parent"})),
@@ -821,7 +1027,9 @@ class _FunctionInterpreter:
                 })
                 return AbstractValue(kind="result", rid=rid)
             if fn.id == "BFSWorkspace":
-                return AbstractValue(kind="workspace")
+                return AbstractValue(kind="workspace", rid=id(node))
+            if fn.id == "ParallelBFS":
+                return AbstractValue(kind="engine", rid=id(node))
             if fn.id == "len":
                 return AbstractValue(kind="scalar")
             if fn.id in ("int", "bool", "float"):
@@ -830,6 +1038,31 @@ class _FunctionInterpreter:
 
 
 # -- module driver --------------------------------------------------------
+
+
+def _resolved_calls(
+    ctx: ModuleContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
+) -> dict[tuple[str, int], tuple[CallEdge, FunctionEffects]]:
+    """``fn``'s resolved call edges in the lint run's project, keyed by
+    callee spelling and line, each with its callee's fixpoint summary."""
+    project = _project_for(ctx)
+    if project is None:
+        return {}
+    path = str(Path(ctx.path))
+    qname = next(
+        (
+            info.qname
+            for rec in project.modules.values() if rec.path == path
+            for info in rec.functions
+            if (info.name, info.line) == (fn.name, fn.lineno)
+        ),
+        None,
+    )
+    return {
+        (e.raw, e.line): (e, project.summaries[e.callee])
+        for e in project._edges_by_caller.get(qname, ())
+        if e.callee is not None and not e.dispatch
+    }
 
 
 @lru_cache(maxsize=32)
@@ -895,3 +1128,27 @@ def check_alias_writes(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
 def check_dead_scratch_stores(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
     """Dead stores to workspace scratch (see module docstring)."""
     yield from analyze(ctx).dead_stores
+
+
+@rule(
+    "RPR023",
+    "use of a closed handle (ParallelBFS)",
+    deep=True,
+    whole_program=True,
+)
+def check_closed_engine_use(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
+    """``run()`` on a closed engine (see module docstring)."""
+    yield from analyze(ctx).closed_use
+
+
+@rule(
+    "RPR024",
+    "workspace re-lent to a traversal while a previous result "
+    "still aliases its arrays",
+    deep=True,
+    whole_program=True,
+)
+def check_relent_workspace(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
+    """A workspace reset while a bound result is live (see module
+    docstring)."""
+    yield from analyze(ctx).relent

@@ -16,6 +16,11 @@ closures) this computes a :class:`FunctionEffects` record:
   through a workspace-typed receiver (``workspace.parent`` for a
   ``ws.parent[rows] = v`` store, including ``self.parent`` inside
   :class:`~repro.bfs.workspace.BFSWorkspace` methods);
+* ``closes``   — parameters the function closes (``p.close()`` /
+  ``p.shutdown()``) on every path: a close under an ``if``, inside a
+  loop or in an ``except`` handler does not count (RPR023);
+* ``resets``   — parameters that get ``begin()`` or are handed to a
+  traversal as ``workspace=``/``ws=`` on some path (RPR024);
 * ``calls``    — call sites (plain names *and* dotted attribute
   spellings like ``ws.begin``) with the variable names bound to each
   argument position, so effects can be propagated through a call graph.
@@ -63,6 +68,7 @@ __all__ = [
     "format_effects",
     "WS_PARAM_NAMES",
     "WS_FACTORY_METHODS",
+    "CLOSE_METHODS",
 ]
 
 #: ndarray methods that mutate the receiver in place.
@@ -80,6 +86,9 @@ WS_FACTORY_METHODS = frozenset(
     {"buffer", "begin", "iota", "unvisited_ids", "load_frontier"}
 )
 
+#: Methods that release a ``ParallelBFS`` engine or a thread pool.
+CLOSE_METHODS = frozenset({"close", "shutdown"})
+
 
 @dataclass(frozen=True)
 class CallSite:
@@ -91,6 +100,8 @@ class CallSite:
     recorded).  ``args`` holds the *variable name* bound to each
     positional slot (``None`` when the argument is a computed
     expression), ``kwargs`` maps keyword names to variable names.
+    ``maybe`` marks a call made only on some paths (under an ``if``,
+    inside a loop or in an ``except`` handler).
     """
 
     callee: str
@@ -98,6 +109,7 @@ class CallSite:
     kwargs: tuple[tuple[str, str], ...]
     line: int
     col: int
+    maybe: bool = False
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,8 @@ class FunctionEffects:
     ws_writes: frozenset[str] = frozenset()
     returns_ws: bool = False
     returns_calls: tuple[str, ...] = ()
+    closes: frozenset[str] = frozenset()
+    resets: frozenset[str] = frozenset()
 
     def writes_param(self, param: str) -> bool:
         """Whether the summary records a mutation of ``param``."""
@@ -253,6 +267,39 @@ def _walk_own(fn: ast.AST) -> list[ast.AST]:
     return out
 
 
+def _definite_calls(body: list[ast.stmt]) -> set[int]:
+    """ids of the calls a statement list makes on every path through it.
+
+    Calls under an ``if``, inside a loop body or in an ``except``
+    handler are left out; ``try`` bodies, ``finally`` blocks and
+    ``with`` bodies run on every path.
+    """
+    out: set[int] = set()
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(stmt, ast.Try):
+            for block in (stmt.body, stmt.orelse, stmt.finalbody):
+                out |= _definite_calls(block)
+            continue
+        heads: list[ast.AST] = [stmt]
+        if isinstance(stmt, (ast.If, ast.While)):
+            heads = [stmt.test]
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            heads = [stmt.iter]
+        elif isinstance(stmt, ast.Match):
+            heads = [stmt.subject]
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            heads = [item.context_expr for item in stmt.items]
+            out |= _definite_calls(stmt.body)
+        out.update(
+            id(node) for head in heads for node in ast.walk(head)
+            if isinstance(node, ast.Call)
+        )
+    return out
+
+
 def _ws_location(node: ast.expr, ws_names: frozenset[str]) -> str | None:
     """``workspace.<attr>`` for an lvalue rooted at a workspace name.
 
@@ -296,8 +343,11 @@ def function_effects(
     writes: set[str] = set()
     escapes: set[str] = set()
     ws_writes: set[str] = set()
+    closes: set[str] = set()
+    resets: set[str] = set()
     calls: list[CallSite] = []
     raises = False
+    definite = _definite_calls(fn.body)
 
     def tracked(name: str | None) -> str | None:
         """A name whose effects a caller can observe: a parameter or a
@@ -385,7 +435,9 @@ def function_effects(
         elif isinstance(node, ast.Call):
             if not owned(node):
                 _record_call_writes(node, tracked, writes, ws_params, ws_writes)
-            _record_call_site(node, calls)
+            maybe = id(node) not in definite
+            _record_call_site(node, calls, maybe=maybe)
+            _record_lifecycle(node, params, closes, resets, maybe=maybe)
         elif isinstance(node, ast.Raise):
             raises = True
         elif isinstance(node, ast.Return) and node.value is not None:
@@ -412,7 +464,35 @@ def function_effects(
         ws_writes=frozenset(ws_writes),
         returns_ws=returns_ws,
         returns_calls=tuple(returns_calls),
+        closes=frozenset(closes),
+        resets=frozenset(resets),
     )
+
+
+def _record_lifecycle(
+    node: ast.Call,
+    params: tuple[str, ...],
+    closes: set[str],
+    resets: set[str],
+    *,
+    maybe: bool,
+) -> None:
+    # p.close() on every path closes p; p.begin() or workspace=p on
+    # any path resets it.
+    fn = node.func
+    if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name):
+        recv = fn.value.id
+        if recv in params and fn.attr in CLOSE_METHODS and not maybe:
+            closes.add(recv)
+        elif recv in params and fn.attr == "begin":
+            resets.add(recv)
+    for kw in node.keywords:
+        if (
+            kw.arg in WS_PARAM_NAMES
+            and isinstance(kw.value, ast.Name)
+            and kw.value.id in params
+        ):
+            resets.add(kw.value.id)
 
 
 def _record_store(tgt: ast.expr, tracked, writes: set[str]) -> None:
@@ -454,7 +534,9 @@ def _record_call_writes(
                 ws_writes.add(loc)
 
 
-def _record_call_site(node: ast.Call, calls: list[CallSite]) -> None:
+def _record_call_site(
+    node: ast.Call, calls: list[CallSite], *, maybe: bool
+) -> None:
     # Record both plain-name calls (resolvable within the module) and
     # dotted attribute calls (resolvable by the whole-program graph).
     raw = _dotted_name(node.func)
@@ -475,6 +557,7 @@ def _record_call_site(node: ast.Call, calls: list[CallSite]) -> None:
             kwargs=kwargs,
             line=node.lineno,
             col=node.col_offset,
+            maybe=maybe,
         )
     )
 
@@ -527,6 +610,8 @@ def module_effects(
                 ws_writes=fx.ws_writes | prior.ws_writes,
                 returns_ws=fx.returns_ws or prior.returns_ws,
                 returns_calls=fx.returns_calls + prior.returns_calls,
+                closes=fx.closes | prior.closes,
+                resets=fx.resets | prior.resets,
             )
         out[fx.name] = fx
     return out
@@ -610,16 +695,20 @@ def format_effects(effects: dict[str, FunctionEffects]) -> str:
     for name in sorted(effects):
         fx = effects[name]
         flags = " raises" if fx.raises else ""
-        ws = (
-            f" ws_writes={{{', '.join(sorted(fx.ws_writes))}}}"
-            if fx.ws_writes
-            else ""
+        optional = "".join(
+            f" {label}={{{', '.join(sorted(names))}}}"
+            for label, names in (
+                ("ws_writes", fx.ws_writes),
+                ("closes", fx.closes),
+                ("resets", fx.resets),
+            )
+            if names
         )
         rows.append(
             f"{name}({', '.join(fx.params)})"
             f" reads={{{', '.join(sorted(fx.reads))}}}"
             f" writes={{{', '.join(sorted(fx.writes))}}}"
             f" escapes={{{', '.join(sorted(fx.escapes))}}}"
-            f"{ws}{flags}"
+            f"{optional}{flags}"
         )
     return "\n".join(rows)

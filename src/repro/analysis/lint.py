@@ -17,8 +17,9 @@ provides the machinery:
   rule.  The AST is parsed **once** per file and a shared
   :class:`NodeIndex` (one ``ast.walk`` materialized by node type) is
   reused by every rule, so a lint run is a single visitor pass;
-* a third tier: ``whole_program`` rules (RPR015+ in
-  :mod:`repro.analysis.program`) additionally receive a resolved
+* a third tier: ``whole_program`` rules (RPR015–RPR019 in
+  :mod:`repro.analysis.program`, RPR023/RPR024 in
+  :mod:`repro.analysis.dataflow`) additionally receive a resolved
   :class:`~repro.analysis.callgraph.Project` built once per
   :func:`lint_paths` run, so their findings rest on interprocedural
   fixpoint facts;
@@ -238,7 +239,6 @@ def _ensure_rules_loaded() -> None:
     # an empty registry would leave the set partial when a rule module
     # was imported directly first.
     from repro.analysis import dataflow, program, races, rules  # noqa: F401
-    from repro.analysis.typestate import rules as _typestate  # noqa: F401
 
 
 def deep_rule_codes() -> list[str]:

@@ -72,6 +72,8 @@ def _single_file_project(ctx: ModuleContext) -> Project | None:
 
 
 def _project_for(ctx: ModuleContext) -> Project | None:
+    """The lint run's project, or a one-file project for a lone source
+    (the lifecycle rules of :mod:`repro.analysis.dataflow` share it)."""
     project = getattr(ctx, "project", None)
     if isinstance(project, Project):
         return project

@@ -119,7 +119,9 @@ def timed_bfs(
     Timing always happens: without an enabled ``tracer`` (passed or
     process-global) a private :class:`~repro.obs.Tracer` records.  Each
     level's seconds are read off its ``bfs.level`` span (under a
-    ``bfs.timed`` root), so the run's totals equal the span sums.
+    ``bfs.timed`` root), so the run's totals equal the span sums.  The
+    ``teps`` histogram gets the run's Graph 500 TEPS (traversed edges
+    over those seconds), the figure ``run_graph500`` records per root.
     """
     if policy is None and m is not None and n is not None:
         policy = MNPolicy(m, n)
@@ -138,5 +140,5 @@ def timed_bfs(
         root.set("levels", len(result.directions))
     total = sum(lv.seconds for lv in timer.levels)
     if total > 0:
-        tr.observe("teps", sum(result.edges_examined) / total)
+        tr.observe("teps", result.teps(graph, total))
     return TimedRun(result=result, levels=tuple(timer.levels), tracer=tr)

@@ -10,8 +10,7 @@ Subcommands::
     repro-bfs trace --scale 14 [--out PREFIX]
     repro-bfs profile --scale 12 [--repeat 5] [--out DIR]
     repro-bfs monitor record|check|report|drift [--history PATH]
-    repro-bfs lint|callgraph|dataflow|sanitize ...
-    repro-bfs protocols [--machine NAME] [--format text|json|dot]
+    repro-bfs lint|callgraph|sanitize ...
     repro-bfs info                       # architecture presets
 
 ``run``/``all`` regenerate the paper's tables and figures and print
@@ -34,10 +33,8 @@ rolling baseline (nonzero exit on regression — the CI gate), ``report``
 prints the trajectory, and ``drift`` replays the stored audit verdicts
 through the predictor drift monitor.
 
-``lint``, ``callgraph``, ``dataflow`` and ``sanitize`` front the static
-and runtime checks of :mod:`repro.analysis`; ``protocols`` lists the
-typestate machines behind rules RPR023 and RPR024 and exports them as
-Graphviz DOT.
+``lint``, ``callgraph`` and ``sanitize`` front the static and runtime
+checks of :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--deep",
         action="store_true",
-        help="also run the deep dataflow/race/typestate rules "
+        help="also run the deep dataflow/race/lifecycle rules "
         "(RPR010..RPR019, RPR023, RPR024)",
     )
     lint_p.add_argument(
@@ -192,29 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the whole-program baseline (stats + program-rule "
         "findings) to PATH and exit",
-    )
-
-    df_p = sub.add_parser(
-        "dataflow",
-        help="run only the deep dataflow/race rules (RPR010..RPR014)",
-    )
-    df_p.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files/directories to analyze (default: the installed package)",
-    )
-    df_p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        dest="fmt",
-        help="report format",
-    )
-    df_p.add_argument(
-        "--effects",
-        action="store_true",
-        help="also print per-function read/write/escape effect summaries",
     )
 
     san_p = sub.add_parser(
@@ -380,31 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     dr_p.add_argument("--json", action="store_true")
     _history_arg(dr_p)
 
-    proto_p = sub.add_parser(
-        "protocols",
-        help="list the typestate protocol machines (RPR023, RPR024) "
-        "and export them as DOT",
-    )
-    proto_p.add_argument(
-        "--machine",
-        default=None,
-        help="show only this machine (e.g. bfs-workspace)",
-    )
-    proto_p.add_argument(
-        "--format",
-        choices=("text", "json", "dot"),
-        default="text",
-        dest="fmt",
-        help="report format (dot requires --machine or --dot-dir)",
-    )
-    proto_p.add_argument(
-        "--dot-dir",
-        type=Path,
-        default=None,
-        dest="dot_dir",
-        help="write one Graphviz .dot file per machine into this "
-        "directory (the CI artifact export)",
-    )
     return parser
 
 
@@ -652,61 +601,6 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(output)
-    return 0
-
-
-def _cmd_dataflow(args: argparse.Namespace) -> int:
-    """Deep-rules-only lint pass plus optional effect-summary dump."""
-    from repro.analysis import (
-        deep_rule_codes,
-        format_json,
-        format_text,
-        lint_paths,
-    )
-    from repro.errors import LintError
-
-    paths = args.paths
-    if not paths:
-        import repro
-
-        paths = [Path(repro.__file__).parent]
-    try:
-        violations, checked = lint_paths(
-            paths, select=deep_rule_codes(), deep=True
-        )
-    except LintError as exc:
-        print(f"dataflow error: {exc}", file=sys.stderr)
-        return 2
-    if args.fmt == "json":
-        print(format_json(violations))
-    elif violations:
-        print(format_text(violations))
-    if args.effects:
-        import ast as _ast
-
-        from repro.analysis import format_effects, module_effects, propagate
-        from repro.analysis.lint import iter_python_files
-
-        for file in iter_python_files(paths):
-            try:
-                tree = _ast.parse(
-                    file.read_text(encoding="utf-8"), filename=str(file)
-                )
-            except (OSError, SyntaxError) as exc:
-                print(f"effects error: {file}: {exc}", file=sys.stderr)
-                return 2
-            summaries = propagate(module_effects(tree))
-            if summaries:
-                print(f"# {file}")
-                print(format_effects(summaries))
-    if violations:
-        print(
-            f"{len(violations)} violation(s) in {checked} file(s)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.fmt != "json":
-        print(f"{checked} file(s) analyzed, no issues")
     return 0
 
 
@@ -1420,54 +1314,6 @@ def _cmd_monitor_drift(args: argparse.Namespace) -> int:
     return 1 if monitor.alerts else 0
 
 
-def _cmd_protocols(args: argparse.Namespace) -> int:
-    """List/export the typestate protocol state machines."""
-    from repro.analysis.typestate import PROTOCOLS, get_protocol
-    from repro.errors import AnalysisError
-
-    try:
-        if args.machine is not None:
-            specs = [get_protocol(args.machine)]
-        else:
-            specs = [PROTOCOLS[name] for name in sorted(PROTOCOLS)]
-    except AnalysisError as exc:
-        print(f"protocols: {exc}", file=sys.stderr)
-        return 2
-    if args.dot_dir is not None:
-        args.dot_dir.mkdir(parents=True, exist_ok=True)
-        for spec in specs:
-            out = args.dot_dir / f"{spec.name}.dot"
-            out.write_text(spec.to_dot(), encoding="utf-8")
-            print(f"wrote {out}")
-        return 0
-    if args.fmt == "dot":
-        if len(specs) != 1:
-            print(
-                "protocols: --format dot needs --machine (or use "
-                "--dot-dir for all machines)",
-                file=sys.stderr,
-            )
-            return 2
-        print(specs[0].to_dot())
-        return 0
-    if args.fmt == "json":
-        print(json.dumps([spec.as_dict() for spec in specs], indent=2))
-        return 0
-    for spec in specs:
-        accepting = ", ".join(sorted(spec.accepting))
-        print(f"{spec.name} — {spec.subject}")
-        print(f"  {spec.description}")
-        print(
-            f"  states: {', '.join(spec.states)} "
-            f"(initial: {spec.initial}; accepting: {accepting})"
-        )
-        if spec.owner_rule:
-            print(f"  lint rule: {spec.owner_rule}")
-        for state, event, nxt in spec.transitions:
-            print(f"    {state} --{event}--> {nxt}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
@@ -1513,14 +1359,10 @@ def _dispatch(
         return _cmd_profile(args)
     if args.command == "monitor":
         return _cmd_monitor(args)
-    if args.command == "protocols":
-        return _cmd_protocols(args)
     if args.command == "lint":
         return _cmd_lint(args)
     if args.command == "callgraph":
         return _cmd_callgraph(args)
-    if args.command == "dataflow":
-        return _cmd_dataflow(args)
     if args.command == "sanitize":
         return _cmd_sanitize(args)
     parser.print_help()

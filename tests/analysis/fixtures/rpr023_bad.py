@@ -3,9 +3,9 @@ calls away*.
 
 ``finish`` calls ``shutdown`` calls ``_stop`` which closes the
 engine — then ``finish`` runs another traversal on the closed handle.
-Only the interprocedural protocol summaries see the close: the
-one-level view (``TypestateAnalysis(..., interprocedural=False)``)
-provably misses it, which the blind-spot regression test asserts.
+Only the whole-program fixpoint sees the close: ``shutdown``'s own
+summary (``module_effects``) has no ``closes``, which the blind-spot
+regression test asserts.
 """
 
 from repro.bfs.parallel import ParallelBFS

@@ -83,11 +83,11 @@ class TestGoldenFixtures:
     def test_deep_registry_is_exactly_the_fixture_set(self):
         """Module-local deep rules plus the whole-program tier
         (tests/analysis/test_program_rules.py covers the latter) and the
-        typestate tier (RPR023, RPR024, tests/analysis/test_typestate.py)."""
+        lifecycle rules (RPR023, RPR024, tests/analysis/test_typestate.py)."""
         program_rules = ("RPR015", "RPR016", "RPR017", "RPR018", "RPR019")
-        typestate_rules = ("RPR023", "RPR024")
+        lifecycle_rules = ("RPR023", "RPR024")
         assert deep_rule_codes() == sorted(
-            DEEP_RULES + program_rules + typestate_rules
+            DEEP_RULES + program_rules + lifecycle_rules
         )
 
 

@@ -189,3 +189,88 @@ class TestPropagation:
         dump = format_effects(effects)
         assert "level(frontier, parent, depth)" in dump
         assert "writes={parent}" in dump
+
+
+class TestLifecycleFacts:
+    """``closes`` (every path) and ``resets`` (some path): the callee
+    facts RPR023 and RPR024 read."""
+
+    def test_close_on_every_path_only(self):
+        src = (
+            "def f(a, b, c, d, e, g, h, cond, items):\n"
+            "    a.close()\n"
+            "    try:\n"
+            "        b.shutdown()\n"
+            "    except ValueError:\n"
+            "        c.close()\n"
+            "    finally:\n"
+            "        d.close()\n"
+            "    if cond:\n"
+            "        e.close()\n"
+            "    for _ in items:\n"
+            "        g.close()\n"
+            "    with open(cond):\n"
+            "        h.close()\n"
+        )
+        fx = function_effects(_fn(src))
+        assert fx.closes == {"a", "b", "d", "h"}
+        maybe = {c.callee: c.maybe for c in fx.calls}
+        assert not maybe["a.close"] and maybe["e.close"] and maybe["c.close"]
+
+    def test_resets_on_some_path(self):
+        src = (
+            "def f(w, v, u, cond):\n"
+            "    if cond:\n"
+            "        w.begin(0)\n"
+            "    run(0, workspace=v)\n"
+            "    u.begin(0)\n"
+            "    local = make()\n"
+            "    local.begin(0)\n"
+        )
+        assert function_effects(_fn(src)).resets == {"w", "v", "u"}
+
+    def test_fixpoint_lifts_closes_through_unconditional_calls(self):
+        from repro.analysis.callgraph import project_from_sources
+
+        src = (
+            "def _stop(engine):\n"
+            "    engine.close()\n"
+            "\n"
+            "def stop(e):\n"
+            "    _stop(e)\n"
+            "\n"
+            "def maybe_stop(e, cond):\n"
+            "    if cond:\n"
+            "        _stop(e)\n"
+            "\n"
+            "def _reset(w):\n"
+            "    w.begin(0)\n"
+            "\n"
+            "def maybe_reset(ws, cond):\n"
+            "    if cond:\n"
+            "        _reset(ws)\n"
+        )
+        local = module_effects(ast.parse(src))
+        assert local["stop"].closes == frozenset()
+        p = project_from_sources([("lifecycle.py", src)])
+        assert p.summaries["lifecycle.stop"].closes == {"e"}
+        assert p.summaries["lifecycle.maybe_stop"].closes == frozenset()
+        assert p.summaries["lifecycle.maybe_reset"].resets == {"ws"}
+        assert "closes={e}" in p.format_summaries()
+
+    def test_facts_survive_the_summary_cache(self):
+        from repro.analysis.callgraph import (
+            extract_module,
+            record_from_dict,
+            record_to_dict,
+        )
+
+        rec = extract_module(
+            "m.py", "def f(e, w, c):\n    e.close()\n    if c:\n        w.begin(0)\n"
+        )
+        (info,) = rec.functions
+        assert info.summary.closes == {"e"} and info.summary.resets == {"w"}
+        assert {c.callee: c.maybe for c in info.summary.calls} == {
+            "e.close": False, "w.begin": True,
+        }
+        assert record_from_dict(record_to_dict(rec)) == rec

@@ -99,6 +99,23 @@ class TestProfileCommand:
         # the windowed runs leave no timing in the record's metrics
         assert record["metrics"]["teps"]["count"] == 1
 
+    def test_history_record_carries_one_teps(self, capsys, tmp_path):
+        """The record's ``teps`` and its ``teps`` histogram (gated as
+        ``run.teps`` and ``teps.p50``) are the same Graph 500 figure."""
+        rc = main(
+            [
+                "profile",
+                "--scale", "8",
+                "--repeat", "1",
+                "--out", str(tmp_path),
+                "--history", str(tmp_path / "runs.jsonl"),
+                "--json",
+            ]
+        )
+        assert rc == 0
+        record = json.loads((tmp_path / "runs.jsonl").read_text())
+        assert record["teps"] == record["metrics"]["teps"]["p50"]
+
     def test_warm_kernels_report_clean(self, capsys, tmp_path):
         """PR 2's claim, adjudicated on a real run: the warm workspace
         allocates nothing graph-sized inside level kernels."""

@@ -124,9 +124,8 @@ class TestMain:
              "{missing}/x"),
             (["callgraph", "{src}", "--format", "dot", "--out",
               "{missing}/cg.dot"], "{missing}/cg.dot"),
-            (["protocols", "--dot-dir", "/proc/nope"], "/proc/nope"),
         ],
-        ids=["trace", "callgraph", "protocols"],
+        ids=["trace", "callgraph"],
     )
     def test_unwritable_output_is_one_stderr_line(
         self, capsys, tmp_path, argv, named
@@ -249,14 +248,6 @@ class TestDeepLintAndDataflow:
         args = build_parser().parse_args(["lint", "src", "--deep"])
         assert args.deep is True
 
-    def test_parser_accepts_dataflow(self):
-        args = build_parser().parse_args(
-            ["dataflow", "src", "--format", "json", "--effects"]
-        )
-        assert args.command == "dataflow"
-        assert args.fmt == "json"
-        assert args.effects is True
-
     def test_lint_deep_package_clean(self, capsys):
         assert main(["lint", "--deep"]) == 0
         assert "no issues" in capsys.readouterr().out
@@ -266,42 +257,11 @@ class TestDeepLintAndDataflow:
         out = capsys.readouterr().out
         assert "RPR010" in out and "[deep]" in out
 
-    def test_dataflow_package_clean(self, capsys):
-        assert main(["dataflow"]) == 0
-        assert "no issues" in capsys.readouterr().out
-
-    def test_dataflow_flags_dead_store(self, capsys, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.DEAD_STORE)
-        assert main(["dataflow", str(bad)]) == 1
-        assert "RPR012" in capsys.readouterr().out
-
     def test_lint_without_deep_skips_deep_rules(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text(self.DEAD_STORE)
         assert main(["lint", str(bad)]) == 0
         assert main(["lint", str(bad), "--deep"]) == 1
-
-    def test_dataflow_json_output(self, capsys, tmp_path):
-        import json
-
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.DEAD_STORE)
-        assert main(["dataflow", str(bad), "--format", "json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert data[0]["rule"] == "RPR012"
-
-    def test_dataflow_effects_dump(self, capsys, tmp_path):
-        good = tmp_path / "mod.py"
-        good.write_text(
-            "__all__ = ['claim']\n"
-            "def claim(rows, parent, depth):\n"
-            "    parent[rows] = depth\n"
-        )
-        assert main(["dataflow", str(good), "--effects"]) == 0
-        out = capsys.readouterr().out
-        assert "claim(rows, parent, depth)" in out
-        assert "writes={parent}" in out
 
 
 class TestSanitizeCommand:
@@ -418,16 +378,3 @@ class TestCallgraphCommand:
     def test_parser_accepts_lint_changed(self):
         args = build_parser().parse_args(["lint", "--changed", "src"])
         assert args.changed is True
-
-
-class TestProtocolsCommand:
-    def test_lists_the_two_machines(self, capsys):
-        assert main(["protocols", "--format", "json"]) == 0
-        names = [m["name"] for m in json.loads(capsys.readouterr().out)]
-        assert names == ["bfs-workspace", "parallel-bfs"]
-
-    def test_dot_dir_export(self, capsys, tmp_path):
-        assert main(["protocols", "--dot-dir", str(tmp_path)]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "bfs-workspace.dot", "parallel-bfs.dot",
-        ]
