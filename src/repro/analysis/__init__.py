@@ -1,26 +1,25 @@
 """Static analysis and runtime sanitizing for the reproduction.
 
-Four coordinated correctness tools (see ``docs/static_analysis.md``):
+Five coordinated correctness tools (see ``docs/static_analysis.md``):
 
 * :mod:`repro.analysis.lint` — a dependency-free AST rule engine with
-  codebase-specific rules (``RPR001`` … ``RPR014``) and line-level
+  codebase-specific rules (``RPR001`` … ``RPR024``) and line-level
   ``# repro: noqa[RULE]`` suppression; the repo lints itself as a
-  tier-1 test.  Rules ``RPR010+`` are *deep* (dataflow) rules that run
-  under ``repro-bfs lint --deep``.
-* :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` /
-  :mod:`repro.analysis.races` — an abstract interpreter (dtype/shape
-  lattice, workspace alias analysis, and the ``ParallelBFS`` /
-  ``BFSWorkspace`` lifecycle rules ``RPR023``/``RPR024``), per-
-  function read/write/escape/close/reset effect summaries, and a
-  lockset-style static race detector for the parallel BFS worker
-  closures.
+  tier-1 test.  Rules ``RPR010+`` are *deep* rules that run under
+  ``repro-bfs lint --deep``.
+* :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` — an
+  abstract interpreter (dtype/shape lattice, workspace alias analysis,
+  and the ``ParallelBFS`` / ``BFSWorkspace`` lifecycle rules
+  ``RPR023``/``RPR024``) and per-function read/write/escape/close/reset
+  effect summaries.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.program` —
   whole-program analysis: a project-wide call graph with import-aware
   name resolution and method dispatch, a worklist *fixpoint* that
-  propagates effects through arbitrary call depth, and five
-  whole-program rules (``RPR015`` … ``RPR019``) covering resource
-  lifecycle, interprocedural workspace escapes, cross-module worker
-  writes, ownership gating and hot-path call cycles.  Exposed as
+  propagates effects through arbitrary call depth, and the rules built
+  on it (``RPR013`` … ``RPR017``, ``RPR019``): thread-pool workers
+  writing shared arrays directly, through a same-module helper or
+  through another module, resource lifecycle, interprocedural
+  workspace escapes and hot-path call cycles.  Exposed as
   ``repro-bfs callgraph`` and folded into ``lint --deep``.
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime harness
   (``sanitize=True`` on the BFS engines) that freezes CSR arrays during
@@ -66,7 +65,6 @@ from repro.analysis.units import (
 # Importing the rule modules registers RPR001..RPR024 in RULES.
 from repro.analysis import dataflow as _dataflow  # noqa: F401
 from repro.analysis import program as _program  # noqa: F401
-from repro.analysis import races as _races  # noqa: F401
 from repro.analysis import rules as _rules  # noqa: F401
 from repro.analysis.callgraph import (
     Project,
@@ -84,9 +82,6 @@ from repro.analysis.effects import (
     FunctionEffects,
     format_effects,
     function_effects,
-    module_effects,
-    propagate,
-    propagate_one_level,
 )
 from repro.analysis.program import program_report
 
@@ -114,9 +109,6 @@ __all__ = [
     "promote",
     "FunctionEffects",
     "function_effects",
-    "module_effects",
-    "propagate",
-    "propagate_one_level",
     "format_effects",
     "Sanitizer",
     "RaceTracker",

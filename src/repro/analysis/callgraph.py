@@ -1,14 +1,14 @@
 """Whole-program call-graph construction and interprocedural fixpoint
 effect propagation.
 
-PR 5's deep tier is intraprocedural: :mod:`repro.analysis.effects`
-summarizes one function at a time and propagates effects within one
-module only.  This module lifts those summaries to the whole program:
+:mod:`repro.analysis.effects` summarizes one function at a time.  This
+module lifts those summaries to the whole program:
 
-1. **Extraction** (per module, cacheable): parse each file once and
-   record an import table, the class/method layout, per-function
+1. **Extraction** (per module, cacheable): parse each file once, walk
+   each function body once, and record an import table, the
+   class/method layout, per-function
    :class:`~repro.analysis.effects.FunctionEffects` base summaries,
-   thread-pool dispatch sites, resource acquisitions
+   thread-pool dispatch sites, array writes, resource acquisitions
    (``ParallelBFS()``, executors) and a lightweight
    receiver-typing environment.  Records are keyed by the file's
    SHA-256, so unchanged files are never re-analyzed
@@ -19,9 +19,10 @@ module only.  This module lifts those summaries to the whole program:
    receiver-type heuristic (parameter annotations, the ``ws`` /
    ``workspace`` / ``graph`` naming conventions the dataflow tier
    already seeds, and locals assigned from a known constructor).
-   Method dispatch walks base classes.  Unresolved callees stay
-   ``None`` and are assumed effect-free and non-raising — the same
-   optimism the intramodule engine documents.
+   Method dispatch walks base classes; a constructor call resolves to
+   ``__init__``.  Unresolved callees stay ``None`` and are assumed
+   effect-free and non-raising — the optimism
+   :mod:`repro.analysis.effects` documents.
 3. **Fixpoint**: a worklist iterates over the resolved edges until
    per-function writes/escapes/raises/workspace-write and close/reset
    facts stop changing.  The lattice is the finite powerset of names
@@ -30,8 +31,8 @@ module only.  This module lifts those summaries to the whole program:
    converges, and a generous round cap widens defensively.
 
 The resulting :class:`Project` answers the queries the whole-program
-rules (:mod:`repro.analysis.program`, RPR015–RPR019; the lifecycle
-rules RPR023/RPR024 in :mod:`repro.analysis.dataflow`) and the
+rules (:mod:`repro.analysis.program`, RPR013–RPR017 and RPR019; the
+lifecycle rules RPR023/RPR024 in :mod:`repro.analysis.dataflow`) and the
 ``repro-bfs callgraph`` CLI need: ``who_writes("workspace.parent")``,
 transitive reachability, strongly-connected components through
 hot-path modules, and DOT/JSON exports.
@@ -41,14 +42,11 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import io
 import json
-import re
-import tokenize
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis import effects as fx
 from repro.analysis.lint import is_hot_path
@@ -65,8 +63,6 @@ __all__ = [
     "project_from_sources",
     "edge_bindings",
 ]
-
-_OWNED_RE = re.compile(r"#\s*repro:\s*owned\[", re.IGNORECASE)
 
 #: Constructors that acquire a joinable/closeable resource (RPR015);
 #: :data:`~repro.analysis.effects.CLOSE_METHODS` release them.
@@ -125,7 +121,6 @@ class FunctionInfo:
     end_line: int
     is_public: bool
     hot: bool
-    owned_gated: bool
     summary: fx.FunctionEffects
     locals: frozenset[str]
     scratch: frozenset[str]
@@ -133,6 +128,7 @@ class FunctionInfo:
     acquisitions: tuple[Acquisition, ...]
     temp_ctors: tuple[tuple[str, int, int], ...]
     dispatch_targets: tuple[tuple[str, int, int], ...]
+    array_writes: tuple[tuple[str, str, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,6 @@ class ModuleRecord:
     imports: tuple[tuple[str, str], ...]
     classes: tuple[ClassInfo, ...]
     functions: tuple[FunctionInfo, ...]
-    owned_lines: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -184,14 +179,19 @@ def edge_bindings(
 ) -> list[tuple[str, str]]:
     """``(callee_param, caller_name)`` pairs for one resolved edge.
 
-    A method call binds the receiver variable to ``self``; positional
-    arguments then map onto the remaining parameters.
+    A method call binds the receiver variable to ``self``; a
+    constructor call ``Cls(...)``, resolved to ``Cls.__init__``, binds
+    nothing to it (``self`` is the new object).  Positional arguments
+    then map onto the remaining parameters.
     """
     bindings: list[tuple[str, str]] = []
     params = list(callee_params)
-    if edge.receiver is not None and params and params[0] == "self":
-        bindings.append(("self", edge.receiver))
-        params = params[1:]
+    if params and params[0] == "self":
+        if edge.receiver is not None:
+            bindings.append(("self", edge.receiver))
+            params = params[1:]
+        elif edge.callee is not None and edge.callee.endswith(".__init__"):
+            params = params[1:]
     for pos, arg in enumerate(edge.args):
         if arg is not None and pos < len(params):
             bindings.append((params[pos], arg))
@@ -256,35 +256,6 @@ def _annotation_types(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, s
     return types
 
 
-def _ctor_locals(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, str]:
-    """Locals assigned directly from a named constructor/function call."""
-    out: dict[str, str] = {}
-    for node in fx._walk_own(fn):
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            raw = fx._dotted_name(node.value.func)
-            if raw:
-                out[node.targets[0].id] = raw
-    return out
-
-
-def _scratch_locals(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Locals holding per-thread workspace scratch (``ws.buffer(...)``)."""
-    scratch: set[str] = set()
-    for node in fx._walk_own(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            call = node.value
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "buffer":
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        scratch.add(tgt.id)
-    return scratch
-
-
 def _looks_like_pool(node: ast.expr) -> bool:
     name = None
     if isinstance(node, ast.Name):
@@ -297,28 +268,95 @@ def _looks_like_pool(node: ast.expr) -> bool:
     return any(hint in lowered for hint in _POOL_NAME_HINTS)
 
 
-def _dispatch_targets(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> list[tuple[str, int, int]]:
-    """Worker names handed to a pool/thread from inside ``fn``."""
-    out: list[tuple[str, int, int]] = []
-    for node in fx._walk_own(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        f = node.func
-        if (
-            isinstance(f, ast.Attribute)
-            and f.attr in _DISPATCH_ATTRS
-            and _looks_like_pool(f.value)
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-        ):
-            out.append((node.args[0].id, node.lineno, node.col_offset))
-        elif isinstance(f, ast.Name) and f.id == "Thread":
+def _subscript_base(node: ast.expr) -> str | None:
+    """``a`` for a subscript target ``a[i]`` / ``a[i][j]``, else None."""
+    if not isinstance(node, ast.Subscript):
+        return None
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _scan_body(
+    own: list[ast.AST], imports: frozenset[str]
+) -> tuple[
+    dict[str, str],
+    set[str],
+    list[tuple[str, int, int]],
+    list[tuple[str, str, int, int]],
+]:
+    """One pass over a function body (``own`` is ``_walk_own(fn)``).
+
+    Returns the locals assigned directly from a named call (receiver
+    typing), the locals holding per-thread workspace scratch
+    (``ws.buffer(...)``), the worker names handed to a pool or thread
+    with their dispatch sites, and the body's array writes as
+    ``(name, how, line, col)``: subscript and augmented stores,
+    in-place methods on a plain name and ``out=`` targets (RPR013).
+    A mutating method on a module receiver (``np.sort(x)``) is the
+    copying function, not a write.
+    """
+    ctor_locals: dict[str, str] = {}
+    scratch: set[str] = set()
+    dispatch: list[tuple[str, int, int]] = []
+    writes: list[tuple[str, str, int, int]] = []
+    for node in own:
+        if isinstance(node, ast.Assign):
+            for tgt in node.targets:
+                name = _subscript_base(tgt)
+                if name:
+                    writes.append(
+                        (name, "subscript store", tgt.lineno, tgt.col_offset)
+                    )
+            call = node.value
+            if not isinstance(call, ast.Call):
+                continue
+            raw = fx._dotted_name(call.func)
+            if (
+                raw
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                ctor_locals[node.targets[0].id] = raw
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "buffer":
+                scratch.update(
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                )
+        elif isinstance(node, ast.AugAssign):
+            target = node.target
+            name = _subscript_base(target)
+            if name:
+                writes.append(
+                    (name, "augmented store", target.lineno, target.col_offset)
+                )
+        elif isinstance(node, ast.Call):
+            f = node.func
+            site = (node.lineno, node.col_offset)
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr in fx.MUTATING_METHODS
+                and isinstance(f.value, ast.Name)
+                and f.value.id not in imports
+            ):
+                writes.append((f.value.id, f"in-place .{f.attr}()", *site))
             for kw in node.keywords:
-                if kw.arg == "target" and isinstance(kw.value, ast.Name):
-                    out.append((kw.value.id, node.lineno, node.col_offset))
-    return out
+                if kw.arg == "out" and isinstance(kw.value, ast.Name):
+                    writes.append((kw.value.id, "out= target", *site))
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr in _DISPATCH_ATTRS
+                and _looks_like_pool(f.value)
+                and node.args
+                and isinstance(node.args[0], ast.Name)
+            ):
+                dispatch.append((node.args[0].id, *site))
+            elif isinstance(f, ast.Name) and f.id == "Thread":
+                dispatch.extend(
+                    (kw.value.id, *site)
+                    for kw in node.keywords
+                    if kw.arg == "target" and isinstance(kw.value, ast.Name)
+                )
+    return ctor_locals, scratch, dispatch, writes
 
 
 def _is_resource_call(call: ast.Call) -> str | None:
@@ -332,10 +370,10 @@ def _is_resource_call(call: ast.Call) -> str | None:
 
 
 def _extract_acquisitions(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+    own: list[ast.AST],
 ) -> tuple[tuple[Acquisition, ...], tuple[tuple[str, int, int], ...]]:
-    """Resource acquisitions and unbound resource temporaries in ``fn``."""
-    own = fx._walk_own(fn)
+    """Resource acquisitions and unbound resource temporaries in a
+    function body (``own`` is ``_walk_own(fn)``)."""
     sanctioned: set[int] = set()
     for node in own:
         if isinstance(node, ast.Assign):
@@ -474,26 +512,6 @@ def _extract_acquisitions(
     return tuple(acqs), tuple(temps)
 
 
-def _owned_lines(source: str) -> frozenset[int]:
-    """Lines carrying a real ``owned[...]`` *comment* annotation.
-
-    Tokenize-based so a docstring or message string that merely talks
-    about the annotation does not gate its function (the line-regex
-    shortcut the intramodule tier uses is fine there because it only
-    ever inspects write-statement lines).
-    """
-    out: set[int] = set()
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT and _OWNED_RE.search(tok.string):
-                out.add(tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        for i, text in enumerate(source.splitlines(), 1):
-            if _OWNED_RE.search(text):
-                out.add(i)
-    return frozenset(out)
-
-
 def extract_module(path: str | Path, source: str) -> ModuleRecord:
     """Phase-1 extraction of one module (pure function of the source)."""
     p = Path(path)
@@ -504,7 +522,6 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
         raise CallGraphError(f"{p}: cannot parse: {exc}") from exc
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     imports = _import_table(tree, module)
-    owned = _owned_lines(source)
     import_names = frozenset(imports)
     ws_method_ids = fx._workspace_classes(tree)
     hot = is_hot_path(str(p))
@@ -537,17 +554,22 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
                 visit(node.body, (*prefix, node.name), node.name, nested)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qname = ".".join((module, *prefix, node.name))
-                summary = fx.function_effects(
+                own = fx._walk_own(node)
+                locals_ = fx._local_names(node, own)
+                summary = fx._function_effects(
                     node,
+                    own,
+                    locals_,
                     module_imports=import_names,
-                    owned_lines=owned,
                     self_is_workspace=id(node) in ws_method_ids,
                 )
-                end_line = getattr(node, "end_lineno", node.lineno)
+                ctor_locals, scratch, dispatch, writes = _scan_body(
+                    own, import_names
+                )
                 types = dict(_annotation_types(node))
-                for var, raw in _ctor_locals(node).items():
+                for var, raw in ctor_locals.items():
                     types.setdefault(var, raw)
-                acqs, temps = _extract_acquisitions(node)
+                acqs, temps = _extract_acquisitions(own)
                 functions.append(
                     FunctionInfo(
                         qname=qname,
@@ -556,25 +578,31 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
                         name=node.name,
                         cls=cls,
                         line=node.lineno,
-                        end_line=end_line,
+                        end_line=getattr(node, "end_lineno", node.lineno),
                         is_public=not nested and all(
                             not part.startswith("_")
                             for part in qname.split(".")
                         ),
                         hot=hot,
-                        owned_gated=any(
-                            node.lineno <= ln <= end_line for ln in owned
-                        ),
                         summary=summary,
-                        locals=frozenset(fx._local_names(node)),
-                        scratch=frozenset(_scratch_locals(node)),
+                        locals=frozenset(locals_),
+                        scratch=frozenset(scratch),
                         types=tuple(sorted(types.items())),
                         acquisitions=acqs,
                         temp_ctors=temps,
-                        dispatch_targets=tuple(_dispatch_targets(node)),
+                        dispatch_targets=tuple(dispatch),
+                        array_writes=tuple(writes),
                     )
                 )
                 visit(node.body, (*prefix, node.name), None, True)
+            else:
+                # A def under if/for/while/with/try/match binds in the
+                # enclosing scope.
+                for block in ("body", "orelse", "finalbody"):
+                    visit(getattr(node, block, ()), prefix, cls, nested)
+                for sub in (*getattr(node, "handlers", ()),
+                            *getattr(node, "cases", ())):
+                    visit(sub.body, prefix, cls, nested)
 
     visit(tree.body, (), None)
     return ModuleRecord(
@@ -584,7 +612,6 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
         imports=tuple(sorted(imports.items())),
         classes=tuple(classes),
         functions=tuple(functions),
-        owned_lines=owned,
     )
 
 
@@ -649,7 +676,6 @@ def record_to_dict(rec: ModuleRecord) -> dict:
         "path": rec.path,
         "sha": rec.sha,
         "imports": [list(kv) for kv in rec.imports],
-        "owned_lines": sorted(rec.owned_lines),
         "classes": [
             {
                 "name": c.name,
@@ -671,7 +697,6 @@ def record_to_dict(rec: ModuleRecord) -> dict:
                 "end_line": f.end_line,
                 "is_public": f.is_public,
                 "hot": f.hot,
-                "owned_gated": f.owned_gated,
                 "summary": _summary_to_dict(f.summary),
                 "locals": sorted(f.locals),
                 "scratch": sorted(f.scratch),
@@ -692,6 +717,7 @@ def record_to_dict(rec: ModuleRecord) -> dict:
                 ],
                 "temp_ctors": [list(t) for t in f.temp_ctors],
                 "dispatch_targets": [list(t) for t in f.dispatch_targets],
+                "array_writes": [list(w) for w in f.array_writes],
             }
             for f in rec.functions
         ],
@@ -705,7 +731,6 @@ def record_from_dict(d: dict) -> ModuleRecord:
             path=d["path"],
             sha=d["sha"],
             imports=tuple((k, v) for k, v in d["imports"]),
-            owned_lines=frozenset(d["owned_lines"]),
             classes=tuple(
                 ClassInfo(
                     name=c["name"],
@@ -727,7 +752,6 @@ def record_from_dict(d: dict) -> ModuleRecord:
                     end_line=f["end_line"],
                     is_public=f["is_public"],
                     hot=f["hot"],
-                    owned_gated=f["owned_gated"],
                     summary=_summary_from_dict(f["summary"]),
                     locals=frozenset(f["locals"]),
                     scratch=frozenset(f["scratch"]),
@@ -756,6 +780,9 @@ def record_from_dict(d: dict) -> ModuleRecord:
                     dispatch_targets=tuple(
                         (t[0], t[1], t[2]) for t in f["dispatch_targets"]
                     ),
+                    array_writes=tuple(
+                        (w[0], w[1], w[2], w[3]) for w in f["array_writes"]
+                    ),
                 )
                 for f in d["functions"]
             ),
@@ -770,7 +797,7 @@ def record_from_dict(d: dict) -> ModuleRecord:
 #: entries written under another version are treated as misses, so a
 #: rule upgrade can never be served stale summaries for unchanged
 #: files.
-ANALYSIS_VERSION = 4
+ANALYSIS_VERSION = 5
 
 
 def _cache_key(sha: str) -> str:

@@ -25,27 +25,13 @@ closures) this computes a :class:`FunctionEffects` record:
   spellings like ``ws.begin``) with the variable names bound to each
   argument position, so effects can be propagated through a call graph.
 
-Two propagation strategies are provided:
-
-* :func:`propagate_one_level` is the historical single-step
-  propagation kept for comparison and for consumers that deliberately
-  want a bounded view: if ``f`` passes array ``x`` into parameter
-  ``p`` of same-module function ``g`` and ``g`` writes ``p``, then
-  ``f`` writes ``x`` — but a chain ``f → g → h`` stays invisible.
-* :func:`propagate` iterates that step to a **fixpoint**, so effects
-  flow through arbitrary same-module call depth (the lattice is the
-  finite powerset of names appearing in the module, and each step is
-  monotone, so the iteration terminates).  Whole-program propagation —
-  across modules, with method dispatch — lives in
-  :mod:`repro.analysis.callgraph` and reuses these summaries as its
-  per-function base facts.
-
-Unresolved callees (imports, attribute calls that the call graph
+These are *direct* facts: :mod:`repro.analysis.callgraph` resolves the
+call sites against the whole program and propagates the summaries to a
+fixpoint, through arbitrary call depth and across modules.  Unresolved
+callees (imports outside the project, attribute calls the call graph
 cannot type) are assumed effect-free for their arguments —
-deliberately optimistic, because pessimism would drown the race
-detector in false positives.  The consumers of these summaries are
-documented in :mod:`repro.analysis.races` and
-:mod:`repro.analysis.program`.
+deliberately optimistic, because pessimism would drown the worker-race
+rules of :mod:`repro.analysis.program` in false positives.
 
 Plain rebinding of a *local* name is not an effect; only names bound
 outside the function (parameters and free variables) can carry effects
@@ -55,16 +41,13 @@ visible to a caller.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "CallSite",
     "FunctionEffects",
     "function_effects",
-    "module_effects",
     "module_import_names",
-    "propagate",
-    "propagate_one_level",
     "format_effects",
     "WS_PARAM_NAMES",
     "WS_FACTORY_METHODS",
@@ -197,10 +180,13 @@ def _workspace_params(
     return frozenset(ws)
 
 
-def _local_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Names bound inside ``fn`` (excluding nested function bodies)."""
+def _local_names(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef, own: list[ast.AST]
+) -> set[str]:
+    """Names bound inside ``fn`` (excluding nested function bodies);
+    ``own`` is ``_walk_own(fn)``."""
     locals_: set[str] = set(_param_names(fn))
-    for node in _walk_own(fn):
+    for node in own:
         if isinstance(node, ast.Assign):
             for tgt in node.targets:
                 locals_.update(_binding_names(tgt))
@@ -323,20 +309,36 @@ def function_effects(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     *,
     module_imports: frozenset[str] = frozenset(),
-    owned_lines: frozenset[int] = frozenset(),
     self_is_workspace: bool = False,
 ) -> FunctionEffects:
     """Direct (unpropagated) effects of one function definition.
 
     ``module_imports`` names resolve to modules, not arrays; they are
-    never recorded as mutating-method write targets.  Writes on a line
-    in ``owned_lines`` (``# repro: owned[...]`` annotations) are
-    protocol-sanctioned and excluded from the summary.
+    never recorded as mutating-method write targets.
     ``self_is_workspace`` marks methods of the workspace class itself,
     so their ``self.parent`` stores surface as ``workspace.parent``.
     """
+    own = _walk_own(fn)
+    return _function_effects(
+        fn,
+        own,
+        _local_names(fn, own),
+        module_imports=module_imports,
+        self_is_workspace=self_is_workspace,
+    )
+
+
+def _function_effects(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+    own: list[ast.AST],
+    locals_: set[str],
+    *,
+    module_imports: frozenset[str],
+    self_is_workspace: bool,
+) -> FunctionEffects:
+    """:func:`function_effects` over a body already walked: ``own`` is
+    ``_walk_own(fn)`` and ``locals_`` is ``_local_names(fn, own)``."""
     params = _param_names(fn)
-    locals_ = _local_names(fn)
     nonlocal_names = set(params)  # params carry effects too
     ws_params = _workspace_params(fn, self_is_workspace=self_is_workspace)
     reads: set[str] = set()
@@ -358,31 +360,23 @@ def function_effects(
             return name
         return None
 
-    def owned(node: ast.AST) -> bool:
-        return getattr(node, "lineno", 0) in owned_lines
-
-    # Pass 1: workspace-derived locals and call-result bindings, needed
-    # before returns can be classified (walk order is not source order).
+    # Pass 1: workspace-derived locals, needed before returns can be
+    # classified (walk order is not source order).
     ws_derived: set[str] = set(ws_params)
-    from_call: dict[str, str] = {}
-    for node in _walk_own(fn):
+    for node in own:
         if not isinstance(node, ast.Assign):
             continue
         value = node.value
         if isinstance(value, ast.Call):
             raw = _dotted_name(value.func)
             receiver = raw.rsplit(".", 1) if raw and "." in raw else None
-            is_ws_factory = (
+            if (
                 receiver is not None
                 and receiver[0] in ws_params
                 and receiver[1] in WS_FACTORY_METHODS
-            )
-            for tgt in node.targets:
-                for name in _binding_names(tgt):
-                    if raw:
-                        from_call[name] = raw
-                    if is_ws_factory:
-                        ws_derived.add(name)
+            ):
+                for tgt in node.targets:
+                    ws_derived.update(_binding_names(tgt))
         elif (
             isinstance(value, ast.Subscript)
             and isinstance(value.slice, ast.Slice)
@@ -415,26 +409,22 @@ def function_effects(
                     ):
                         returns_ws = True
 
-    for node in _walk_own(fn):
+    for node in own:
         if isinstance(node, ast.Assign):
             for tgt in node.targets:
                 loc = _ws_location(tgt, ws_params)
-                if loc and not owned(node):
-                    ws_writes.add(loc)
-                if not owned(node):
-                    _record_store(tgt, tracked, writes)
-        elif isinstance(node, ast.AugAssign):
-            if not owned(node):
-                loc = _ws_location(node.target, ws_params)
                 if loc:
                     ws_writes.add(loc)
-                _record_store(node.target, tracked, writes)
+                _record_store(tgt, tracked, writes)
+        elif isinstance(node, ast.AugAssign):
+            loc = _ws_location(node.target, ws_params)
+            if loc:
+                ws_writes.add(loc)
+            _record_store(node.target, tracked, writes)
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if not owned(node):
-                _record_store(node.target, tracked, writes)
+            _record_store(node.target, tracked, writes)
         elif isinstance(node, ast.Call):
-            if not owned(node):
-                _record_call_writes(node, tracked, writes, ws_params, ws_writes)
+            _record_call_writes(node, tracked, writes, ws_params, ws_writes)
             maybe = id(node) not in definite
             _record_call_site(node, calls, maybe=maybe)
             _record_lifecycle(node, params, closes, resets, maybe=maybe)
@@ -571,122 +561,6 @@ def _workspace_classes(tree: ast.Module) -> set[int]:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     method_ids.add(id(stmt))
     return method_ids
-
-
-def module_effects(
-    tree: ast.Module, *, owned_lines: frozenset[int] = frozenset()
-) -> dict[str, FunctionEffects]:
-    """Effects for every function defined anywhere in ``tree``.
-
-    Keyed by bare function name.  On a name collision (rare within one
-    module: overloads across classes) the summaries are merged by
-    union, which errs on the side of reporting an effect.
-    """
-    out: dict[str, FunctionEffects] = {}
-    imports = module_import_names(tree)
-    ws_methods = _workspace_classes(tree)
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        fx = function_effects(
-            node,
-            module_imports=imports,
-            owned_lines=owned_lines,
-            self_is_workspace=id(node) in ws_methods,
-        )
-        prior = out.get(fx.name)
-        if prior is not None:
-            fx = replace(
-                fx,
-                params=fx.params if len(fx.params) >= len(prior.params)
-                else prior.params,
-                reads=fx.reads | prior.reads,
-                writes=fx.writes | prior.writes,
-                escapes=fx.escapes | prior.escapes,
-                calls=fx.calls + prior.calls,
-                line=prior.line,
-                raises=fx.raises or prior.raises,
-                ws_params=fx.ws_params | prior.ws_params,
-                ws_writes=fx.ws_writes | prior.ws_writes,
-                returns_ws=fx.returns_ws or prior.returns_ws,
-                returns_calls=fx.returns_calls + prior.returns_calls,
-                closes=fx.closes | prior.closes,
-                resets=fx.resets | prior.resets,
-            )
-        out[fx.name] = fx
-    return out
-
-
-def propagate_one_level(
-    effects: dict[str, FunctionEffects]
-) -> dict[str, FunctionEffects]:
-    """One propagation step over the module-local call graph.
-
-    For each call site ``g(x, ...)`` where ``g`` is defined in the same
-    module and ``g`` writes (escapes) the parameter that ``x`` binds
-    to, the caller's summary gains a write (escape) of ``x``; a callee
-    that raises makes the caller raising.  This is the historical
-    PR 5 engine, retained both as the fixpoint's transfer function and
-    to demonstrate what a bounded analysis misses: a two-hop chain
-    ``f → g → h`` where only ``h`` writes stays invisible here.
-    """
-    out: dict[str, FunctionEffects] = {}
-    for name, fx in effects.items():
-        writes = set(fx.writes)
-        escapes = set(fx.escapes)
-        ws_writes = set(fx.ws_writes)
-        raises = fx.raises
-        for call in fx.calls:
-            callee = effects.get(call.callee)
-            if callee is None:
-                continue
-            raises = raises or callee.raises
-            bindings: list[tuple[str, str]] = []
-            for pos, arg in enumerate(call.args):
-                if arg is None or pos >= len(callee.params):
-                    continue
-                bindings.append((callee.params[pos], arg))
-            bindings.extend(call.kwargs)
-            for param, arg in bindings:
-                if param in callee.writes:
-                    writes.add(arg)
-                if param in callee.escapes:
-                    escapes.add(arg)
-                if (
-                    callee.ws_writes
-                    and param in callee.ws_params
-                    and (arg in fx.ws_params or arg in WS_PARAM_NAMES)
-                ):
-                    ws_writes.update(callee.ws_writes)
-        out[name] = replace(
-            fx,
-            writes=frozenset(writes),
-            escapes=frozenset(escapes),
-            ws_writes=frozenset(ws_writes),
-            raises=raises,
-        )
-    return out
-
-
-def propagate(
-    effects: dict[str, FunctionEffects]
-) -> dict[str, FunctionEffects]:
-    """Fixpoint propagation of write/escape/raise effects.
-
-    Iterates :func:`propagate_one_level` until the summaries stop
-    changing, so effects flow through arbitrary same-module call depth
-    (``f → g → h`` chains, mutual recursion).  Termination is
-    guaranteed: each summary lives in the finite powerset of names
-    appearing in the module and each step only adds facts; a round cap
-    widens out of pathological inputs defensively.
-    """
-    current = effects
-    for _ in range(len(effects) + 2):
-        step = propagate_one_level(current)
-        if step == current:
-            return step
-        current = step
-    return current
 
 
 def format_effects(effects: dict[str, FunctionEffects]) -> str:

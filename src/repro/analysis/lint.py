@@ -5,9 +5,9 @@ codebase-specific: they encode the invariants this reproduction's hot
 paths rely on (vectorized kernels, wide index dtypes, monotonic clocks,
 library-grade error reporting, frozen CSR storage) rather than generic
 style.  The concrete rules live in :mod:`repro.analysis.rules` (the
-line-local pattern rules) and :mod:`repro.analysis.dataflow` /
-:mod:`repro.analysis.races` (the deep dataflow rules); this module
-provides the machinery:
+line-local pattern rules), :mod:`repro.analysis.dataflow` (the deep
+dataflow rules) and :mod:`repro.analysis.program` (the whole-program
+rules); this module provides the machinery:
 
 * a rule registry (``RULES``) populated by the :func:`rule` decorator;
 * a two-tier rule model: default rules run everywhere, ``deep`` rules
@@ -17,7 +17,7 @@ provides the machinery:
   rule.  The AST is parsed **once** per file and a shared
   :class:`NodeIndex` (one ``ast.walk`` materialized by node type) is
   reused by every rule, so a lint run is a single visitor pass;
-* a third tier: ``whole_program`` rules (RPR015–RPR019 in
+* a third tier: ``whole_program`` rules (RPR013–RPR017 and RPR019 in
   :mod:`repro.analysis.program`, RPR023/RPR024 in
   :mod:`repro.analysis.dataflow`) additionally receive a resolved
   :class:`~repro.analysis.callgraph.Project` built once per
@@ -238,7 +238,7 @@ def _ensure_rules_loaded() -> None:
     # us.  Import unconditionally (imports are idempotent): guarding on
     # an empty registry would leave the set partial when a rule module
     # was imported directly first.
-    from repro.analysis import dataflow, program, races, rules  # noqa: F401
+    from repro.analysis import dataflow, program, rules  # noqa: F401
 
 
 def deep_rule_codes() -> list[str]:
@@ -332,8 +332,9 @@ def lint_source(
     ``hot_path`` overrides the path-based hot-path detection (useful for
     testing rules against files outside the package layout).  ``deep``
     additionally runs the dataflow/race rules (RPR010+).  ``project``
-    optionally carries the whole-program call graph the RPR015+ rules
-    consume; without one they analyze this file in isolation.
+    optionally carries the whole-program call graph the
+    ``whole_program`` rules consume; without one they analyze this file
+    in isolation.
     """
     try:
         tree = ast.parse(source, filename=path)

@@ -20,8 +20,9 @@ accompanies the simulated Fig. 10.
 Ownership protocol
 ------------------
 The engine's thread-safety contract, enforced statically by the deep
-lint rules ``RPR013``/``RPR014`` and dynamically by
-``run(..., sanitize="race")``:
+lint rules ``RPR013`` (a worker's own write), ``RPR014`` (a write
+through a helper in the worker's module) and ``RPR017`` (through
+another module), and dynamically by ``run(..., sanitize="race")``:
 
 1. worker closures may **read** shared state freely (``parent``,
    ``level``, CSR arrays, the frontier bitmap);
@@ -34,8 +35,8 @@ lint rules ``RPR013``/``RPR014`` and dynamically by
    concatenated proposals through the first-writer claim, bottom-up
    scatters the winners of the partitioned unvisited scan.
 
-Deliberate exceptions are annotated ``# repro: owned[<why>]`` at the
-write site.
+A deliberate exception is suppressed where the rule reports it, with
+``# repro: noqa[<code>]`` and a reason.
 """
 
 from __future__ import annotations

@@ -485,7 +485,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 return 0
             # Analyze the full scope, report on the changed subset:
             # narrowing the *analysis* to changed files would silently
-            # blind interprocedural rules (RPR015+) to violations whose
+            # blind the whole-program rules to violations whose
             # other half lives in an unchanged module.
             restrict_to = changed
         violations, checked = lint_paths(

@@ -19,7 +19,6 @@ against the reference code are framed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -177,7 +176,6 @@ def run_graph500(
     seed: int = 0,
     validate: bool = True,
     tracer: Tracer | None = None,
-    history: str | Path | None = None,
 ) -> Graph500Result:
     """Execute the full benchmark flow.
 
@@ -188,9 +186,7 @@ def run_graph500(
     ``tracer`` overrides the process-global tracer: kernel 1
     (construction) and every per-root kernel-2 traversal become spans,
     and each root's time and TEPS feed the ``graph500.bfs_seconds`` /
-    ``teps`` histograms.  ``history`` names a JSONL run-history store
-    (:mod:`repro.obs.history`); when set, the finished run — metrics
-    snapshot, span aggregates, harmonic-mean TEPS — is appended to it.
+    ``teps`` histograms.
     """
     if num_roots < 1:
         raise BenchError(f"num_roots must be >= 1, got {num_roots}")
@@ -216,7 +212,7 @@ def run_graph500(
             sp.set("teps", float(teps[i]))
         tr.observe("graph500.bfs_seconds", float(times[i]))
         tr.observe("teps", float(teps[i]))
-    run = Graph500Result(
+    return Graph500Result(
         scale=scale,
         edgefactor=edgefactor,
         num_roots=num_roots,
@@ -226,16 +222,3 @@ def run_graph500(
         roots=roots,
         validated=validate,
     )
-    if history is not None:
-        from repro.obs.history import HistoryStore, snapshot_run
-
-        HistoryStore(history).append(
-            snapshot_run(
-                "graph500",
-                f"rmat-s{scale}-ef{edgefactor}-r{num_roots}",
-                tracer=tr,
-                teps=run.harmonic_mean_teps,
-                seed=seed,
-            )
-        )
-    return run

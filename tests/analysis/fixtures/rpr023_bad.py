@@ -4,8 +4,8 @@ calls away*.
 ``finish`` calls ``shutdown`` calls ``_stop`` which closes the
 engine — then ``finish`` runs another traversal on the closed handle.
 Only the whole-program fixpoint sees the close: ``shutdown``'s own
-summary (``module_effects``) has no ``closes``, which the blind-spot
-regression test asserts.
+summary (``FunctionInfo.summary``) has no ``closes``, which the
+blind-spot regression test asserts.
 """
 
 from repro.bfs.parallel import ParallelBFS

@@ -5,15 +5,19 @@ import json
 
 import pytest
 
+import repro
+from repro.analysis import effects, lint_source
 from repro.analysis.callgraph import (
     SummaryCache,
     build_project,
+    edge_bindings,
     extract_module,
     module_name_for,
     project_from_sources,
     record_from_dict,
     record_to_dict,
 )
+from repro.analysis.lint import iter_python_files
 from repro.errors import CallGraphError
 from pathlib import Path
 
@@ -97,6 +101,79 @@ class TestResolution:
         dispatch = [e for e in p.edges if e.dispatch]
         assert dispatch and dispatch[0].callee == "m.level.scan"
         assert "m.level.scan" in p.workers
+
+    def test_defs_under_compound_statements_are_functions(self):
+        """A def under ``if``/``try``/``with`` binds in the enclosing
+        scope; its worker writes still count."""
+        src = (
+            "def step(pool, frontier, parent, threaded):\n"
+            "    if threaded:\n"
+            "        def w(chunk):\n"
+            "            parent[chunk] = 1\n"
+            "            return chunk\n"
+            "        return list(pool.map(w, [frontier]))\n"
+            "    try:\n"
+            "        def retry():\n"
+            "            return 1\n"
+            "    except ValueError:\n"
+            "        def fallback():\n"
+            "            return 2\n"
+            "    with open(frontier):\n"
+            "        def close():\n"
+            "            return 3\n"
+        )
+        p = _project(("m.py", src))
+        assert sorted(p.functions) == [
+            "m.step", "m.step.close", "m.step.fallback", "m.step.retry",
+            "m.step.w",
+        ]
+        assert "m.step.w" in p.workers
+        assert [
+            (v.rule, v.line) for v in lint_source(
+                src, path="m.py", select=["RPR013"], deep=True
+            )
+        ] == [("RPR013", 4)]
+
+    def test_constructor_arguments_skip_self(self):
+        """``Cls(x)`` resolves to ``Cls.__init__``, whose ``self`` is
+        the new object: ``x`` binds to the first parameter after it, so
+        an ``__init__`` that stores on ``self`` writes nothing of the
+        caller's."""
+        src = (
+            "class Claim:\n"
+            "    def __init__(self, parent):\n"
+            "        self.parent = parent\n"
+            "\n"
+            "def step(pool, frontier, parent):\n"
+            "    def w(chunk):\n"
+            "        Claim(parent)\n"
+            "        return chunk\n"
+            "    return list(pool.map(w, [frontier]))\n"
+        )
+        p = _project(("m.py", src))
+        (edge,) = [e for e in p.edges if e.caller == "m.step.w"]
+        assert edge.callee == "m.Claim.__init__"
+        assert edge_bindings(edge, ("self", "parent")) == [
+            ("parent", "parent")
+        ]
+        assert p.summaries["m.step.w"].writes == frozenset()
+        assert lint_source(
+            src, path="m.py", select=["RPR014"], deep=True
+        ) == []
+
+    def test_package_constructor_calls_write_no_argument(self):
+        """Binding ``graph`` to ``self`` in ``Sanitizer(graph, source)``
+        would mark every sanitizing engine as writing its graph and
+        source."""
+        p = build_project(iter_python_files([Path(repro.__file__).parent]))
+        for qname in (
+            "repro.bfs.engine.sanitizers",
+            "repro.bfs.topdown.bfs_top_down",
+            "repro.bfs.bottomup.bfs_bottom_up",
+            "repro.bfs.hybrid.bfs_hybrid",
+        ):
+            writes = p.summaries[qname].writes
+            assert not writes & {"graph", "source"}, (qname, writes)
 
 
 class TestFixpoint:
@@ -211,6 +288,38 @@ class TestCacheAndRecords:
         rec = extract_module("m.py", TestFixpoint.CHAIN)
         back = record_from_dict(record_to_dict(rec))
         assert back == rec
+
+    def test_extraction_walks_each_body_once(self, monkeypatch):
+        """The effect summary, the resource acquisitions and the body
+        scan share one node list per function definition."""
+        src = (
+            "import numpy as np\n"
+            "\n"
+            "class Engine:\n"
+            "    def level(self, frontier, parent):\n"
+            "        def expand(chunk):\n"
+            "            def keep(x):\n"
+            "                return x[x >= 0]\n"
+            "            parent[chunk] = 0\n"
+            "            return keep(chunk)\n"
+            "        return list(self._pool.map(expand, [frontier]))\n"
+            "\n"
+            "def scratch(ws, rows):\n"
+            "    buf = ws.buffer('s', rows.size, np.int64)\n"
+            "    buf[:] = rows\n"
+            "    return buf\n"
+        )
+        walk = effects._walk_own
+        walked = []
+
+        def counting_walk(fn):
+            walked.append(fn.name)
+            return walk(fn)
+
+        monkeypatch.setattr(effects, "_walk_own", counting_walk)
+        rec = extract_module("m.py", src)
+        assert sorted(walked) == sorted(f.name for f in rec.functions)
+        assert sorted(walked) == ["expand", "keep", "level", "scratch"]
 
     def test_summary_cache_round_trip(self, tmp_path):
         cache_file = tmp_path / "cache.json"

@@ -84,7 +84,7 @@ class TestGoldenFixtures:
         """Module-local deep rules plus the whole-program tier
         (tests/analysis/test_program_rules.py covers the latter) and the
         lifecycle rules (RPR023, RPR024, tests/analysis/test_typestate.py)."""
-        program_rules = ("RPR015", "RPR016", "RPR017", "RPR018", "RPR019")
+        program_rules = ("RPR015", "RPR016", "RPR017", "RPR019")
         lifecycle_rules = ("RPR023", "RPR024")
         assert deep_rule_codes() == sorted(
             DEEP_RULES + program_rules + lifecycle_rules

@@ -1,16 +1,13 @@
-"""Per-function read/write/escape effect summaries and their call-graph
-propagation: the legacy one-level pass (the historical RPR014 input)
-and the worklist fixpoint that replaced it."""
+"""Per-function read/write/escape effect summaries and their
+propagation by the whole-program worklist fixpoint."""
 
 import ast
 
+from repro.analysis.callgraph import project_from_sources
 from repro.analysis.effects import (
     format_effects,
     function_effects,
-    module_effects,
     module_import_names,
-    propagate,
-    propagate_one_level,
 )
 
 
@@ -64,7 +61,9 @@ class TestFunctionEffects:
             "def f(a):\n"
             "    return np.sort(a)\n"
         )
-        fx = module_effects(tree)["f"]
+        fx = function_effects(
+            tree.body[1], module_imports=module_import_names(tree)
+        )
         assert fx.writes == frozenset()
         assert "np" not in fx.reads
 
@@ -104,6 +103,18 @@ class TestModuleImports:
         assert module_import_names(tree) == {"np", "ast", "p"}
 
 
+def _summaries(src: str):
+    """Fixpoint summaries of a one-module project, keyed by bare name."""
+    p = project_from_sources([("m.py", src)])
+    return {q.removeprefix("m."): s for q, s in p.summaries.items()}
+
+
+def _direct(src: str):
+    """The same functions' direct (unpropagated) summaries."""
+    p = project_from_sources([("m.py", src)])
+    return {q.removeprefix("m."): f.summary for q, f in p.functions.items()}
+
+
 class TestPropagation:
     MODULE = (
         "def _claim(rows, parent, depth):\n"
@@ -118,23 +129,16 @@ class TestPropagation:
     )
 
     def test_one_level_propagation(self):
-        effects = propagate(module_effects(ast.parse(self.MODULE)))
+        effects = _summaries(self.MODULE)
         assert "parent" in effects["_claim"].writes
         # level inherits the write through the call binding
         assert "parent" in effects["level"].writes
 
-    def test_one_level_engine_misses_the_two_hop_write(self):
-        """outer -> level -> _claim is two hops; the legacy single-pass
-        engine sees exactly one — the regression the fixpoint fixes."""
-        effects = propagate_one_level(module_effects(ast.parse(self.MODULE)))
-        assert "parent" in effects["level"].writes
-        assert "parent" not in effects["outer"].writes
-
     def test_fixpoint_catches_the_two_hop_write(self):
-        """`propagate` iterates to a fixpoint, so the same write reaches
-        `outer` through arbitrary call depth."""
-        effects = propagate(module_effects(ast.parse(self.MODULE)))
-        assert "parent" in effects["outer"].writes
+        """outer -> level -> _claim is two hops; the fixpoint carries
+        the write through arbitrary call depth."""
+        assert "parent" not in _direct(self.MODULE)["outer"].writes
+        assert "parent" in _summaries(self.MODULE)["outer"].writes
 
     def test_fixpoint_propagates_raises_through_depth(self):
         src = (
@@ -149,11 +153,8 @@ class TestPropagation:
             "def entry(v):\n"
             "    return _drive(v)\n"
         )
-        one = propagate_one_level(module_effects(ast.parse(src)))
-        assert one["_drive"].raises
-        assert not one["entry"].raises
-        full = propagate(module_effects(ast.parse(src)))
-        assert full["entry"].raises
+        assert not _direct(src)["entry"].raises
+        assert _summaries(src)["entry"].raises
 
     def test_fixpoint_terminates_on_recursion(self):
         src = (
@@ -164,7 +165,7 @@ class TestPropagation:
             "def pong(a, n):\n"
             "    return ping(a, n - 1)\n"
         )
-        effects = propagate(module_effects(ast.parse(src)))
+        effects = _summaries(src)
         assert "a" in effects["ping"].writes
         assert "a" in effects["pong"].writes
 
@@ -176,17 +177,14 @@ class TestPropagation:
             "def f(buf):\n"
             "    h(out=buf)\n"
         )
-        effects = propagate(module_effects(ast.parse(src)))
-        assert "buf" in effects["f"].writes
+        assert "buf" in _summaries(src)["f"].writes
 
     def test_unresolved_callee_assumed_safe(self):
         src = "def f(a):\n    external_helper(a)\n"
-        effects = propagate(module_effects(ast.parse(src)))
-        assert effects["f"].writes == frozenset()
+        assert _summaries(src)["f"].writes == frozenset()
 
     def test_format_effects_stable_dump(self):
-        effects = propagate(module_effects(ast.parse(self.MODULE)))
-        dump = format_effects(effects)
+        dump = format_effects(_summaries(self.MODULE))
         assert "level(frontier, parent, depth)" in dump
         assert "writes={parent}" in dump
 
@@ -230,8 +228,6 @@ class TestLifecycleFacts:
         assert function_effects(_fn(src)).resets == {"w", "v", "u"}
 
     def test_fixpoint_lifts_closes_through_unconditional_calls(self):
-        from repro.analysis.callgraph import project_from_sources
-
         src = (
             "def _stop(engine):\n"
             "    engine.close()\n"
@@ -250,9 +246,8 @@ class TestLifecycleFacts:
             "    if cond:\n"
             "        _reset(ws)\n"
         )
-        local = module_effects(ast.parse(src))
-        assert local["stop"].closes == frozenset()
         p = project_from_sources([("lifecycle.py", src)])
+        assert p.functions["lifecycle.stop"].summary.closes == frozenset()
         assert p.summaries["lifecycle.stop"].closes == {"e"}
         assert p.summaries["lifecycle.maybe_stop"].closes == frozenset()
         assert p.summaries["lifecycle.maybe_reset"].resets == {"ws"}

@@ -40,7 +40,6 @@ class TestRegistry:
             "RPR015",
             "RPR016",
             "RPR017",
-            "RPR018",
             "RPR019",
             "RPR020",
             "RPR023",
@@ -52,15 +51,16 @@ class TestRegistry:
 
         assert deep_rule_codes() == [
             "RPR010", "RPR011", "RPR012", "RPR013", "RPR014",
-            "RPR015", "RPR016", "RPR017", "RPR018", "RPR019",
+            "RPR015", "RPR016", "RPR017", "RPR019",
             "RPR023", "RPR024",
         ]
         for code in deep_rule_codes():
             assert RULES[code].deep
         # the whole-program subset is flagged as such
-        for code in ("RPR015", "RPR016", "RPR017", "RPR018", "RPR019"):
+        for code in ("RPR013", "RPR014", "RPR015", "RPR016", "RPR017",
+                     "RPR019"):
             assert RULES[code].whole_program
-        for code in ("RPR010", "RPR011", "RPR012", "RPR013", "RPR014"):
+        for code in ("RPR010", "RPR011", "RPR012"):
             assert not RULES[code].whole_program
 
     def test_deep_rules_excluded_by_default(self):

@@ -1,28 +1,22 @@
-"""Golden fixtures for the whole-program rules (RPR015–RPR019).
+"""Golden fixtures for the whole-program rules (RPR015–RPR017, RPR019).
 
 Every bad fixture plants a *two-hop* violation: the defect is only
 visible once effects have crossed at least two call edges (or, for
-RPR017/RPR018, a module boundary), which the retired one-level
-propagation engine provably cannot see — each rule gets a companion
-test demonstrating exactly that blind spot.
+RPR017, a module boundary), which no function's own summary shows —
+each rule gets a companion test showing that the direct summaries miss
+what the project fixpoint sees.
 """
 
-import ast
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths, lint_source
-from repro.analysis.effects import (
-    module_effects,
-    propagate,
-    propagate_one_level,
-)
+from repro.analysis import lint_paths, lint_source, project_from_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 FILE_RULES = ("RPR015", "RPR016", "RPR019")
-DIR_RULES = ("RPR017", "RPR018")
+DIR_RULES = ("RPR017",)
 
 
 def _lint_file_fixture(name: str, rule: str):
@@ -87,13 +81,6 @@ class TestMessages:
         assert Path(v.path).name == "engine.py"
         assert "parent" in v.message and "helpers" in v.message
 
-    def test_rpr018_anchors_on_the_public_function(self):
-        violations = _lint_dir_fixture("rpr018_bad", "RPR018")
-        v = violations[0]
-        assert Path(v.path).name == "api.py"
-        assert "hijack_merge" in v.message
-        assert "merge_claims" in v.message
-
     def test_rpr019_names_the_cycle(self):
         violations = _lint_file_fixture("rpr019_bad.py", "RPR019")
         msg = violations[0].message
@@ -101,56 +88,32 @@ class TestMessages:
 
 
 class TestOneLevelBlindSpots:
-    """Each bad fixture's defect is invisible to the one-level engine."""
+    """Each bad fixture's defect is invisible to the direct summaries."""
 
-    def _effects(self, name, engine):
-        tree = ast.parse((FIXTURES / name).read_text(encoding="utf-8"))
-        return engine(module_effects(tree))
+    def _project(self, *names):
+        return project_from_sources(
+            (FIXTURES / name, (FIXTURES / name).read_text(encoding="utf-8"))
+            for name in names
+        )
 
     def test_rpr015_raise_is_two_hops_down(self):
-        one = self._effects("rpr015_bad.py", propagate_one_level)
-        assert one["_mid"].raises  # one hop: visible
-        assert not one["_drive"].raises  # two hops: blind
-        full = self._effects("rpr015_bad.py", propagate)
-        assert full["_drive"].raises
+        p = self._project("rpr015_bad.py")
+        assert not p.functions["rpr015_bad._drive"].summary.raises
+        assert p.summaries["rpr015_bad._drive"].raises
 
     def test_rpr016_alias_needs_call_graph_resolution(self):
         """returns_ws only chains once `_mid` in `returns_calls` is
-        resolved against the call graph — module-local propagation
-        (the retired engine's world) never marks the public boundary."""
-        one = self._effects("rpr016_bad.py", propagate_one_level)
-        assert one["_grab"].returns_ws
-        assert not one["frontier_view"].returns_ws
-        from repro.analysis.callgraph import project_from_sources
-
-        source = (FIXTURES / "rpr016_bad.py").read_text(encoding="utf-8")
-        p = project_from_sources([("rpr016_bad.py", source)])
+        resolved against the call graph; the public boundary's own
+        summary never marks it."""
+        p = self._project("rpr016_bad.py")
+        assert p.functions["rpr016_bad._grab"].summary.returns_ws
+        assert not p.functions["rpr016_bad.frontier_view"].summary.returns_ws
         assert p.summaries["rpr016_bad.frontier_view"].returns_ws
 
     def test_rpr017_write_is_in_another_module(self):
-        """Module-local propagation of engine.py alone — even run to
-        fixpoint — cannot see helpers.py's write at all."""
-        tree = ast.parse(
-            (FIXTURES / "rpr017_bad" / "engine.py").read_text(
-                encoding="utf-8"
-            )
-        )
-        local = propagate(module_effects(tree))
-        assert all("parent" not in fx.writes for fx in local.values())
-
-    def test_rpr018_needs_cross_module_reachability(self):
-        """api.py alone has no callee bodies: nothing marks the call
-        chain as ownership-gated."""
-        tree = ast.parse(
-            (FIXTURES / "rpr018_bad" / "api.py").read_text(encoding="utf-8")
-        )
-        local = propagate(module_effects(tree))
-        assert "hijack_merge" in local  # sanity: the chain parses
-        from repro.analysis.callgraph import _owned_lines
-
-        source = (FIXTURES / "rpr018_bad" / "api.py").read_text(
-            encoding="utf-8"
-        )
-        # No ownership *comment* in api.py (the docstring mention does
-        # not count): the gate lives in merge.py, one module away.
-        assert _owned_lines(source) == frozenset()
+        """engine.py alone — even propagated to fixpoint — cannot see
+        helpers.py's write at all; the two-module project can."""
+        alone = self._project("rpr017_bad/engine.py")
+        assert all("parent" not in s.writes for s in alone.summaries.values())
+        both = self._project("rpr017_bad/engine.py", "rpr017_bad/helpers.py")
+        assert "parent" in both.summaries["engine.sneaky_level.scan"].writes

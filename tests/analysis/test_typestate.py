@@ -2,8 +2,8 @@
 
 A pinned table records where each rule fires and where it stays
 silent.  Each rule has a golden bad/clean fixture pair, and RPR023
-additionally proves the interprocedural lift (the module-local
-summaries provably miss it).  The dynamic twins run each bad fixture's
+additionally proves the interprocedural lift (the function's own
+summary provably misses it).  The dynamic twins run each bad fixture's
 scenario on the real engine and workspace, showing the defect the
 static rule reports.
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.analysis import (
     lint_paths,
     lint_source,
-    module_effects,
     project_from_sources,
 )
 from repro.analysis.callgraph import RESOURCE_CTORS, _RECEIVER_CONVENTIONS
@@ -361,8 +360,8 @@ class TestGoldenFixtures:
 
 
 class TestInterproceduralBlindSpot:
-    """The RPR023 bad fixture plants a violation the module-local
-    summaries provably miss."""
+    """The RPR023 bad fixture plants a violation the direct summaries
+    provably miss."""
 
     @pytest.mark.parametrize(
         ("fixture", "rule"), [("rpr023_bad.py", "RPR023")]
@@ -370,19 +369,17 @@ class TestInterproceduralBlindSpot:
     def test_one_level_view_misses_it(self, fixture, rule):
         path = f"src/repro/bfs/{fixture}"
         source = _fixture_source(fixture)
-        local = module_effects(ast.parse(source))
-        assert local["shutdown"].closes == frozenset(), (
+        project = project_from_sources([(path, source)])
+        (qname,) = [
+            q for q, info in project.functions.items()
+            if info.name == "shutdown"
+        ]
+        assert project.functions[qname].summary.closes == frozenset(), (
             "`shutdown` closes its engine only through `_stop`: if its "
             "own summary saw the close, the fixture would no longer "
             "prove the interprocedural lift"
         )
-        project = project_from_sources([(path, source)])
-        (shutdown,) = [
-            project.summaries[q]
-            for q, info in project.functions.items()
-            if info.name == "shutdown"
-        ]
-        assert shutdown.closes == frozenset({"engine"})
+        assert project.summaries[qname].closes == frozenset({"engine"})
         assert [v.rule for v in _lint_fixture(fixture, rule)] == [rule]
 
 

@@ -368,7 +368,7 @@ class TestCallgraphCommand:
             "repro.analysis.wholeprogram_baseline/1"
         )
         assert payload["program_rules"] == [
-            "RPR015", "RPR016", "RPR017", "RPR018", "RPR019"
+            "RPR013", "RPR014", "RPR015", "RPR016", "RPR017", "RPR019"
         ]
 
     def test_no_inputs_is_an_error(self, capsys, tmp_path):
