@@ -4,8 +4,9 @@ These are the kernels as they stood before the allocation-free datapath
 landed: per-call output arrays, sort-based ``np.unique`` claim, a full
 ``parent < 0`` rescan plus whole-row scan per bottom-up level, and a
 dense boolean frontier mask rebuilt with ``fill(False)`` every level.
-``bench_kernels.py`` times them against the current engines and records
-the ratios in ``BENCH_kernels.json``.
+Beside them sits the two-phase bottom-up row scan that the
+growing-window scan replaced.  ``bench_kernels.py`` times them against
+the current engines and records the ratios in ``BENCH_kernels.json``.
 
 Do not import from application code — this module exists only so the
 speedup claims stay measurable after the old code paths are gone.
@@ -179,3 +180,42 @@ def legacy_bfs_hybrid(graph, source, *, m, n):
         directions=directions,
         edges_examined=edges_examined,
     )
+
+
+def legacy_two_phase_scan(graph, deg, starts, in_frontier, workspace):
+    """The bottom-up row scan before growing windows.
+
+    Phase 1 gathers the first 4 entries of every row; phase 2 gathers
+    the *whole* remaining row of every row that missed.  Takes a
+    frontier :class:`~repro.graph.bitmap.Bitmap` and rows of degree
+    > 0; returns ``(found, first_local, inspected)``.
+    """
+    targets = graph.targets
+    window = 4
+
+    def first_hits(row_starts, counts, name):
+        seg = workspace.buffer(name, counts.size + 1, np.int64)
+        seg[0] = 0
+        np.cumsum(counts, out=seg[1:])
+        k = int(seg[-1])
+        pos = np.repeat(row_starts - seg[:-1], counts)
+        pos += workspace.iota(k)
+        hits = in_frontier.test_many(targets[pos], checked=False)
+        big = np.int64(k)
+        mins = np.minimum.reduceat(
+            np.where(hits, workspace.iota(k), big), seg[:-1]
+        )
+        return mins < big, mins - seg[:-1]
+
+    c1 = np.minimum(deg, window)
+    found, first_local = first_hits(starts, c1, "legacy-seg1")
+    inspected = int(np.where(found, first_local + 1, c1).sum())
+    surv = np.flatnonzero(~found & (deg > window))
+    if surv.size:
+        sdeg = deg[surv] - window
+        found2, fl2 = first_hits(starts[surv] + window, sdeg, "legacy-seg2")
+        fl2 += window
+        found[surv] = found2
+        first_local[surv] = np.where(found2, fl2, -1)
+        inspected += int(np.where(found2, fl2 + 1 - window, sdeg).sum())
+    return found, first_local, inspected

@@ -8,20 +8,25 @@ the first hit per vertex with a segmented min, so the number of entries
 *inspected* (with early termination) is computed exactly — matching
 what a scalar implementation would touch.
 
-The scan is two-phase to exploit the early exit the paper's Algorithm 2
-relies on: in dense mid-traversal levels most unvisited vertices find a
-parent within their first few neighbours, so phase one gathers only a
-small fixed *window* of each adjacency list (``window`` entries), and
-only the rows with no hit there get a second full-tail pass.  Winners,
-parents and inspected counts are bit-identical to a whole-row scan —
-the first hit in the earliest window is the first hit in the row.
+The scan runs in rounds of growing windows to exploit the early exit
+the paper's Algorithm 2 relies on: in dense mid-traversal levels most
+unvisited vertices find a parent within their first few neighbours, so
+the first round gathers only a small *window* of each adjacency list
+(``window`` entries), and each later round gathers the next window,
+``SCAN_WINDOW_GROWTH`` times wider, only for the rows still without a
+hit.  A row leaves at its first hit or at its row end, so the entries
+gathered track the entries inspected even for rows that search deep.
+Winners, parents and inspected counts are bit-identical to a whole-row
+scan — the first hit in the earliest window is the first hit in the
+row.
 
 Two work figures matter and both are reported:
 
 * ``edges_checked`` — entries inspected with early termination (the
   paper's observation that bottom-up visits at most ``|E|un`` edges);
-* the gather itself momentarily touches the windowed entries, which is
-  a NumPy artifact; chunking (``chunk_entries``) bounds that footprint.
+* the gather itself momentarily touches the windowed entries, at most
+  one window past each row's first hit, which is a NumPy artifact;
+  chunking (``chunk_entries``) bounds that footprint.
 """
 
 from __future__ import annotations
@@ -41,16 +46,24 @@ from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = ["bfs_bottom_up", "bottom_up_step"]
 
-#: Default cap on adjacency entries materialized per chunk (~256 MB of
-#: int32 ids); keeps the vectorized gather inside cache-friendly bounds.
+#: Default cap on adjacency entries scanned per chunk.  Each entry in
+#: flight holds about 20 bytes of temporaries, most of them int64 (its
+#: gather position, its first-hit key, its slot of the cached iota), so
+#: a chunk's scratch peaks near 1.3 GB, reached only by a round that
+#: gathers that many entries at once.
 DEFAULT_CHUNK_ENTRIES = 1 << 26
 
-#: Entries of each adjacency list gathered in the first scan phase.
+#: Entries of each adjacency list gathered in the first scan round.
 #: Mid-traversal levels resolve the vast majority of rows within the
 #: first handful of neighbours (the early exit the paper leans on), so
-#: a small window keeps the phase-one gather near the *inspected* count
+#: a small window keeps the first gather near the *inspected* count
 #: rather than the full unvisited degree sum.
 DEFAULT_SCAN_WINDOW = 4
+
+#: Each scan round's window is this many times the previous one's, so
+#: a row of degree ``d`` takes ``O(log d)`` rounds and gathers at most
+#: about ``SCAN_WINDOW_GROWTH`` times the entries it inspects.
+SCAN_WINDOW_GROWTH = 4
 
 
 def _frontier_hits(in_frontier, neighbours: np.ndarray) -> np.ndarray:
@@ -94,40 +107,45 @@ def _row_scan(
     the within-row position of the first one (undefined where not
     found), and ``inspected`` is the exact early-termination entry
     count.  Every row must have ``deg > 0``.
+
+    The scan runs in rounds: the first gathers ``window`` entries of
+    every row, and each later round gathers the next window,
+    ``SCAN_WINDOW_GROWTH`` times wider, of the rows that have neither
+    hit nor reached their row end.
     """
     targets = graph.targets
-    # Phase 1: probe only the first `window` entries of each row.
-    c1 = np.minimum(deg, window)
-    seg1 = _cumsum0(c1, workspace, "bu-seg1")
-    k1 = int(seg1[-1])
-    nbr1 = gather_segments(targets, starts, c1, seg1, k1, workspace)
-    hits1 = _frontier_hits(in_frontier, nbr1)
-    big = np.int64(k1)
-    mins = np.minimum.reduceat(
-        np.where(hits1, _iota(k1, workspace), big), seg1[:-1]
-    )
-    found = mins < big
-    first_local = mins - seg1[:-1]
-    inspected = int(np.where(found, first_local + 1, c1).sum())
-    # Phase 2: rows with no hit in the window scan their remaining tail.
-    surv = np.flatnonzero(~found & (deg > window))
-    if surv.size:
-        sdeg = deg[surv] - window
-        sstarts = starts[surv] + window
-        seg2 = _cumsum0(sdeg, workspace, "bu-seg2")
-        k2 = int(seg2[-1])
-        nbr2 = gather_segments(targets, sstarts, sdeg, seg2, k2, workspace)
-        hits2 = _frontier_hits(in_frontier, nbr2)
-        big2 = np.int64(k2)
-        mins2 = np.minimum.reduceat(
-            np.where(hits2, _iota(k2, workspace), big2), seg2[:-1]
+    found = first_local = live = None
+    inspected = 0
+    offset = 0  # within-row position of this round's window
+    remaining = deg
+    cursor = starts
+    while True:
+        count = np.minimum(remaining, window)
+        seg = _cumsum0(count, workspace, "bu-seg")
+        k = int(seg[-1])
+        nbr = gather_segments(targets, cursor, count, seg, k, workspace)
+        hits = _frontier_hits(in_frontier, nbr)
+        big = np.int64(k)
+        mins = np.minimum.reduceat(
+            np.where(hits, _iota(k, workspace), big), seg[:-1]
         )
-        found2 = mins2 < big2
-        fl2 = mins2 - seg2[:-1] + window
-        found[surv] = found2
-        first_local[surv] = np.where(found2, fl2, -1)
-        inspected += int(np.where(found2, fl2 + 1 - window, sdeg).sum())
-    return found, first_local, inspected
+        hit = mins < big
+        pos = mins - seg[:-1]
+        inspected += int(np.where(hit, pos + 1, count).sum())
+        if live is None:
+            found, first_local = hit, pos
+        else:
+            won = live[hit]
+            found[won] = True
+            first_local[won] = pos[hit] + offset
+        more = ~hit & (remaining > window)
+        if not more.any():
+            return found, first_local, inspected
+        live = np.flatnonzero(more) if live is None else live[more]
+        remaining = remaining[more] - window
+        cursor = cursor[more] + window
+        offset += window
+        window *= SCAN_WINDOW_GROWTH
 
 
 def bottom_up_step(

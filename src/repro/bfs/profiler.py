@@ -113,8 +113,8 @@ def _bottom_up_checked(
     """Edges a bottom-up sweep would inspect, with early termination.
 
     Returns ``(total_checked, failed_checked)`` where the failed portion
-    belongs to vertices that found no parent this level.  Uses the same
-    windowed row scan as the real kernel, so the counts match what an
+    belongs to vertices that found no parent this level.  Runs the
+    real kernel's growing-window row scan, so the counts match what an
     actual bottom-up level would report.
     """
     if unvisited.size == 0:
