@@ -60,14 +60,6 @@ _BASELINE: dict = (
     else {}
 )
 
-#: The JSONL run-history trajectory the monitor layer reads
-#: (``repro-bfs monitor check``); enforced runs append here so the
-#: committed ``BENCH_kernels.json`` snapshot and the trajectory stop
-#: diverging.
-_HISTORY_PATH = (
-    Path(__file__).resolve().parent / "results" / "history" / "runs.jsonl"
-)
-
 _bench_results: dict = {}
 
 
@@ -78,50 +70,6 @@ def _record(section: str, payload: dict, bench_config) -> None:
     _bench_results[section] = payload
     _RESULTS_PATH.write_text(
         json.dumps(_bench_results, indent=2, sort_keys=True) + "\n"
-    )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _append_bench_history(bench_config):
-    """After the module's benchmarks finish, fold the run into the
-    history store — but only *enforced* runs (scale >= 14): the scale-10
-    CI smoke numbers would poison the scale-15 baseline series."""
-    yield
-    if not _bench_results.get("enforced"):
-        return
-    from repro.obs.history import HistoryStore, snapshot_run
-
-    metrics = {}
-    claim = _bench_results.get("claim_step", {})
-    hybrid = _bench_results.get("hybrid_traversal", {})
-    tracing = _bench_results.get("tracing_disabled", {})
-    if claim.get("speedup") is not None:
-        metrics["bench.claim_speedup"] = {
-            "type": "gauge", "value": claim["speedup"],
-        }
-    if hybrid.get("speedup") is not None:
-        metrics["bench.hybrid_speedup"] = {
-            "type": "gauge", "value": hybrid["speedup"],
-        }
-    if hybrid.get("workspace_s") is not None:
-        metrics["bench.hybrid_workspace_seconds"] = {
-            "type": "gauge", "value": hybrid["workspace_s"],
-        }
-    if tracing.get("overhead_vs_baseline") is not None:
-        metrics["bench.tracing_overhead"] = {
-            "type": "gauge", "value": tracing["overhead_vs_baseline"],
-        }
-    if not metrics:
-        return
-    HistoryStore(_HISTORY_PATH).append(
-        snapshot_run(
-            "bench.kernels",
-            f"rmat-s{_bench_results['scale']}-ef16",
-            metrics=metrics,
-            sections=sorted(
-                k for k in _bench_results if isinstance(_bench_results[k], dict)
-            ),
-        )
     )
 
 

@@ -68,7 +68,6 @@ from repro.analysis import program as _program  # noqa: F401
 from repro.analysis import rules as _rules  # noqa: F401
 from repro.analysis.callgraph import (
     Project,
-    SummaryCache,
     build_project,
     project_from_sources,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "format_text",
     "format_json",
     "Project",
-    "SummaryCache",
     "build_project",
     "project_from_sources",
     "program_report",

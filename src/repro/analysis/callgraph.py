@@ -4,15 +4,15 @@ effect propagation.
 :mod:`repro.analysis.effects` summarizes one function at a time.  This
 module lifts those summaries to the whole program:
 
-1. **Extraction** (per module, cacheable): parse each file once, walk
-   each function body once, and record an import table, the
-   class/method layout, per-function
+1. **Extraction** (per module): parse each file once, walk each
+   function body once, and record an import table, the class/method
+   layout, per-function
    :class:`~repro.analysis.effects.FunctionEffects` base summaries,
    thread-pool dispatch sites, array writes, resource acquisitions
    (``ParallelBFS()``, executors) and a lightweight
-   receiver-typing environment.  Records are keyed by the file's
-   SHA-256, so unchanged files are never re-analyzed
-   (:class:`SummaryCache` persists them across runs).
+   receiver-typing environment.  Records are memoized in-process by
+   the file's SHA-256, so repeated builds in one interpreter never
+   re-analyze an unchanged file.
 2. **Resolution**: every recorded call site — bare names *and* dotted
    spellings like ``ws.begin`` or ``topdown.claim_first_writer`` — is
    resolved against the import tables, module function tables and a
@@ -58,7 +58,6 @@ __all__ = [
     "Acquisition",
     "ModuleRecord",
     "Project",
-    "SummaryCache",
     "build_project",
     "project_from_sources",
     "edge_bindings",
@@ -615,7 +614,7 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
     )
 
 
-# -- record (de)serialization for the summary cache -----------------------
+# -- summary export -------------------------------------------------------
 
 
 def _summary_to_dict(s: fx.FunctionEffects) -> dict:
@@ -639,223 +638,6 @@ def _summary_to_dict(s: fx.FunctionEffects) -> dict:
         "closes": sorted(s.closes),
         "resets": sorted(s.resets),
     }
-
-
-def _summary_from_dict(d: dict) -> fx.FunctionEffects:
-    return fx.FunctionEffects(
-        name=d["name"],
-        params=tuple(d["params"]),
-        reads=frozenset(d["reads"]),
-        writes=frozenset(d["writes"]),
-        escapes=frozenset(d["escapes"]),
-        calls=tuple(
-            fx.CallSite(
-                callee=c[0],
-                args=tuple(c[1]),
-                kwargs=tuple((k, v) for k, v in c[2]),
-                line=c[3],
-                col=c[4],
-                maybe=c[5],
-            )
-            for c in d["calls"]
-        ),
-        line=d["line"],
-        raises=d["raises"],
-        ws_params=frozenset(d["ws_params"]),
-        ws_writes=frozenset(d["ws_writes"]),
-        returns_ws=d["returns_ws"],
-        returns_calls=tuple(d["returns_calls"]),
-        closes=frozenset(d["closes"]),
-        resets=frozenset(d["resets"]),
-    )
-
-
-def record_to_dict(rec: ModuleRecord) -> dict:
-    return {
-        "module": rec.module,
-        "path": rec.path,
-        "sha": rec.sha,
-        "imports": [list(kv) for kv in rec.imports],
-        "classes": [
-            {
-                "name": c.name,
-                "qname": c.qname,
-                "module": c.module,
-                "bases": list(c.bases),
-                "methods": [list(kv) for kv in c.methods],
-            }
-            for c in rec.classes
-        ],
-        "functions": [
-            {
-                "qname": f.qname,
-                "module": f.module,
-                "path": f.path,
-                "name": f.name,
-                "cls": f.cls,
-                "line": f.line,
-                "end_line": f.end_line,
-                "is_public": f.is_public,
-                "hot": f.hot,
-                "summary": _summary_to_dict(f.summary),
-                "locals": sorted(f.locals),
-                "scratch": sorted(f.scratch),
-                "types": [list(kv) for kv in f.types],
-                "acquisitions": [
-                    {
-                        "var": a.var,
-                        "ctor": a.ctor,
-                        "line": a.line,
-                        "col": a.col,
-                        "closed": a.closed,
-                        "escapes": a.escapes,
-                        "finally_spans": [list(s) for s in a.finally_spans],
-                        "close_lines": list(a.close_lines),
-                        "risks": [list(r) for r in a.risks],
-                    }
-                    for a in f.acquisitions
-                ],
-                "temp_ctors": [list(t) for t in f.temp_ctors],
-                "dispatch_targets": [list(t) for t in f.dispatch_targets],
-                "array_writes": [list(w) for w in f.array_writes],
-            }
-            for f in rec.functions
-        ],
-    }
-
-
-def record_from_dict(d: dict) -> ModuleRecord:
-    try:
-        return ModuleRecord(
-            module=d["module"],
-            path=d["path"],
-            sha=d["sha"],
-            imports=tuple((k, v) for k, v in d["imports"]),
-            classes=tuple(
-                ClassInfo(
-                    name=c["name"],
-                    qname=c["qname"],
-                    module=c["module"],
-                    bases=tuple(c["bases"]),
-                    methods=tuple((k, v) for k, v in c["methods"]),
-                )
-                for c in d["classes"]
-            ),
-            functions=tuple(
-                FunctionInfo(
-                    qname=f["qname"],
-                    module=f["module"],
-                    path=f["path"],
-                    name=f["name"],
-                    cls=f["cls"],
-                    line=f["line"],
-                    end_line=f["end_line"],
-                    is_public=f["is_public"],
-                    hot=f["hot"],
-                    summary=_summary_from_dict(f["summary"]),
-                    locals=frozenset(f["locals"]),
-                    scratch=frozenset(f["scratch"]),
-                    types=tuple((k, v) for k, v in f["types"]),
-                    acquisitions=tuple(
-                        Acquisition(
-                            var=a["var"],
-                            ctor=a["ctor"],
-                            line=a["line"],
-                            col=a["col"],
-                            closed=a["closed"],
-                            escapes=a["escapes"],
-                            finally_spans=tuple(
-                                (s[0], s[1]) for s in a["finally_spans"]
-                            ),
-                            close_lines=tuple(a["close_lines"]),
-                            risks=tuple(
-                                (r[0], r[1], r[2]) for r in a["risks"]
-                            ),
-                        )
-                        for a in f["acquisitions"]
-                    ),
-                    temp_ctors=tuple(
-                        (t[0], t[1], t[2]) for t in f["temp_ctors"]
-                    ),
-                    dispatch_targets=tuple(
-                        (t[0], t[1], t[2]) for t in f["dispatch_targets"]
-                    ),
-                    array_writes=tuple(
-                        (w[0], w[1], w[2], w[3]) for w in f["array_writes"]
-                    ),
-                )
-                for f in d["functions"]
-            ),
-        )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise CallGraphError(f"malformed summary-cache record: {exc}") from exc
-
-
-#: Version of the extraction/summary *semantics* (what the analyzer
-#: computes from a module, independent of the record wire format).
-#: Bump whenever extraction or summary rules change meaning — cache
-#: entries written under another version are treated as misses, so a
-#: rule upgrade can never be served stale summaries for unchanged
-#: files.
-ANALYSIS_VERSION = 5
-
-
-def _cache_key(sha: str) -> str:
-    """Cache key for one module: content hash + analysis version."""
-    return f"{sha}:v{ANALYSIS_VERSION}"
-
-
-class SummaryCache:
-    """Per-module extraction records keyed by file SHA-256 plus the
-    :data:`ANALYSIS_VERSION` of the analyzer that produced them.
-
-    Re-running the whole-program pass only re-extracts files whose
-    content hash changed (or whose cached record predates the current
-    analysis version); everything else deserializes.  The on-disk
-    format is a single JSON object ``{key: record}``.
-    """
-
-    SCHEMA = "repro.analysis.callgraph_cache/1"
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._records: dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-        if self.path is not None and self.path.exists():
-            try:
-                blob = json.loads(self.path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CallGraphError(
-                    f"{self.path}: unreadable summary cache: {exc}"
-                ) from exc
-            if blob.get("schema") != self.SCHEMA:
-                raise CallGraphError(
-                    f"{self.path}: summary cache schema "
-                    f"{blob.get('schema')!r} != {self.SCHEMA!r}"
-                )
-            self._records = dict(blob.get("records", {}))
-
-    def get(self, sha: str) -> ModuleRecord | None:
-        raw = self._records.get(_cache_key(sha))
-        if raw is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record_from_dict(raw)
-
-    def put(self, rec: ModuleRecord) -> None:
-        self._records[_cache_key(rec.sha)] = record_to_dict(rec)
-
-    def save(self) -> None:
-        if self.path is None:
-            raise CallGraphError("summary cache has no backing path")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": self.SCHEMA, "records": self._records}
-        self.path.write_text(
-            json.dumps(payload, indent=None, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
 
 #: In-process extraction cache shared by every Project built in one
@@ -1350,17 +1132,13 @@ def project_from_sources(
     return Project([extract_module(p, src) for p, src in pairs])
 
 
-def build_project(
-    files: Iterable[str | Path],
-    *,
-    cache: SummaryCache | None = None,
-) -> Project:
+def build_project(files: Iterable[str | Path]) -> Project:
     """Build a whole-program project from files on disk.
 
     Files that cannot be read, decoded or parsed are skipped — the lint
     driver reports them separately as structured diagnostics; the graph
     is built over everything that parses.  Extraction records come from
-    ``cache`` (or an in-process memory cache) on content-hash hits.
+    the in-process memory cache on content-hash hits.
     """
     records: list[ModuleRecord] = []
     for entry in files:
@@ -1370,17 +1148,13 @@ def build_project(
         except (OSError, UnicodeDecodeError):
             continue
         sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        rec = _MEMORY_CACHE.get(_cache_key(sha))
-        if rec is None and cache is not None:
-            rec = cache.get(sha)
+        rec = _MEMORY_CACHE.get(sha)
         if rec is None or rec.path != str(p):
             try:
                 rec = extract_module(p, source)
             except CallGraphError:
                 continue
-        _MEMORY_CACHE[_cache_key(sha)] = rec
-        if cache is not None:
-            cache.put(rec)
+        _MEMORY_CACHE[sha] = rec
         records.append(rec)
     if not records:
         raise CallGraphError("no parsable Python inputs for the call graph")

@@ -9,7 +9,7 @@ Subcommands::
     repro-bfs graph500 --scale 16 [--json]
     repro-bfs trace --scale 14 [--out PREFIX]
     repro-bfs profile --scale 12 [--repeat 5] [--out DIR]
-    repro-bfs monitor record|check|report|drift [--history PATH]
+    repro-bfs monitor record|check|report [--history PATH]
     repro-bfs lint|callgraph|sanitize ...
     repro-bfs info                       # architecture presets
 
@@ -29,9 +29,8 @@ of the un-windowed traversal.
 ``monitor`` is the longitudinal layer (:mod:`repro.obs.history` /
 :mod:`repro.obs.monitor`): ``record`` appends an instrumented run to
 the JSONL history store, ``check`` gates the newest run against the
-rolling baseline (nonzero exit on regression — the CI gate), ``report``
-prints the trajectory, and ``drift`` replays the stored audit verdicts
-through the predictor drift monitor.
+rolling baseline (nonzero exit on regression — the CI gate), and
+``report`` prints the trajectory.
 
 ``lint``, ``callgraph`` and ``sanitize`` front the static and runtime
 checks of :mod:`repro.analysis`.
@@ -177,13 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list direct and transitive callers of a function qname",
     )
     cg_p.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="JSON summary-cache file keyed by content hash "
-        "(created if missing)",
-    )
-    cg_p.add_argument(
         "--write-baseline",
         default=None,
         metavar="PATH",
@@ -304,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mon_p = sub.add_parser(
         "monitor",
-        help="run-history recording, regression gates, drift reports",
+        help="run-history recording, regression gates, trajectory reports",
     )
     mon_sub = mon_p.add_subparsers(dest="monitor_command")
 
@@ -343,16 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--tail", type=int, default=0, help="newest N only")
     rep_p.add_argument("--json", action="store_true")
     _history_arg(rep_p)
-
-    dr_p = mon_sub.add_parser(
-        "drift",
-        help="replay stored audit verdicts through the drift monitor",
-    )
-    dr_p.add_argument("--window", type=int, default=8)
-    dr_p.add_argument("--tolerance", type=float, default=1.25)
-    dr_p.add_argument("--min-runs", type=int, default=3)
-    dr_p.add_argument("--json", action="store_true")
-    _history_arg(dr_p)
 
     return parser
 
@@ -514,7 +496,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_callgraph(args: argparse.Namespace) -> int:
     """Build the whole-program call graph; export or query it."""
-    from repro.analysis.callgraph import SummaryCache, build_project
+    from repro.analysis.callgraph import build_project
     from repro.analysis.lint import iter_python_files
     from repro.errors import CallGraphError, LintError
 
@@ -523,15 +505,11 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
         import repro
 
         paths = [Path(repro.__file__).parent]
-    cache = SummaryCache(args.cache) if args.cache else None
     try:
-        files = iter_python_files(paths)
-        project = build_project(files, cache=cache)
+        project = build_project(iter_python_files(paths))
     except (CallGraphError, LintError) as exc:
         print(f"callgraph error: {exc}", file=sys.stderr)
         return 2
-    if cache is not None:
-        cache.save()
 
     if args.write_baseline:
         from repro.analysis.program import program_report
@@ -714,21 +692,7 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
         # The audit verdict only exists for a (M, N)-parameterized run.
         report = None
         if m is not None and not args.no_audit:
-            from repro.arch.costmodel import CostModel
-            from repro.bfs import profile_bfs
-            from repro.obs import audit_switching_point
-
-            profile, _ = profile_bfs(graph, source)
-            report = audit_switching_point(
-                profile,
-                CostModel(CPU_SANDY_BRIDGE),
-                m,
-                n,
-                count=300,
-                seed=args.seed,
-                scale=args.scale,
-                edgefactor=args.edgefactor,
-            )
+            report = _audit(args, graph, source, m, n, count=300)
 
     teps = traversed / took if took > 0 else 0.0
     payload = {
@@ -807,7 +771,8 @@ def _append_history(
 
 
 def _cmd_graph500(args: argparse.Namespace) -> int:
-    from repro.bfs import bfs_bottom_up, bfs_top_down
+    from repro.bfs import bfs_bottom_up, bfs_top_down, pick_sources
+    from repro.graph import rmat
     from repro.graph500 import HybridEngine, run_graph500
     from repro.obs import Tracer, use_tracer
 
@@ -836,9 +801,13 @@ def _cmd_graph500(args: argparse.Namespace) -> int:
             seed=args.seed,
             tracer=tracer,
         )
+        # Audit the engine's (M, N) on the same kernel-1 graph, which
+        # run_graph500 does not return.
         report = None
         if hybrid and not args.no_audit:
-            report = _graph500_audit(args, tracer)
+            graph = rmat(args.scale, args.edgefactor, seed=args.seed)
+            source = int(pick_sources(graph, 1, seed=args.seed)[0])
+            report = _audit(args, graph, source, engine.m, engine.n, count=300)
 
     payload = {
         "scale": result.scale,
@@ -881,54 +850,44 @@ def _cmd_graph500(args: argparse.Namespace) -> int:
     return 0
 
 
-def _graph500_audit(args: argparse.Namespace, tracer):
-    """The switching-point verdict for a graph500 hybrid run: audit the
-    engine's (M, N) against the sweep on a measured profile of the same
-    graph."""
+def _audit(args: argparse.Namespace, graph, source, m, n, *, count):
+    """The switching-point verdict for one run: price its (M, N) against
+    ``count`` candidate pairs on a measured profile of ``source``, on
+    the Sandy Bridge cost model.  Events go to the installed tracer."""
     from repro.arch import CPU_SANDY_BRIDGE
     from repro.arch.costmodel import CostModel
-    from repro.bfs import pick_sources, profile_bfs
-    from repro.graph import rmat
-    from repro.graph500 import HybridEngine
+    from repro.bfs import profile_bfs
     from repro.obs import audit_switching_point
 
-    graph = rmat(args.scale, args.edgefactor, seed=args.seed)
-    source = int(pick_sources(graph, 1, seed=args.seed)[0])
     profile, _ = profile_bfs(graph, source)
-    engine_defaults = HybridEngine()
     return audit_switching_point(
         profile,
         CostModel(CPU_SANDY_BRIDGE),
-        engine_defaults.m,
-        engine_defaults.n,
-        count=getattr(args, "audit_candidates", 300),
+        m,
+        n,
+        count=count,
         seed=args.seed,
-        tracer=tracer,
         scale=args.scale,
         edgefactor=args.edgefactor,
     )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.arch import CPU_SANDY_BRIDGE
     from repro.bfs import (
         ParallelBFS,
         bfs_bottom_up,
         bfs_hybrid,
         bfs_top_down,
         pick_sources,
-        profile_bfs,
     )
     from repro.graph import rmat
     from repro.obs import (
         Tracer,
-        audit_switching_point,
         use_tracer,
         validate_chrome_trace,
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.arch.costmodel import CostModel
 
     print(
         f"generating R-MAT scale={args.scale} ef={args.edgefactor} "
@@ -959,16 +918,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
         report = None
         if not args.no_audit:
-            profile, _ = profile_bfs(graph, source)
-            report = audit_switching_point(
-                profile,
-                CostModel(CPU_SANDY_BRIDGE),
-                args.m,
-                args.n,
+            report = _audit(
+                args, graph, source, args.m, args.n,
                 count=args.audit_candidates,
-                seed=args.seed,
-                scale=args.scale,
-                edgefactor=args.edgefactor,
             )
 
     meta = {
@@ -1147,20 +1099,16 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         return _cmd_monitor_check(args)
     if args.monitor_command == "report":
         return _cmd_monitor_report(args)
-    if args.monitor_command == "drift":
-        return _cmd_monitor_drift(args)
-    print("usage: repro-bfs monitor {record,check,report,drift} ...",
+    print("usage: repro-bfs monitor {record,check,report} ...",
           file=sys.stderr)
     return 2
 
 
 def _cmd_monitor_record(args: argparse.Namespace) -> int:
-    from repro.arch import CPU_SANDY_BRIDGE
-    from repro.arch.costmodel import CostModel
-    from repro.bfs import pick_sources, profile_bfs
+    from repro.bfs import pick_sources
     from repro.graph import rmat
     from repro.graph500 import HybridEngine, run_graph500
-    from repro.obs import Tracer, audit_switching_point, use_tracer
+    from repro.obs import Tracer, use_tracer
 
     workload = f"rmat-s{args.scale}-ef{args.edgefactor}-r{args.roots}"
     print(f"recording graph500/{workload} (m={args.m} n={args.n}) ...")
@@ -1176,17 +1124,8 @@ def _cmd_monitor_record(args: argparse.Namespace) -> int:
         )
         graph = rmat(args.scale, args.edgefactor, seed=args.seed)
         source = int(pick_sources(graph, 1, seed=args.seed)[0])
-        profile, _ = profile_bfs(graph, source)
-        report = audit_switching_point(
-            profile,
-            CostModel(CPU_SANDY_BRIDGE),
-            args.m,
-            args.n,
-            count=args.audit_candidates,
-            seed=args.seed,
-            tracer=tracer,
-            scale=args.scale,
-            edgefactor=args.edgefactor,
+        report = _audit(
+            args, graph, source, args.m, args.n, count=args.audit_candidates
         )
     record = _append_history(
         args.history,
@@ -1264,54 +1203,6 @@ def _cmd_monitor_report(args: argparse.Namespace) -> int:
     if store.last_skipped:
         print(f"({len(store.last_skipped)} corrupt line(s) skipped)")
     return 0
-
-
-def _cmd_monitor_drift(args: argparse.Namespace) -> int:
-    from repro.obs.monitor import DriftMonitor
-
-    store = _history_store(args)
-    monitor = DriftMonitor(
-        window=args.window,
-        tolerance=args.tolerance,
-        min_runs=args.min_runs,
-    )
-    audited = 0
-    for record in store.read():
-        if not isinstance(record.audit, dict):
-            continue
-        slowdown = record.audit.get("slowdown")
-        if not isinstance(slowdown, (int, float)) or slowdown < 1.0:
-            continue
-        arch = str(record.audit.get("arch") or "default")
-        family = str(record.meta.get("family") or record.workload)
-        monitor.observe(slowdown, family=family, arch=arch)
-        audited += 1
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "audited_runs": audited,
-                    "tolerance": args.tolerance,
-                    "series": monitor.state(),
-                    "alerts": [a.as_dict() for a in monitor.alerts],
-                },
-                indent=2,
-            )
-        )
-        return 1 if monitor.alerts else 0
-    print(
-        f"drift: replayed {audited} audited run(s) from {store.path} "
-        f"(window {args.window}, tolerance {args.tolerance}x)"
-    )
-    for key, state in monitor.state().items():
-        flag = "DRIFTING" if state["drifting"] else "ok"
-        print(
-            f"  {key}: {state['runs']} run(s), windowed mean "
-            f"{state['mean_slowdown']:.3f}x — {flag}"
-        )
-    for alert in monitor.alerts:
-        print(f"  {alert.render()}")
-    return 1 if monitor.alerts else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -76,12 +76,6 @@ _LAZY = {
     "RegressionFinding": "monitor",
     "RegressionReport": "monitor",
     "detect_regressions": "monitor",
-    "DriftAlert": "monitor",
-    "DriftMonitor": "monitor",
-    "PolicyAuditReport": "monitor",
-    "price_directions": "monitor",
-    "oracle_directions": "monitor",
-    "audit_policy_directions": "monitor",
     "AllocationProfiler": "profile",
     "ExplainReport": "profile",
     "explain_traversal": "profile",
@@ -139,12 +133,6 @@ __all__ = [
     "RegressionFinding",
     "RegressionReport",
     "detect_regressions",
-    "DriftAlert",
-    "DriftMonitor",
-    "PolicyAuditReport",
-    "price_directions",
-    "oracle_directions",
-    "audit_policy_directions",
     "AllocationProfiler",
     "ExplainReport",
     "explain_traversal",

@@ -7,8 +7,8 @@ story.  Every benchmarked or traced run can be folded into a
 aggregates, TEPS, the mistuning-audit verdict, and an environment
 fingerprint — and appended to a :class:`HistoryStore` (one JSON object
 per line, by default under ``benchmarks/results/history/``).  The
-regression detector and drift monitor in :mod:`repro.obs.monitor` read
-the same records back.
+regression detector in :mod:`repro.obs.monitor` reads the same records
+back.
 
 Design constraints the format encodes:
 

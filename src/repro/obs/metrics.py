@@ -42,7 +42,6 @@ METRIC_CATALOG = (
     "frontier.claim_ratio",
     "teps",
     "graph500.bfs_seconds",
-    "tuning.drift_alerts",
     "alloc.bytes",
     "alloc.blocks",
 )

@@ -1,29 +1,14 @@
-"""Statistical regression gates and predictor drift monitoring.
+"""Statistical regression gate over the run history.
 
-Two watchdogs over the :mod:`repro.obs.history` trajectory:
-
-* :func:`detect_regressions` — compares the latest run of a
-  ``(kind, workload)`` series against a rolling baseline window using
-  **median + MAD**: a metric regresses only when it both degrades past
-  its policy's relative threshold *and* sits ``nsigma`` robust standard
-  deviations away from the baseline median (with a MAD ≈ 0 fallback so
-  a perfectly flat baseline still gates on the threshold alone).  The
-  result is a structured :class:`RegressionReport` with text and JSON
-  renderers and a CI-ready pass/fail verdict.
-* :class:`DriftMonitor` — folds successive mistuning-audit verdicts
-  (:func:`repro.obs.audit.audit_switching_point` /
-  ``audit_cross_architecture`` / :class:`PolicyAuditReport`) into a
-  rolling slowdown series per ``(family, arch)`` and raises a
-  :class:`DriftAlert` when the windowed mean slowdown crosses a
-  tolerance — the live defense against the paper's silent-mistuning
-  failure mode (a predictor that was good on one workload mix quietly
-  degrading on another).
-
-:func:`price_directions` / :func:`audit_policy_directions` audit an
-*explicit* per-level direction sequence (e.g. what a
-:class:`~repro.tuning.online.CostModelPolicy` actually chose) against
-the post-hoc oracle on a reference cost model, producing the
-:class:`PolicyAuditReport` the drift monitor consumes.
+:func:`detect_regressions` compares the latest run of a
+``(kind, workload)`` series in the :mod:`repro.obs.history` trajectory
+against a rolling baseline window using **median + MAD**: a metric
+regresses only when it both degrades past its policy's relative
+threshold *and* sits ``nsigma`` robust standard deviations away from
+the baseline median (with a MAD ≈ 0 fallback so a perfectly flat
+baseline still gates on the threshold alone).  The result is a
+structured :class:`RegressionReport` with text and JSON renderers and a
+CI-ready pass/fail verdict.
 """
 
 from __future__ import annotations
@@ -35,12 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arch.costmodel import CostModel
-from repro.bfs.result import Direction
-from repro.bfs.trace import LevelProfile
 from repro.errors import MonitorError
 from repro.obs.history import RunRecord
-from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = [
     "MetricPolicy",
@@ -49,12 +30,6 @@ __all__ = [
     "RegressionFinding",
     "RegressionReport",
     "detect_regressions",
-    "DriftAlert",
-    "DriftMonitor",
-    "PolicyAuditReport",
-    "price_directions",
-    "oracle_directions",
-    "audit_policy_directions",
 ]
 
 #: Consistency constant turning a median absolute deviation into a
@@ -380,299 +355,4 @@ def detect_regressions(
                     higher_is_better=policy.higher_is_better,
                 )
             )
-    return report
-
-
-# -- predictor drift ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DriftAlert:
-    """The windowed mistuning cost of one series crossed its tolerance."""
-
-    family: str
-    arch: str
-    runs: int
-    window: int
-    mean_slowdown: float
-    last_slowdown: float
-    tolerance: float
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "family": self.family,
-            "arch": self.arch,
-            "runs": self.runs,
-            "window": self.window,
-            "mean_slowdown": self.mean_slowdown,
-            "last_slowdown": self.last_slowdown,
-            "tolerance": self.tolerance,
-        }
-
-    def render(self) -> str:
-        """One human-readable alert line."""
-        return (
-            f"DRIFT ALERT [{self.family}/{self.arch}]: mean slowdown "
-            f"{self.mean_slowdown:.3f}x over last {min(self.runs, self.window)} "
-            f"audited run(s) exceeds tolerance {self.tolerance:.3f}x "
-            f"(latest {self.last_slowdown:.3f}x)"
-        )
-
-
-class DriftMonitor:
-    """Rolling mistuning-cost tracker per ``(graph-family, arch)``.
-
-    Feed it every audit verdict a deployment produces
-    (:meth:`observe` accepts anything with a ``slowdown`` attribute, a
-    plain float, or an ``{"slowdown": ...}`` dict).  When a series has
-    at least ``min_runs`` observations and the mean of its last
-    ``window`` slowdowns exceeds ``tolerance``, :meth:`observe` returns
-    a :class:`DriftAlert` (and keeps returning one while the condition
-    holds), emits a ``tuning.drift_alert`` instant event, and bumps the
-    ``tuning.drift_alerts`` counter.
-    """
-
-    def __init__(
-        self,
-        *,
-        window: int = 8,
-        tolerance: float = 1.25,
-        min_runs: int = 3,
-        tracer: Tracer | None = None,
-    ) -> None:
-        if window < 1:
-            raise MonitorError(f"window must be >= 1, got {window}")
-        if tolerance < 1.0:
-            raise MonitorError(
-                f"tolerance must be >= 1.0, got {tolerance}"
-            )
-        if min_runs < 1:
-            raise MonitorError(f"min_runs must be >= 1, got {min_runs}")
-        self.window = window
-        self.tolerance = float(tolerance)
-        self.min_runs = min_runs
-        self._tracer = tracer
-        self._series: dict[tuple[str, str], list[float]] = {}
-        self._alerts: list[DriftAlert] = []
-
-    def observe(
-        self, verdict, *, family: str = "default", arch: str = "default"
-    ) -> DriftAlert | None:
-        """Fold one audit verdict in; returns an alert when drifting."""
-        if hasattr(verdict, "slowdown"):
-            slowdown = verdict.slowdown
-        elif isinstance(verdict, dict):
-            slowdown = verdict.get("slowdown")
-        else:
-            slowdown = verdict
-        if not isinstance(slowdown, (int, float)) or slowdown < 1.0:
-            raise MonitorError(
-                f"audit slowdown must be a number >= 1.0, got {slowdown!r}"
-            )
-        series = self._series.setdefault((family, arch), [])
-        series.append(float(slowdown))
-        if len(series) < self.min_runs:
-            return None
-        windowed = series[-self.window:]
-        mean = float(np.mean(windowed))
-        if mean <= self.tolerance:
-            return None
-        alert = DriftAlert(
-            family=family,
-            arch=arch,
-            runs=len(series),
-            window=self.window,
-            mean_slowdown=mean,
-            last_slowdown=series[-1],
-            tolerance=self.tolerance,
-        )
-        self._alerts.append(alert)
-        tr = self._tracer if self._tracer is not None else get_tracer()
-        tr.instant(
-            "tuning.drift_alert",
-            family=family,
-            arch=arch,
-            mean_slowdown=mean,
-            tolerance=self.tolerance,
-        )
-        tr.count("tuning.drift_alerts")
-        return alert
-
-    def series(
-        self, family: str = "default", arch: str = "default"
-    ) -> tuple[float, ...]:
-        """The recorded slowdowns of one series, oldest first."""
-        return tuple(self._series.get((family, arch), ()))
-
-    @property
-    def alerts(self) -> tuple[DriftAlert, ...]:
-        """Every alert raised so far, oldest first."""
-        return tuple(self._alerts)
-
-    def state(self) -> dict:
-        """JSON-ready view of every tracked series (for reports)."""
-        out = {}
-        for (family, arch), values in sorted(self._series.items()):
-            windowed = values[-self.window:]
-            out[f"{family}/{arch}"] = {
-                "runs": len(values),
-                "mean_slowdown": float(np.mean(windowed)),
-                "last_slowdown": values[-1],
-                "drifting": float(np.mean(windowed)) > self.tolerance
-                and len(values) >= self.min_runs,
-            }
-        return out
-
-
-# -- policy direction audits -------------------------------------------------
-
-
-def _direction_columns(directions: Sequence[str]) -> np.ndarray:
-    cols = np.empty(len(directions), dtype=np.int64)
-    for i, d in enumerate(directions):
-        if d == Direction.TOP_DOWN:
-            cols[i] = 0
-        elif d == Direction.BOTTOM_UP:
-            cols[i] = 1
-        else:
-            raise MonitorError(f"unknown direction {d!r} at level {i}")
-    return cols
-
-
-def price_directions(
-    profile: LevelProfile, model: CostModel, directions: Sequence[str]
-) -> float:
-    """Simulated seconds of an explicit per-level direction sequence."""
-    if len(directions) != len(profile):
-        raise MonitorError(
-            f"{len(directions)} directions for a {len(profile)}-level "
-            "profile"
-        )
-    if len(profile) == 0:
-        raise MonitorError("cannot price an empty profile")
-    times = model.time_matrix(profile)  # (levels, 2): td, bu
-    cols = _direction_columns(directions)
-    return float(times[np.arange(len(profile)), cols].sum())
-
-
-def oracle_directions(
-    profile: LevelProfile, model: CostModel
-) -> tuple[str, ...]:
-    """The post-hoc cheapest direction per level (the oracle plan)."""
-    if len(profile) == 0:
-        raise MonitorError("cannot plan an empty profile")
-    times = model.time_matrix(profile)
-    return tuple(
-        Direction.TOP_DOWN if times[i, 0] <= times[i, 1] else Direction.BOTTOM_UP
-        for i in range(len(profile))
-    )
-
-
-@dataclass(frozen=True)
-class PolicyAuditReport:
-    """A per-level policy's chosen plan vs the oracle, on one model.
-
-    The shape mirrors :class:`~repro.obs.audit.MistuningReport` (same
-    ``slowdown`` / ``is_mistuned`` / ``as_dict`` surface) so the drift
-    monitor and history store consume either interchangeably.
-    """
-
-    source: int
-    chosen_directions: tuple[str, ...]
-    oracle_directions: tuple[str, ...]
-    chosen_seconds: float
-    oracle_seconds: float
-    arch: str
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def slowdown(self) -> float:
-        """Chosen plan's cost relative to the oracle (1.0 = optimal)."""
-        if self.oracle_seconds <= 0:
-            raise MonitorError("oracle plan has non-positive simulated cost")
-        return self.chosen_seconds / self.oracle_seconds
-
-    @property
-    def levels_mistuned(self) -> int:
-        """Levels where the chosen direction differs from the oracle's."""
-        return sum(
-            1
-            for a, b in zip(self.chosen_directions, self.oracle_directions)
-            if a != b
-        )
-
-    def is_mistuned(self, tolerance: float = 1.05) -> bool:
-        """True when the chosen plan costs more than ``tolerance`` ×
-        the oracle's simulated seconds."""
-        if tolerance < 1.0:
-            raise MonitorError(f"tolerance must be >= 1.0, got {tolerance}")
-        return self.slowdown > tolerance
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (saved with history entries)."""
-        return {
-            "source": self.source,
-            "chosen_directions": list(self.chosen_directions),
-            "oracle_directions": list(self.oracle_directions),
-            "chosen_seconds": self.chosen_seconds,
-            "oracle_seconds": self.oracle_seconds,
-            "slowdown": self.slowdown,
-            "levels_mistuned": self.levels_mistuned,
-            "arch": self.arch,
-            "meta": self.meta,
-        }
-
-    def render(self) -> str:
-        """Human-readable policy audit block."""
-        verdict = "MISTUNED" if self.is_mistuned() else "well-tuned"
-        return "\n".join(
-            [
-                f"policy audit (source {self.source}, arch {self.arch})",
-                f"  chosen plan: {''.join('T' if d == Direction.TOP_DOWN else 'B' for d in self.chosen_directions)}"
-                f"  ->  {self.chosen_seconds:.6f} s (simulated)",
-                f"  oracle plan: {''.join('T' if d == Direction.TOP_DOWN else 'B' for d in self.oracle_directions)}"
-                f"  ->  {self.oracle_seconds:.6f} s (simulated)",
-                f"  slowdown vs oracle: {self.slowdown:.3f}x   mistuned "
-                f"levels: {self.levels_mistuned}/{len(self.chosen_directions)}",
-                f"  verdict: {verdict}",
-            ]
-        )
-
-
-def audit_policy_directions(
-    profile: LevelProfile,
-    model: CostModel,
-    directions: Sequence[str],
-    *,
-    tracer: Tracer | None = None,
-    **meta,
-) -> PolicyAuditReport:
-    """Audit an explicit direction sequence against the oracle.
-
-    ``model`` is the *reference* ("truth") cost model both plans are
-    priced on — for a model-driven policy that is how mistuning
-    surfaces: the policy decided on its own (possibly wrong) model, but
-    is billed on the reference one.  Emits a ``tuning.policy_audit``
-    instant event with the verdict.
-    """
-    chosen = tuple(directions)
-    oracle = oracle_directions(profile, model)
-    report = PolicyAuditReport(
-        source=profile.source,
-        chosen_directions=chosen,
-        oracle_directions=oracle,
-        chosen_seconds=price_directions(profile, model, chosen),
-        oracle_seconds=price_directions(profile, model, oracle),
-        arch=model.spec.name,
-        meta=dict(meta),
-    )
-    tr = tracer if tracer is not None else get_tracer()
-    tr.instant(
-        "tuning.policy_audit",
-        source=report.source,
-        arch=report.arch,
-        slowdown=report.slowdown,
-        levels_mistuned=report.levels_mistuned,
-    )
     return report

@@ -66,28 +66,13 @@ class CostModelPolicy:
     the tuned knowledge.  The trade-off mirrors the paper's discussion:
     the rule is as good as the model, whereas (M, N) regression learns
     residual effects the model misses.
-
-    When ``drift_monitor`` is set, every :meth:`audit_traversal` call
-    also folds the verdict into the monitor's rolling per-``family``
-    series, so a live deployment self-reports when its model quietly
-    stops matching the machine (the paper's silent-mistuning failure
-    mode, longitudinally).
     """
 
     model: CostModel
-    drift_monitor: object | None = None
-    family: str = "default"
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, CostModel):
             raise TuningError("CostModelPolicy needs a CostModel")
-        if self.drift_monitor is not None and not hasattr(
-            self.drift_monitor, "observe"
-        ):
-            raise TuningError(
-                "drift_monitor must expose observe() "
-                "(see repro.obs.monitor.DriftMonitor)"
-            )
 
     def direction(self, state: LevelState) -> str:
         """Cheaper predicted direction for this level."""
@@ -117,50 +102,3 @@ class CostModelPolicy:
             predicted_bu_seconds=bu,
         )
         return chosen
-
-    def audit_traversal(self, profile, *, truth=None, tracer=None):
-        """Audit this policy's per-level plan for one measured traversal.
-
-        Replays :meth:`direction` over the levels of ``profile`` (a
-        measured :class:`~repro.bfs.trace.LevelProfile`), then prices
-        the chosen plan against the post-hoc oracle on the ``truth``
-        cost model — by default the policy's own model; pass the model
-        of the machine the run *actually* executed on to expose
-        cross-architecture mistuning.  Returns ``(report, alert)``
-        where ``report`` is a
-        :class:`~repro.obs.monitor.PolicyAuditReport` and ``alert`` is
-        the :class:`~repro.obs.monitor.DriftAlert` raised by the
-        attached ``drift_monitor`` (``None`` without one, or while the
-        series stays within tolerance).
-        """
-        # Imported lazily: obs.monitor prices plans through the arch
-        # stack, and importing it at module load would close the
-        # tuning -> obs -> tuning cycle.
-        from repro.obs.monitor import audit_policy_directions
-
-        truth_model = self.model if truth is None else truth
-        chosen = []
-        for rec in profile.records:
-            state = LevelState(
-                depth=rec.level,
-                frontier_vertices=rec.frontier_vertices,
-                frontier_edges=rec.frontier_edges,
-                num_vertices=profile.num_vertices,
-                num_edges=profile.num_edges,
-                unvisited_vertices=rec.unvisited_vertices,
-            )
-            chosen.append(self.direction(state))
-        report = audit_policy_directions(
-            profile,
-            truth_model,
-            chosen,
-            tracer=tracer,
-            policy_arch=self.model.spec.name,
-            family=self.family,
-        )
-        alert = None
-        if self.drift_monitor is not None:
-            alert = self.drift_monitor.observe(
-                report, family=self.family, arch=truth_model.spec.name
-            )
-        return report, alert

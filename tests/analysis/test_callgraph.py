@@ -1,5 +1,5 @@
 """The whole-program call graph: resolution, fixpoint propagation,
-caching and exports (repro.analysis.callgraph)."""
+extraction and exports (repro.analysis.callgraph)."""
 
 import json
 
@@ -8,14 +8,11 @@ import pytest
 import repro
 from repro.analysis import effects, lint_source
 from repro.analysis.callgraph import (
-    SummaryCache,
     build_project,
     edge_bindings,
     extract_module,
     module_name_for,
     project_from_sources,
-    record_from_dict,
-    record_to_dict,
 )
 from repro.analysis.lint import iter_python_files
 from repro.errors import CallGraphError
@@ -284,11 +281,6 @@ class TestExports:
 
 
 class TestCacheAndRecords:
-    def test_record_round_trip(self):
-        rec = extract_module("m.py", TestFixpoint.CHAIN)
-        back = record_from_dict(record_to_dict(rec))
-        assert back == rec
-
     def test_extraction_walks_each_body_once(self, monkeypatch):
         """The effect summary, the resource acquisitions and the body
         scan share one node list per function definition."""
@@ -320,60 +312,6 @@ class TestCacheAndRecords:
         rec = extract_module("m.py", src)
         assert sorted(walked) == sorted(f.name for f in rec.functions)
         assert sorted(walked) == ["expand", "keep", "level", "scratch"]
-
-    def test_summary_cache_round_trip(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        src_file = tmp_path / "m.py"
-        src_file.write_text(TestFixpoint.CHAIN, encoding="utf-8")
-
-        cache = SummaryCache(cache_file)
-        build_project([src_file], cache=cache)
-        cache.save()
-        assert cache_file.exists()
-
-        # Drop the in-process cache so the disk cache must serve the hit
-        # (simulates a fresh interpreter, e.g. a new CI step).
-        from repro.analysis import callgraph as cg
-
-        cg._MEMORY_CACHE.clear()
-        fresh = SummaryCache(cache_file)
-        p = build_project([src_file], cache=fresh)
-        assert fresh.hits == 1 and fresh.misses == 0
-        assert "parent" in p.summaries[f"{module_name_for(src_file)}.outer"].writes
-
-    def test_version_bump_invalidates_warm_cache(
-        self, tmp_path, monkeypatch
-    ):
-        """A rule/extraction upgrade (ANALYSIS_VERSION bump) must treat
-        every cached record as stale even when file hashes match —
-        stale summaries surviving a rule upgrade would silently pin the
-        old semantics."""
-        from repro.analysis import callgraph as cg
-
-        cache_file = tmp_path / "cache.json"
-        src_file = tmp_path / "m.py"
-        src_file.write_text(TestFixpoint.CHAIN, encoding="utf-8")
-
-        cache = SummaryCache(cache_file)
-        build_project([src_file], cache=cache)
-        cache.save()
-
-        cg._MEMORY_CACHE.clear()
-        warm = SummaryCache(cache_file)
-        build_project([src_file], cache=warm)
-        assert warm.hits == 1 and warm.misses == 0
-
-        # same content, newer analyzer: the warm cache must miss
-        cg._MEMORY_CACHE.clear()
-        monkeypatch.setattr(cg, "ANALYSIS_VERSION", cg.ANALYSIS_VERSION + 1)
-        bumped = SummaryCache(cache_file)
-        build_project([src_file], cache=bumped)
-        assert bumped.hits == 0 and bumped.misses == 1
-        # and the re-extracted record lands under the new key
-        bumped.save()
-        blob = json.loads(cache_file.read_text(encoding="utf-8"))
-        versions = {key.rsplit(":", 1)[1] for key in blob["records"]}
-        assert f"v{cg.ANALYSIS_VERSION}" in versions
 
     def test_build_project_skips_broken_files(self, tmp_path):
         good = tmp_path / "good.py"

@@ -227,8 +227,8 @@ class TestRPR009MetricNames:
         assert v == []
 
     def test_ignores_non_string_first_arg(self):
-        # DriftMonitor.observe(report) / Histogram.observe(value) must
-        # not be mistaken for metric registrations.
+        # An observe() whose first argument is not a string literal,
+        # like Histogram.observe(value), is not a metric registration.
         v = lint_source(
             "monitor.observe(report)\nhist.observe(0.5)\n",
             select=["RPR009"],

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.graph500 import HybridEngine
 from repro.obs.history import HistoryStore, RunRecord
 
 
@@ -105,22 +106,6 @@ class TestMonitorReportAndDrift:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["kind"] == "graph500"
 
-    def test_drift_alerts_on_sustained_mistuning(self, capsys, tmp_path):
-        hist = tmp_path / "runs.jsonl"
-        _seed_history(hist, [1e8] * 4, audit_slowdown=1.8)
-        rc = main(["monitor", "drift", "--history", str(hist)])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "DRIFTING" in out
-        assert "cpu-snb" in out
-
-    def test_drift_clean_on_well_tuned_history(self, capsys, tmp_path):
-        hist = tmp_path / "runs.jsonl"
-        _seed_history(hist, [1e8] * 4, audit_slowdown=1.02)
-        rc = main(["monitor", "drift", "--history", str(hist)])
-        assert rc == 0
-        assert "ok" in capsys.readouterr().out
-
     def test_monitor_without_subcommand_errors(self, capsys):
         assert main(["monitor"]) == 2
 
@@ -156,6 +141,23 @@ class TestRecordedRunsEndToEnd:
         payload = json.loads(capsys.readouterr().out)
         assert "teps" in payload["metrics"]
         assert payload["audit"]["slowdown"] >= 1.0
+
+    def test_bfs_and_graph500_report_the_same_audit(self, capsys):
+        """At the hybrid engine's (M, N), graph500 audits the graph and
+        source that bfs traverses, so both print one verdict."""
+        engine = HybridEngine()
+        audits = []
+        for argv in (
+            [
+                "bfs", "--scale", "10", "--json",
+                "--m", str(engine.m), "--n", str(engine.n),
+            ],
+            ["graph500", "--scale", "10", "--roots", "2", "--json"],
+        ):
+            assert main(argv) == 0
+            audits.append(json.loads(capsys.readouterr().out)["audit"])
+        assert audits[0] is not None
+        assert audits[0] == audits[1]
 
     def test_monitor_record_then_check(self, capsys, tmp_path):
         hist = tmp_path / "runs.jsonl"

@@ -1,4 +1,4 @@
-"""Regression detector and drift monitor on synthetic series.
+"""Regression detector on synthetic series.
 
 The synthetic histories isolate each statistical behaviour: a stable
 noisy series must pass, an injected 2x slowdown must fail with the
@@ -14,12 +14,10 @@ from repro.errors import MonitorError
 from repro.obs.history import RunRecord
 from repro.obs.monitor import (
     DEFAULT_POLICIES,
-    DriftMonitor,
     MetricPolicy,
     detect_regressions,
     flatten_metrics,
 )
-from repro.obs.tracer import Tracer
 
 
 def _run(teps, *, workload="rmat-s10", levels=25.0, audit=None):
@@ -164,78 +162,3 @@ class TestDetectRegressions:
     def test_default_policies_cover_the_emitted_names(self):
         for name in ("run.teps", "audit.slowdown", "bfs.edges_examined"):
             assert name in DEFAULT_POLICIES
-
-
-class TestDriftMonitor:
-    def test_stable_series_never_alerts(self):
-        mon = DriftMonitor(window=4, tolerance=1.25, min_runs=3)
-        for _ in range(10):
-            assert mon.observe(1.05, family="rmat", arch="cpu") is None
-        assert mon.alerts == ()
-
-    def test_drifting_series_alerts_after_min_runs(self):
-        mon = DriftMonitor(window=4, tolerance=1.25, min_runs=3)
-        assert mon.observe(1.6) is None
-        assert mon.observe(1.6) is None
-        alert = mon.observe(1.6)
-        assert alert is not None
-        assert alert.mean_slowdown == pytest.approx(1.6)
-        assert alert.runs == 3
-        assert "DRIFT ALERT" in alert.render()
-
-    def test_window_forgets_old_mistuning(self):
-        mon = DriftMonitor(window=3, tolerance=1.25, min_runs=3)
-        for _ in range(3):
-            mon.observe(2.0)
-        assert mon.alerts  # drifted
-        for _ in range(3):
-            pass
-        recovered = [mon.observe(1.0) for _ in range(3)]
-        assert recovered[-1] is None  # window now all-clean
-
-    def test_series_keyed_by_family_and_arch(self):
-        mon = DriftMonitor(min_runs=2, tolerance=1.25)
-        mon.observe(2.0, family="rmat", arch="cpu")
-        assert mon.observe(2.0, family="web", arch="cpu") is None  # other series
-        assert mon.series("rmat", "cpu") == (2.0,)
-        assert mon.observe(2.0, family="rmat", arch="cpu") is not None
-
-    def test_accepts_report_like_and_dict_verdicts(self):
-        class Verdictish:
-            slowdown = 1.9
-
-        mon = DriftMonitor(min_runs=2, tolerance=1.25)
-        mon.observe(Verdictish())
-        alert = mon.observe({"slowdown": 1.9})
-        assert alert is not None
-
-    def test_emits_instant_and_counter_on_alert(self):
-        tracer = Tracer()
-        mon = DriftMonitor(min_runs=2, tolerance=1.25, tracer=tracer)
-        mon.observe(2.0)
-        mon.observe(2.0)
-        events = [e for e in tracer.events() if e.name == "tuning.drift_alert"]
-        assert len(events) == 1
-        snap = tracer.metrics.snapshot()["tuning.drift_alerts"]
-        assert snap["value"] == 1.0
-
-    def test_state_summary(self):
-        mon = DriftMonitor(min_runs=2, tolerance=1.25)
-        mon.observe(2.0, family="rmat", arch="cpu")
-        mon.observe(2.0, family="rmat", arch="cpu")
-        state = mon.state()["rmat/cpu"]
-        assert state["runs"] == 2
-        assert state["drifting"] is True
-
-    def test_invalid_inputs(self):
-        mon = DriftMonitor()
-        with pytest.raises(MonitorError):
-            mon.observe(0.5)  # slowdown < 1 is impossible by construction
-        with pytest.raises(MonitorError):
-            mon.observe("fast")
-        with pytest.raises(MonitorError):
-            DriftMonitor(tolerance=0.9)
-        with pytest.raises(MonitorError):
-            DriftMonitor(window=0)
-        with pytest.raises(MonitorError):
-            DriftMonitor(min_runs=0)

@@ -26,6 +26,16 @@ class TestParser:
         assert args.candidates == 1000
         assert args.save is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["monitor", "drift"], ["callgraph", "--cache", "x.json"]],
+        ids=["monitor-drift", "callgraph-cache"],
+    )
+    def test_removed_drift_and_cache_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestMain:
     def test_list(self, capsys):
