@@ -4,9 +4,13 @@ These are the kernels as they stood before the allocation-free datapath
 landed: per-call output arrays, sort-based ``np.unique`` claim, a full
 ``parent < 0`` rescan plus whole-row scan per bottom-up level, and a
 dense boolean frontier mask rebuilt with ``fill(False)`` every level.
-Beside them sits the two-phase bottom-up row scan that the
-growing-window scan replaced.  ``bench_kernels.py`` times them against
-the current engines and records the ratios in ``BENCH_kernels.json``.
+Beside them sit the two-phase bottom-up row scan that the
+growing-window scan replaced, and the bottom-up level's three pieces
+from before the probe columns: the growing-window scan whose first
+window was one ragged gather, the ``np.bitwise_or.at`` frontier load
+and the two-step unvisited build.  ``bench_kernels.py`` times them
+against the current engines and records the ratios in
+``BENCH_kernels.json``.
 
 Do not import from application code — this module exists only so the
 speedup claims stay measurable after the old code paths are gone.
@@ -219,3 +223,71 @@ def legacy_two_phase_scan(graph, deg, starts, in_frontier, workspace):
         first_local[surv] = np.where(found2, fl2, -1)
         inspected += int(np.where(found2, fl2 + 1 - window, sdeg).sum())
     return found, first_local, inspected
+
+
+def legacy_growing_window_scan(graph, deg, starts, in_frontier, workspace):
+    """The growing-window row scan before the probe columns.
+
+    Every round, the first included, gathers a ragged window of each
+    row still searching: 4 entries, then 16, 64, ...  Takes a frontier
+    :class:`~repro.graph.bitmap.Bitmap` and rows of degree > 0; returns
+    ``(found, first_local, inspected)``.
+    """
+    targets = graph.targets
+    window = 4
+    found = first_local = live = None
+    inspected = 0
+    offset = 0
+    remaining = deg
+    cursor = starts
+    while True:
+        count = np.minimum(remaining, window)
+        seg = workspace.buffer("legacy-seg", count.size + 1, np.int64)
+        seg[0] = 0
+        np.cumsum(count, out=seg[1:])
+        k = int(seg[-1])
+        pos = np.repeat(cursor - seg[:-1], count)
+        pos += workspace.iota(k)
+        hits = in_frontier.test_many(targets[pos], checked=False)
+        big = np.int64(k)
+        mins = np.minimum.reduceat(
+            np.where(hits, workspace.iota(k), big), seg[:-1]
+        )
+        hit = mins < big
+        pos = mins - seg[:-1]
+        inspected += int(np.where(hit, pos + 1, count).sum())
+        if live is None:
+            found, first_local = hit, pos
+        else:
+            won = live[hit]
+            found[won] = True
+            first_local[won] = pos[hit] + offset
+        more = ~hit & (remaining > window)
+        if not more.any():
+            return found, first_local, inspected
+        live = np.flatnonzero(more) if live is None else live[more]
+        remaining = remaining[more] - window
+        cursor = cursor[more] + window
+        offset += window
+        window *= 4
+
+
+def legacy_bottom_up_level(graph, bits, frontier, parent, level, depth, workspace):
+    """One bottom-up level from the three frozen pieces: load
+    ``frontier`` into the cleared ``bits`` with one
+    ``np.bitwise_or.at``, build the unvisited list with
+    ``flatnonzero`` and a degree filter, scan it with
+    :func:`legacy_growing_window_scan` and claim.  Returns
+    ``(winners, edges_checked)``."""
+    bit = np.uint64(1) << (frontier & 63).astype(np.uint64)
+    np.bitwise_or.at(bits.words, frontier >> 6, bit)
+    rows = np.flatnonzero(parent < 0)
+    rows = rows[graph.degrees[rows] > 0]
+    starts = graph.offsets[rows]
+    found, first_local, inspected = legacy_growing_window_scan(
+        graph, graph.degrees[rows], starts, bits, workspace
+    )
+    winners = rows[found]
+    parent[winners] = graph.targets[(starts + first_local)[found]]
+    level[winners] = depth + 1
+    return winners, inspected

@@ -4,21 +4,22 @@ Each unvisited vertex scans its own adjacency list for *any* member of
 the current queue and, on the first hit, claims that neighbour as its
 parent and stops.  The vectorized kernel tests adjacency entries
 against a packed frontier bitmap (or a dense boolean mask) and locates
-the first hit per vertex with a segmented min, so the number of entries
-*inspected* (with early termination) is computed exactly — matching
-what a scalar implementation would touch.
+the first hit per vertex, column by column and then with a segmented
+min, so the number of entries *inspected* (with early termination) is
+computed exactly — matching what a scalar implementation would touch.
 
-The scan runs in rounds of growing windows to exploit the early exit
-the paper's Algorithm 2 relies on: in dense mid-traversal levels most
-unvisited vertices find a parent within their first few neighbours, so
-the first round gathers only a small *window* of each adjacency list
-(``window`` entries), and each later round gathers the next window,
-``SCAN_WINDOW_GROWTH`` times wider, only for the rows still without a
-hit.  A row leaves at its first hit or at its row end, so the entries
-gathered track the entries inspected even for rows that search deep.
-Winners, parents and inspected counts are bit-identical to a whole-row
-scan — the first hit in the earliest window is the first hit in the
-row.
+The scan exploits the early exit the paper's Algorithm 2 relies on: in
+dense mid-traversal levels most unvisited vertices find a parent
+within their first few neighbours.  So it first *probes* each row's
+first ``window`` entries one column at a time — probe ``j`` gathers
+entry ``j`` of every row still searching, a fixed-width gather with no
+ragged bookkeeping — and then runs rounds of growing windows, each
+gathering the next window, ``SCAN_WINDOW_GROWTH`` times wider (16, 64,
+... entries), only for the rows still without a hit.  A row leaves at
+its first hit or at its row end, so the entries gathered track the
+entries inspected even for rows that search deep.  Winners, parents
+and inspected counts are bit-identical to a whole-row scan — the first
+hit in the earliest window is the first hit in the row.
 
 Two work figures matter and both are reported:
 
@@ -53,11 +54,11 @@ __all__ = ["bfs_bottom_up", "bottom_up_step"]
 #: gathers that many entries at once.
 DEFAULT_CHUNK_ENTRIES = 1 << 26
 
-#: Entries of each adjacency list gathered in the first scan round.
-#: Mid-traversal levels resolve the vast majority of rows within the
-#: first handful of neighbours (the early exit the paper leans on), so
-#: a small window keeps the first gather near the *inspected* count
-#: rather than the full unvisited degree sum.
+#: Leading entries of each adjacency list probed one column at a time,
+#: before the ragged rounds.  Mid-traversal levels resolve the vast
+#: majority of rows within the first handful of neighbours (the early
+#: exit the paper leans on), so a few probes keep the gathered entries
+#: near the *inspected* count rather than the unvisited degree sum.
 DEFAULT_SCAN_WINDOW = 4
 
 #: Each scan round's window is this many times the previous one's, so
@@ -77,14 +78,20 @@ def _frontier_hits(in_frontier, neighbours: np.ndarray) -> np.ndarray:
     return in_frontier[neighbours]
 
 
+def _scratch(
+    workspace: BFSWorkspace | None, name: str, size: int, dtype
+) -> np.ndarray:
+    """A workspace scratch buffer, or a fresh array on the cold path."""
+    if workspace is not None:
+        return workspace.buffer(name, size, dtype)
+    return np.empty(size, dtype=dtype)  # repro: noqa[RPR007] — cold path, O(rows) bookkeeping
+
+
 def _cumsum0(
     counts: np.ndarray, workspace: BFSWorkspace | None, name: str
 ) -> np.ndarray:
     """Cumulative segment starts ``[0, c0, c0+c1, ...]`` of ``counts``."""
-    if workspace is not None:
-        seg = workspace.buffer(name, counts.size + 1, np.int64)
-    else:
-        seg = np.empty(counts.size + 1, dtype=np.int64)  # repro: noqa[RPR007] — cold path, O(rows) bookkeeping
+    seg = _scratch(workspace, name, counts.size + 1, np.int64)
     seg[0] = 0
     np.cumsum(counts, out=seg[1:])
     return seg
@@ -106,20 +113,42 @@ def _row_scan(
     whether row ``i`` has a frontier neighbour, ``first_local[i]`` is
     the within-row position of the first one (undefined where not
     found), and ``inspected`` is the exact early-termination entry
-    count.  Every row must have ``deg > 0``.
+    count.  Every row must have ``deg > 0``.  With a workspace, both
+    arrays are the calling thread's scratch, valid until its next scan.
 
-    The scan runs in rounds: the first gathers ``window`` entries of
-    every row, and each later round gathers the next window,
-    ``SCAN_WINDOW_GROWTH`` times wider, of the rows that have neither
-    hit nor reached their row end.
+    The first ``window`` entries are probed one column at a time: probe
+    ``j`` tests entry ``j`` of every row still searching, and a row
+    leaves at its first hit or its row end.  The rows left then search
+    in ragged rounds: each gathers the next window,
+    ``SCAN_WINDOW_GROWTH`` times wider than the last (16, 64, ...
+    entries after the 4 probes), of the rows that have neither hit nor
+    reached their row end.
     """
     targets = graph.targets
-    found = first_local = live = None
+    found = _scratch(workspace, "bu-found", rows.size, np.bool_)
+    found.fill(False)
+    first_local = _scratch(workspace, "bu-first", rows.size, np.int64)
     inspected = 0
-    offset = 0  # within-row position of this round's window
-    remaining = deg
+    live = None  # positions in ``rows`` still searching; None: every row
+    remaining = deg  # entries from ``cursor`` to the row end
     cursor = starts
+    for j in range(window):
+        inspected += cursor.size
+        hit = _frontier_hits(in_frontier, targets[cursor])
+        won = np.flatnonzero(hit)
+        if live is not None:
+            won = live[won]
+        found[won] = True
+        first_local[won] = j
+        keep = np.flatnonzero(~hit & (remaining > 1))
+        if keep.size == 0:
+            return found, first_local, inspected
+        live = keep if live is None else live[keep]
+        remaining = remaining[keep] - 1
+        cursor = cursor[keep] + 1
+    offset = window  # within-row position of this round's window
     while True:
+        window *= SCAN_WINDOW_GROWTH
         count = np.minimum(remaining, window)
         seg = _cumsum0(count, workspace, "bu-seg")
         k = int(seg[-1])
@@ -132,20 +161,16 @@ def _row_scan(
         hit = mins < big
         pos = mins - seg[:-1]
         inspected += int(np.where(hit, pos + 1, count).sum())
-        if live is None:
-            found, first_local = hit, pos
-        else:
-            won = live[hit]
-            found[won] = True
-            first_local[won] = pos[hit] + offset
+        won = live[hit]
+        found[won] = True
+        first_local[won] = pos[hit] + offset
         more = ~hit & (remaining > window)
         if not more.any():
             return found, first_local, inspected
-        live = np.flatnonzero(more) if live is None else live[more]
+        live = live[more]
         remaining = remaining[more] - window
         cursor = cursor[more] + window
         offset += window
-        window *= SCAN_WINDOW_GROWTH
 
 
 def bottom_up_step(

@@ -144,8 +144,7 @@ class BFSWorkspace:
         bottom-up scan and would only pad every segmented kernel.
         """
         if self._unv is None:
-            ids = np.flatnonzero(parent < 0)
-            ids = ids[graph.degrees[ids] > 0]
+            ids = np.flatnonzero((parent < 0) & (graph.degrees > 0))
             self._unv_backing = ids
             self._unv = ids
         return self._unv

@@ -772,7 +772,6 @@ def _append_history(
 
 def _cmd_graph500(args: argparse.Namespace) -> int:
     from repro.bfs import bfs_bottom_up, bfs_top_down, pick_sources
-    from repro.graph import rmat
     from repro.graph500 import HybridEngine, run_graph500
     from repro.obs import Tracer, use_tracer
 
@@ -801,13 +800,13 @@ def _cmd_graph500(args: argparse.Namespace) -> int:
             seed=args.seed,
             tracer=tracer,
         )
-        # Audit the engine's (M, N) on the same kernel-1 graph, which
-        # run_graph500 does not return.
+        # Audit the engine's (M, N) on the kernel-1 graph it ran on.
         report = None
         if hybrid and not args.no_audit:
-            graph = rmat(args.scale, args.edgefactor, seed=args.seed)
-            source = int(pick_sources(graph, 1, seed=args.seed)[0])
-            report = _audit(args, graph, source, engine.m, engine.n, count=300)
+            source = int(pick_sources(result.graph, 1, seed=args.seed)[0])
+            report = _audit(
+                args, result.graph, source, engine.m, engine.n, count=300
+            )
 
     payload = {
         "scale": result.scale,
@@ -1106,7 +1105,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def _cmd_monitor_record(args: argparse.Namespace) -> int:
     from repro.bfs import pick_sources
-    from repro.graph import rmat
     from repro.graph500 import HybridEngine, run_graph500
     from repro.obs import Tracer, use_tracer
 
@@ -1122,10 +1120,10 @@ def _cmd_monitor_record(args: argparse.Namespace) -> int:
             seed=args.seed,
             tracer=tracer,
         )
-        graph = rmat(args.scale, args.edgefactor, seed=args.seed)
-        source = int(pick_sources(graph, 1, seed=args.seed)[0])
+        source = int(pick_sources(result.graph, 1, seed=args.seed)[0])
         report = _audit(
-            args, graph, source, args.m, args.n, count=args.audit_candidates
+            args, result.graph, source, args.m, args.n,
+            count=args.audit_candidates,
         )
     record = _append_history(
         args.history,

@@ -146,13 +146,23 @@ class Bitmap:
     # -- bulk operations --------------------------------------------------
 
     def set_many(self, indices: np.ndarray) -> None:
-        """Set every bit listed in ``indices`` (duplicates allowed)."""
+        """Set every bit listed in ``indices`` (duplicates allowed).
+
+        Each word's bits are OR-ed by one ``bitwise_or.reduceat`` over
+        the run of indices that fall in it, so unsorted input is sorted
+        first; BFS frontiers arrive ascending and skip the sort.
+        """
         indices = self._check_indices(indices)
         if indices.size == 0:
             return
+        if (indices[1:] < indices[:-1]).any():
+            indices = np.sort(indices)
         word_idx = indices >> _WORD_SHIFT
         bit = np.uint64(1) << (indices & _WORD_MASK).astype(np.uint64)
-        np.bitwise_or.at(self.words, word_idx, bit)
+        heads = np.flatnonzero(
+            np.concatenate(([True], word_idx[1:] != word_idx[:-1]))
+        )
+        self.words[word_idx[heads]] |= np.bitwise_or.reduceat(bit, heads)
 
     def clear_many(self, indices: np.ndarray) -> None:
         """Clear every bit listed in ``indices``."""

@@ -103,6 +103,8 @@ class Graph500Result:
     teps: np.ndarray
     roots: np.ndarray
     validated: bool
+    #: The kernel-1 graph the roots were traversed on.
+    graph: CSRGraph = field(repr=False, compare=False)
     time_stats: Stats = field(init=False)
     teps_stats: Stats = field(init=False)
 
@@ -221,4 +223,5 @@ def run_graph500(
         teps=teps,
         roots=roots,
         validated=validate,
+        graph=graph,
     )

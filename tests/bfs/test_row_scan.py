@@ -1,13 +1,17 @@
 """The bottom-up row scan against a scalar per-row loop.
 
-``_row_scan`` searches each row in rounds of growing windows (4, 16,
+``_row_scan`` probes each row's first 4 entries one column at a time,
+then searches the rows left in ragged rounds of growing windows (16,
 64, ... entries), so its bookkeeping has an edge at every window end:
 cumulative row positions 4, 20, 84, 340, ...  The scalar loop here is
 the reference: each row is read entry by entry until its first frontier
 member.  The scan must agree on whether a row has a hit, on the
 position of its first hit and on the total number of entries inspected;
 ``bottom_up_step`` must agree on parents, levels, the next frontier and
-``edges_checked``.
+``edges_checked``.  ``TestProbes`` covers the probe columns: a first
+hit in each of them, scans that end inside them, a single row that
+outlives them, and the workspace's ``found`` scratch reused by a
+second scan.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bfs._gather import gather_segments
 from repro.bfs.bottomup import (
     DEFAULT_CHUNK_ENTRIES,
     DEFAULT_SCAN_WINDOW,
@@ -224,6 +229,75 @@ class TestTable:
         check_bottom_up_step(
             graph, member, parent, level, chunk_entries=chunk_entries
         )
+
+
+# -- the probe columns -------------------------------------------------------
+
+
+#: Degrees of rows that end inside the probes or at the first ragged entry.
+PROBE_DEGREES = (1, 2, 3, 4, 5)
+
+
+def _no_ragged_round(*args, **kwargs):
+    raise AssertionError("the scan reached a ragged round")
+
+
+class TestProbes:
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_first_hit_at_each_probe_column(self, workspace):
+        """Rows of degree 1-5 with their first hit at each column and
+        at position 4 (the first ragged entry), and with no hit."""
+        rows = [Row(d) for d in PROBE_DEGREES] + [
+            Row(d, hits=(p,)) for d in PROBE_DEGREES for p in range(d)
+        ]
+        graph, member = build(rows)
+        ws = BFSWorkspace.for_graph(graph) if workspace else None
+        check_row_scan(graph, np.arange(len(rows)), member, ws)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [Row(d, hits=(0,)) for d in (1, 2, 5, 30, 400)],
+            [Row(d) for d in (1, 2, 3, 4, 4, 1)],
+        ],
+        ids=["all-hit-at-column-0", "all-end-without-a-hit"],
+    )
+    def test_scan_ends_inside_the_probes(self, rows, monkeypatch):
+        monkeypatch.setattr(
+            "repro.bfs.bottomup.gather_segments", _no_ragged_round
+        )
+        graph, member = build(rows)
+        check_row_scan(
+            graph, np.arange(len(rows)), member,
+            BFSWorkspace.for_graph(graph),
+        )
+
+    @pytest.mark.parametrize("late", [Row(90, hits=(87,)), Row(90)])
+    def test_one_row_survives_the_probes(self, late, monkeypatch):
+        rounds = []
+
+        def spy(targets, starts, counts, *args):
+            rounds.append(counts.size)
+            return gather_segments(targets, starts, counts, *args)
+
+        monkeypatch.setattr("repro.bfs.bottomup.gather_segments", spy)
+        rows = [Row(3, hits=(j,)) for j in range(3)] + [Row(2), Row(4)]
+        rows.insert(2, late)
+        graph, member = build(rows)
+        check_row_scan(
+            graph, np.arange(len(rows)), member,
+            BFSWorkspace.for_graph(graph),
+        )
+        # Windows 16, 64 and 256 (entries 84-89), per frontier form.
+        assert rounds == [1, 1, 1] * 2
+
+    def test_found_is_reset_between_scans(self):
+        """A second scan on one workspace, over more rows and with no
+        hit, must not see the first scan's ``found`` flags."""
+        graph, member = build([Row(3, hits=(1,))] * 40 + [Row(6)] * 90)
+        ws = BFSWorkspace.for_graph(graph)
+        check_row_scan(graph, np.arange(40), member, ws)
+        check_row_scan(graph, np.arange(40, 130), member, ws)
 
 
 # -- random graphs -----------------------------------------------------------

@@ -258,6 +258,20 @@ class TestBitmapFastPaths:
         assert bits.count() == 0
 
 
+class TestUnvisitedIds:
+    def test_matches_two_step_build(self, rng):
+        """One mask over ``parent`` and ``degrees`` gives the list the
+        ``flatnonzero``-then-degree-filter build gave."""
+        graph = rmat(10, 4, seed=1)
+        assert (graph.degrees == 0).sum() > 100
+        parent = np.where(rng.random(graph.num_vertices) < 0.4, 0, -1)
+        want = np.flatnonzero(parent < 0)
+        want = want[graph.degrees[want] > 0]
+        got = BFSWorkspace.for_graph(graph).unvisited_ids(graph, parent)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 # -- parallel engine lifecycle ----------------------------------------------
 
 
