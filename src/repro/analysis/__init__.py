@@ -6,11 +6,13 @@ Five coordinated correctness tools (see ``docs/static_analysis.md``):
   codebase-specific rules (``RPR001`` … ``RPR024``) and line-level
   ``# repro: noqa[RULE]`` suppression; the repo lints itself as a
   tier-1 test.  Rules ``RPR010+`` are *deep* rules that run under
-  ``repro-bfs lint --deep``.
+  ``repro-bfs lint --deep``.  Each file is parsed once: the dataflow,
+  effect and call-graph passes below read that one
+  :class:`ModuleContext`.
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` — an
   abstract interpreter (dtype/shape lattice, workspace alias analysis,
   and the ``ParallelBFS`` / ``BFSWorkspace`` lifecycle rules
-  ``RPR023``/``RPR024``) and per-function read/write/escape/close/reset
+  ``RPR023``/``RPR024``) and per-function write/raise/close/reset
   effect summaries.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.program` —
   whole-program analysis: a project-wide call graph with import-aware
@@ -45,7 +47,6 @@ from repro.analysis.lint import (
     deep_rule_codes,
     format_json,
     format_text,
-    lint_file,
     lint_paths,
     lint_source,
 )
@@ -90,7 +91,6 @@ __all__ = [
     "Violation",
     "ModuleContext",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "deep_rule_codes",
     "changed_python_files",

@@ -4,9 +4,10 @@ effect propagation.
 :mod:`repro.analysis.effects` summarizes one function at a time.  This
 module lifts those summaries to the whole program:
 
-1. **Extraction** (per module): parse each file once, walk each
-   function body once, and record an import table, the class/method
-   layout, per-function
+1. **Extraction** (per module): read the lint's parsed
+   :class:`~repro.analysis.lint.ModuleContext` (no second parse), walk
+   each function body once, and record an import table, the
+   class/method layout, per-function
    :class:`~repro.analysis.effects.FunctionEffects` base summaries,
    thread-pool dispatch sites, array writes, resource acquisitions
    (``ParallelBFS()``, executors) and a lightweight
@@ -24,8 +25,8 @@ module lifts those summaries to the whole program:
    effect-free and non-raising — the optimism
    :mod:`repro.analysis.effects` documents.
 3. **Fixpoint**: a worklist iterates over the resolved edges until
-   per-function writes/escapes/raises/workspace-write and close/reset
-   facts stop changing.  The lattice is the finite powerset of names
+   per-function writes/raises/workspace-write and close/reset facts
+   stop changing.  The lattice is the finite powerset of names
    mentioned in the program and every transfer is monotone, so the
    iteration terminates; recursion (direct or mutual) simply
    converges, and a generous round cap widens defensively.
@@ -34,8 +35,8 @@ The resulting :class:`Project` answers the queries the whole-program
 rules (:mod:`repro.analysis.program`, RPR013–RPR017 and RPR019; the
 lifecycle rules RPR023/RPR024 in :mod:`repro.analysis.dataflow`) and the
 ``repro-bfs callgraph`` CLI need: ``who_writes("workspace.parent")``,
-transitive reachability, strongly-connected components through
-hot-path modules, and DOT/JSON exports.
+transitive callers, strongly-connected components through hot-path
+modules, and DOT/JSON exports.
 """
 
 from __future__ import annotations
@@ -49,8 +50,13 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis import effects as fx
-from repro.analysis.lint import is_hot_path
-from repro.errors import CallGraphError
+from repro.analysis.lint import (
+    ModuleContext,
+    NodeIndex,
+    parse_module,
+    read_module,
+)
+from repro.errors import CallGraphError, LintError
 
 __all__ = [
     "CallEdge",
@@ -60,6 +66,8 @@ __all__ = [
     "Project",
     "build_project",
     "project_from_sources",
+    "extract_module",
+    "module_record",
     "edge_bindings",
 ]
 
@@ -151,7 +159,7 @@ class ModuleRecord:
 
     module: str
     path: str
-    sha: str
+    hot: bool
     imports: tuple[tuple[str, str], ...]
     classes: tuple[ClassInfo, ...]
     functions: tuple[FunctionInfo, ...]
@@ -224,9 +232,10 @@ def module_name_for(path: Path) -> str:
     return ".".join(reversed(parts)) or path.stem
 
 
-def _import_table(tree: ast.Module, module: str) -> dict[str, str]:
+def _import_table(index: NodeIndex, module: str) -> dict[str, str]:
+    # Walk order, so a name bound twice resolves to its last binding.
     table: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in index.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -511,19 +520,15 @@ def _extract_acquisitions(
     return tuple(acqs), tuple(temps)
 
 
-def extract_module(path: str | Path, source: str) -> ModuleRecord:
-    """Phase-1 extraction of one module (pure function of the source)."""
-    p = Path(path)
+def extract_module(ctx: ModuleContext) -> ModuleRecord:
+    """Phase-1 extraction of one parsed module (pure function of the
+    context: its source, path and hot-path flag)."""
+    p = Path(ctx.path)
     module = module_name_for(p)
-    try:
-        tree = ast.parse(source, filename=str(p))
-    except SyntaxError as exc:
-        raise CallGraphError(f"{p}: cannot parse: {exc}") from exc
-    sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    imports = _import_table(tree, module)
+    imports = _import_table(ctx.index, module)
     import_names = frozenset(imports)
-    ws_method_ids = fx._workspace_classes(tree)
-    hot = is_hot_path(str(p))
+    ws_method_ids = fx.workspace_methods(ctx)
+    hot = ctx.hot_path
 
     classes: list[ClassInfo] = []
     functions: list[FunctionInfo] = []
@@ -603,11 +608,11 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
                             *getattr(node, "cases", ())):
                     visit(sub.body, prefix, cls, nested)
 
-    visit(tree.body, (), None)
+    visit(ctx.tree.body, (), None)
     return ModuleRecord(
         module=module,
         path=str(p),
-        sha=sha,
+        hot=hot,
         imports=tuple(sorted(imports.items())),
         classes=tuple(classes),
         functions=tuple(functions),
@@ -621,9 +626,7 @@ def _summary_to_dict(s: fx.FunctionEffects) -> dict:
     return {
         "name": s.name,
         "params": list(s.params),
-        "reads": sorted(s.reads),
         "writes": sorted(s.writes),
-        "escapes": sorted(s.escapes),
         "calls": [
             [c.callee, list(c.args), [list(kv) for kv in c.kwargs],
              c.line, c.col, c.maybe]
@@ -643,6 +646,19 @@ def _summary_to_dict(s: fx.FunctionEffects) -> dict:
 #: In-process extraction cache shared by every Project built in one
 #: interpreter (the lint self-tests build the same package repeatedly).
 _MEMORY_CACHE: dict[str, ModuleRecord] = {}
+
+
+def module_record(ctx: ModuleContext) -> ModuleRecord:
+    """:func:`extract_module`, memoized by the source's SHA-256.
+
+    A cached record is reused only for the same path and hot-path flag:
+    both shape the record, and neither is part of the content hash.
+    """
+    sha = hashlib.sha256(ctx.source.encode("utf-8")).hexdigest()
+    rec = _MEMORY_CACHE.get(sha)
+    if rec is None or (rec.path, rec.hot) != (str(Path(ctx.path)), ctx.hot_path):
+        rec = _MEMORY_CACHE[sha] = extract_module(ctx)
+    return rec
 
 
 # -- phase 2: resolution + fixpoint ---------------------------------------
@@ -838,7 +854,6 @@ class Project:
         state = {
             q: {
                 "writes": set(s.writes),
-                "escapes": set(s.escapes),
                 "raises": s.raises,
                 "ws_writes": set(s.ws_writes),
                 "returns_ws": s.returns_ws,
@@ -881,12 +896,6 @@ class Project:
                 for param, arg in bindings:
                     if param in callee_state["writes"] and arg not in s["writes"]:
                         s["writes"].add(arg)
-                        changed = True
-                    if (
-                        param in callee_state["escapes"]
-                        and arg not in s["escapes"]
-                    ):
-                        s["escapes"].add(arg)
                         changed = True
                     # A callee that closes or resets its parameter does
                     # so to the caller's parameter bound there; a close
@@ -934,7 +943,6 @@ class Project:
             q: replace(
                 base[q],
                 writes=frozenset(state[q]["writes"]),
-                escapes=frozenset(state[q]["escapes"]),
                 raises=state[q]["raises"],
                 ws_writes=frozenset(state[q]["ws_writes"]),
                 returns_ws=state[q]["returns_ws"],
@@ -960,20 +968,6 @@ class Project:
         return sorted(
             q for q, s in self.summaries.items() if target in s.writes
         )
-
-    def reachable_from(self, qname: str) -> set[str]:
-        """Transitive callees of ``qname`` (resolved edges only)."""
-        if qname not in self.functions:
-            raise CallGraphError(f"unknown function {qname!r}")
-        seen: set[str] = set()
-        stack = [qname]
-        while stack:
-            cur = stack.pop()
-            for edge in self._edges_by_caller.get(cur, ()):
-                if edge.callee is not None and edge.callee not in seen:
-                    seen.add(edge.callee)
-                    stack.append(edge.callee)
-        return seen
 
     def callers_of(self, qname: str) -> set[str]:
         """Transitive callers of ``qname`` (reverse reachability)."""
@@ -1129,7 +1123,11 @@ def project_from_sources(
     is for tests and single-file analysis where the caller already
     validated the source.
     """
-    return Project([extract_module(p, src) for p, src in pairs])
+    try:
+        contexts = [parse_module(src, str(p)) for p, src in pairs]
+    except LintError as exc:
+        raise CallGraphError(str(exc)) from exc
+    return Project([module_record(ctx) for ctx in contexts])
 
 
 def build_project(files: Iterable[str | Path]) -> Project:
@@ -1142,20 +1140,12 @@ def build_project(files: Iterable[str | Path]) -> Project:
     """
     records: list[ModuleRecord] = []
     for entry in files:
-        p = Path(entry)
         try:
-            source = p.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
+            module = read_module(Path(entry))
+        except LintError:
             continue
-        sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        rec = _MEMORY_CACHE.get(sha)
-        if rec is None or rec.path != str(p):
-            try:
-                rec = extract_module(p, source)
-            except CallGraphError:
-                continue
-        _MEMORY_CACHE[sha] = rec
-        records.append(rec)
+        if isinstance(module, ModuleContext):
+            records.append(module_record(module))
     if not records:
         raise CallGraphError("no parsable Python inputs for the call graph")
     return Project(records)

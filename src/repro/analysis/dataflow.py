@@ -71,9 +71,12 @@ from typing import Iterator
 from repro.analysis.callgraph import CallEdge, edge_bindings
 from repro.analysis.effects import (
     CLOSE_METHODS,
+    MUTATING_METHODS,
     WS_PARAM_NAMES,
     FunctionEffects,
     _dotted_name,
+    _workspace_params,
+    workspace_methods,
 )
 from repro.analysis.lint import ModuleContext, rule
 from repro.analysis.program import _project_for
@@ -217,8 +220,6 @@ class DataflowReport:
 
 # -- the interpreter ------------------------------------------------------
 
-_MUTATING_METHODS = {"fill", "sort", "resize", "put", "partition",
-                     "setfield", "byteswap"}
 #: Container methods that store their argument (a result escapes).
 _STORE_METHODS = {"append", "add", "extend", "insert", "put",
                   "setdefault", "update"}
@@ -292,21 +293,12 @@ class _FunctionInterpreter:
         self._finish_dead_stores()
 
     def _seed_params(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        ws_params = _workspace_params(
+            fn, self_is_workspace=self.self_is_workspace
+        )
         a = fn.args
         for p in (*a.posonlyargs, *a.args, *a.kwonlyargs):
-            ann = getattr(p, "annotation", None)
-            ann_name = None
-            if isinstance(ann, ast.Name):
-                ann_name = ann.id
-            elif isinstance(ann, ast.Attribute):
-                ann_name = ann.attr
-            elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                ann_name = ann.value.strip().split(".")[-1].split(" ")[0]
-            if (
-                p.arg in WS_PARAM_NAMES
-                or ann_name == "BFSWorkspace"
-                or (p.arg == "self" and self.self_is_workspace)
-            ):
+            if p.arg in ws_params:
                 self.env[p.arg] = AbstractValue(kind="workspace", rid=id(p))
             elif p.arg in ("parent", "level", "cand_parent", "frontier",
                            "unvisited"):
@@ -837,7 +829,7 @@ class _FunctionInterpreter:
         self, node: ast.Call, fn: ast.Attribute, dtype_kw: ast.expr | None
     ) -> AbstractValue:
         attr = fn.attr
-        if attr in _MUTATING_METHODS:
+        if attr in MUTATING_METHODS:
             # buf.fill(x) writes buf's contents without reading them
             base = self._eval_store_base(fn.value)
         else:
@@ -890,7 +882,7 @@ class _FunctionInterpreter:
                 if rec["var"] == recv:
                     rec["done"] = True
             return base
-        if attr in _MUTATING_METHODS:
+        if attr in MUTATING_METHODS:
             self.record_write(
                 node, base, args[0] if args else UNKNOWN, target_name=recv
             )
@@ -1046,8 +1038,6 @@ def _resolved_calls(
     """``fn``'s resolved call edges in the lint run's project, keyed by
     callee spelling and line, each with its callee's fixpoint summary."""
     project = _project_for(ctx)
-    if project is None:
-        return {}
     path = str(Path(ctx.path))
     qname = next(
         (
@@ -1070,23 +1060,10 @@ def analyze(ctx: ModuleContext) -> DataflowReport:
     """Interpret every function in ``ctx`` once; results are cached per
     context so the three deep rules share one interpretation."""
     report = DataflowReport()
-    workspace_classes = {
-        node.name
-        for node in ctx.nodes(ast.ClassDef)
-        if node.name == "BFSWorkspace"
-    }
-
-    def class_of(fn: ast.AST) -> str | None:
-        for cls in ctx.nodes(ast.ClassDef):
-            if fn in cls.body:
-                return cls.name
-        return None
-
+    ws_methods = workspace_methods(ctx)
     for fn in ctx.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
         interp = _FunctionInterpreter(
-            ctx,
-            report,
-            self_is_workspace=class_of(fn) in workspace_classes,
+            ctx, report, self_is_workspace=id(fn) in ws_methods
         )
         interp.run_function(fn)
     top = _FunctionInterpreter(ctx, report)

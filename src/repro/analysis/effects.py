@@ -1,16 +1,12 @@
-"""Per-function read/write/escape/raise effect summaries.
+"""Per-function write/raise/lifecycle effect summaries.
 
 For every function defined in a module (including methods and nested
 closures) this computes a :class:`FunctionEffects` record:
 
-* ``reads``    — parameter / free-variable names whose *contents* the
-  function reads (subscript loads, use as a call argument, arithmetic);
 * ``writes``   — parameter / free-variable names the function mutates
   (subscript or attribute stores, augmented subscript assignment,
   in-place NumPy methods like ``fill``/``sort``, ``out=`` keyword
   targets);
-* ``escapes``  — parameter / free-variable names the function returns
-  or stores onto an object attribute (the value outlives the call);
 * ``raises``   — whether the body contains an explicit ``raise``;
 * ``ws_writes`` — dotted workspace locations the function writes
   through a workspace-typed receiver (``workspace.parent`` for a
@@ -42,25 +38,36 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.analysis.lint import ModuleContext
 
 __all__ = [
     "CallSite",
     "FunctionEffects",
     "function_effects",
-    "module_import_names",
+    "workspace_methods",
     "format_effects",
+    "MUTATING_METHODS",
+    "WORKSPACE_CLASS",
     "WS_PARAM_NAMES",
     "WS_FACTORY_METHODS",
     "CLOSE_METHODS",
 ]
 
-#: ndarray methods that mutate the receiver in place.
+#: ndarray methods that mutate the receiver in place (the effect
+#: summaries, the dataflow interpreter and RPR005 share this set).
 MUTATING_METHODS = frozenset(
     {"fill", "sort", "resize", "put", "partition", "setfield", "byteswap"}
 )
 
-#: Parameter names conventionally bound to a BFSWorkspace (the dataflow
-#: tier seeds the same convention; see repro.analysis.dataflow).
+#: The workspace class: ``self`` in its methods is a workspace, so is a
+#: parameter annotated with it, and its own accessors are the alias API
+#: RPR016 exempts.
+WORKSPACE_CLASS = "BFSWorkspace"
+
+#: Parameter names conventionally bound to a BFSWorkspace.
 WS_PARAM_NAMES = frozenset({"ws", "workspace"})
 
 #: BFSWorkspace methods whose return value aliases workspace-owned
@@ -97,13 +104,11 @@ class CallSite:
 
 @dataclass(frozen=True)
 class FunctionEffects:
-    """Read/write/escape/raise summary for one function definition."""
+    """Write/raise/lifecycle summary for one function definition."""
 
     name: str
     params: tuple[str, ...]
-    reads: frozenset[str]
     writes: frozenset[str]
-    escapes: frozenset[str]
     calls: tuple[CallSite, ...]
     line: int = 0
     raises: bool = False
@@ -167,17 +172,31 @@ def _workspace_params(
     fn: ast.FunctionDef | ast.AsyncFunctionDef, *, self_is_workspace: bool
 ) -> frozenset[str]:
     """Parameters bound to a BFSWorkspace, by name convention or
-    annotation (plus ``self`` inside BFSWorkspace methods)."""
+    annotation (plus ``self`` inside BFSWorkspace methods).  Both the
+    effect summaries and the dataflow interpreter seed from this."""
     ws: set[str] = set()
     a = fn.args
     for p in (*a.posonlyargs, *a.args, *a.kwonlyargs):
         if p.arg in WS_PARAM_NAMES:
             ws.add(p.arg)
-        elif _annotation_name(p.annotation) == "BFSWorkspace":
+        elif _annotation_name(p.annotation) == WORKSPACE_CLASS:
             ws.add(p.arg)
     if self_is_workspace:
         ws.add("self")
     return frozenset(ws)
+
+
+def workspace_methods(ctx: ModuleContext) -> frozenset[int]:
+    """ids of the method nodes in ``ctx`` whose ``self`` is a workspace
+    (the methods of :data:`WORKSPACE_CLASS`), read off the module's
+    node index by the call-graph extraction and the dataflow driver."""
+    return frozenset(
+        id(stmt)
+        for cls in ctx.nodes(ast.ClassDef)
+        if cls.name == WORKSPACE_CLASS
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
 
 
 def _local_names(
@@ -210,21 +229,6 @@ def _local_names(
         elif isinstance(node, ast.Global) or isinstance(node, ast.Nonlocal):
             locals_.difference_update(node.names)
     return locals_
-
-
-def module_import_names(tree: ast.Module) -> frozenset[str]:
-    """Names bound by top-level imports (``np``, ``ast``, ...).
-
-    ``np.sort(x)`` is the functional, copying sort — a mutating-method
-    receiver that resolves to an imported module is never an array
-    write, so these names are excluded from effect tracking.
-    """
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-    return frozenset(names)
 
 
 def _binding_names(target: ast.expr) -> set[str]:
@@ -341,9 +345,7 @@ def _function_effects(
     params = _param_names(fn)
     nonlocal_names = set(params)  # params carry effects too
     ws_params = _workspace_params(fn, self_is_workspace=self_is_workspace)
-    reads: set[str] = set()
     writes: set[str] = set()
-    escapes: set[str] = set()
     ws_writes: set[str] = set()
     closes: set[str] = set()
     resets: set[str] = set()
@@ -432,21 +434,10 @@ def _function_effects(
             raises = True
         elif isinstance(node, ast.Return) and node.value is not None:
             classify_return(node.value)
-            for sub in ast.walk(node.value):
-                if isinstance(sub, ast.Name):
-                    name = tracked(sub.id)
-                    if name:
-                        escapes.add(name)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = tracked(node.id)
-            if name:
-                reads.add(name)
     return FunctionEffects(
         name=fn.name,
         params=params,
-        reads=frozenset(reads),
         writes=frozenset(writes),
-        escapes=frozenset(escapes),
         calls=tuple(calls),
         line=fn.lineno,
         raises=raises,
@@ -552,19 +543,9 @@ def _record_call_site(
     )
 
 
-def _workspace_classes(tree: ast.Module) -> set[int]:
-    """ids of method nodes whose ``self`` is a workspace instance."""
-    method_ids: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and "Workspace" in node.name:
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    method_ids.add(id(stmt))
-    return method_ids
-
-
 def format_effects(effects: dict[str, FunctionEffects]) -> str:
-    """Human-readable dump, one function per line (stable order)."""
+    """Human-readable dump, one newline-terminated line per function
+    (stable order)."""
     rows = []
     for name in sorted(effects):
         fx = effects[name]
@@ -580,9 +561,7 @@ def format_effects(effects: dict[str, FunctionEffects]) -> str:
         )
         rows.append(
             f"{name}({', '.join(fx.params)})"
-            f" reads={{{', '.join(sorted(fx.reads))}}}"
             f" writes={{{', '.join(sorted(fx.writes))}}}"
-            f" escapes={{{', '.join(sorted(fx.escapes))}}}"
-            f"{optional}{flags}"
+            f"{optional}{flags}\n"
         )
-    return "\n".join(rows)
+    return "".join(rows)

@@ -14,9 +14,10 @@ rules); this module provides the machinery:
   (abstract interpretation, effect summaries, race detection) run only
   under ``--deep`` or when explicitly selected;
 * per-file AST visiting with a :class:`ModuleContext` handed to each
-  rule.  The AST is parsed **once** per file and a shared
-  :class:`NodeIndex` (one ``ast.walk`` materialized by node type) is
-  reused by every rule, so a lint run is a single visitor pass;
+  rule.  :func:`parse_module` parses each file **once** and builds a
+  shared :class:`NodeIndex` (one ``ast.walk`` materialized by node
+  type); every rule, the call-graph extraction and the dataflow
+  interpreter read that one context;
 * a third tier: ``whole_program`` rules (RPR013–RPR017 and RPR019 in
   :mod:`repro.analysis.program`, RPR023/RPR024 in
   :mod:`repro.analysis.dataflow`) additionally receive a resolved
@@ -40,7 +41,7 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -54,8 +55,9 @@ __all__ = [
     "deep_rule_codes",
     "ModuleContext",
     "NodeIndex",
+    "parse_module",
+    "read_module",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "format_text",
     "format_json",
@@ -159,12 +161,11 @@ class ModuleContext:
     source: str
     tree: ast.Module
     hot_path: bool
-    lines: tuple[str, ...] = field(repr=False, default=())
-    index: NodeIndex | None = field(repr=False, default=None, compare=False)
+    index: NodeIndex = field(repr=False)
     #: Whole-program view (repro.analysis.callgraph.Project) when the
     #: lint run covers multiple files; ``None`` for single-source runs,
     #: where whole-program rules fall back to a one-file project.
-    project: object | None = field(repr=False, default=None, compare=False)
+    project: object | None = field(repr=False, default=None)
 
     @property
     def module_basename(self) -> str:
@@ -174,9 +175,7 @@ class ModuleContext:
 
     def nodes(self, *types: type) -> list[ast.AST]:
         """Nodes of the given types from the shared single-pass index."""
-        if self.index is not None:
-            return self.index.of(*types)
-        return [n for n in ast.walk(self.tree) if isinstance(n, types)]
+        return self.index.of(*types)
 
 
 #: A rule yields ``(lineno, col, message)`` triples for one module.
@@ -269,19 +268,16 @@ def _resolve_select(
     return chosen
 
 
-def _suppressions(
-    lines: Sequence[str], index: NodeIndex | None = None
-) -> dict[int, set[str] | None]:
+def _suppressions(ctx: ModuleContext) -> dict[int, set[str] | None]:
     """Per-line suppression map: line -> set of codes, or ``None`` for
     a blanket ``# repro: noqa``.
 
-    When ``index`` is given, a marker on any line of a multi-line
-    *simple* statement is expanded to the statement's full
-    ``lineno..end_lineno`` extent, so a noqa on (say) the closing line
-    of a wrapped call suppresses the whole call.
+    A marker on any line of a multi-line *simple* statement is expanded
+    to the statement's full ``lineno..end_lineno`` extent, so a noqa on
+    (say) the closing line of a wrapped call suppresses the whole call.
     """
     out: dict[int, set[str] | None] = {}
-    for i, text in enumerate(lines, 1):
+    for i, text in enumerate(ctx.source.splitlines(), 1):
         m = _NOQA_RE.search(text)
         if not m:
             continue
@@ -290,9 +286,9 @@ def _suppressions(
             out[i] = None
         else:
             out[i] = {c.strip().upper() for c in codes.split(",") if c.strip()}
-    if not out or index is None:
+    if not out:
         return out
-    for node in index.of(*_SIMPLE_STMT_TYPES):
+    for node in ctx.nodes(*_SIMPLE_STMT_TYPES):
         end = getattr(node, "end_lineno", None)
         if end is None or end <= node.lineno:
             continue
@@ -318,6 +314,91 @@ def is_hot_path(path: str) -> bool:
     return any(frag in posix for frag in HOT_PATH_FRAGMENTS)
 
 
+def parse_module(
+    source: str, path: str = "<string>", *, hot_path: bool | None = None
+) -> ModuleContext:
+    """Parse one module into the context every analysis pass reads.
+
+    This is the only ``ast.parse`` of a file: the rules, the call-graph
+    extraction and the dataflow interpreter all read the returned
+    context and its :class:`NodeIndex`.  ``hot_path`` overrides the
+    path-based hot-path detection.  A source that does not parse raises
+    :class:`~repro.errors.LintError` from the ``SyntaxError``.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise LintError(f"{path}: cannot parse: {exc}") from exc
+    return ModuleContext(
+        path=path,
+        source=source,
+        tree=tree,
+        hot_path=is_hot_path(path) if hot_path is None else hot_path,
+        index=NodeIndex(tree),
+    )
+
+
+def _diagnostic(path: Path, message: str, line: int = 1) -> Violation:
+    return Violation(
+        rule=DIAGNOSTIC_RULE,
+        message=message,
+        path=str(path),
+        line=line,
+        col=0,
+    )
+
+
+def read_module(path: Path) -> ModuleContext | Violation:
+    """Read and parse one file on disk.
+
+    Files that cannot be decoded as UTF-8 or parsed as Python yield a
+    single structured ``RPR000`` diagnostic violation instead of
+    raising, so a directory run reports them and keeps going (the CLI
+    exit code is nonzero either way).  A missing/unreadable file is
+    still a usage error (:class:`~repro.errors.LintError`).
+    """
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return _diagnostic(path, f"cannot decode as UTF-8: {exc}")
+    except OSError as exc:
+        raise LintError(f"{path}: cannot read: {exc}") from exc
+    try:
+        return parse_module(source, str(path))
+    except LintError as exc:
+        cause = exc.__cause__
+        return _diagnostic(
+            path, f"cannot parse: {cause.msg}", line=cause.lineno or 1
+        )
+
+
+def _check(
+    ctx: ModuleContext, rules: Sequence[Rule], project: object | None
+) -> list[Violation]:
+    """Run ``rules`` over one parsed module, minus suppressed findings."""
+    ctx = replace(ctx, project=project)
+    suppressed = _suppressions(ctx)
+    violations: list[Violation] = []
+    for rl in rules:
+        if rl.hot_path_only and not ctx.hot_path:
+            continue
+        for lineno, col, message in rl.check(ctx):
+            mask = suppressed.get(lineno, "absent")
+            if mask is None or (mask != "absent" and rl.code in mask):
+                continue
+            violations.append(
+                Violation(
+                    rule=rl.code,
+                    message=message,
+                    path=ctx.path,
+                    line=lineno,
+                    col=col,
+                )
+            )
+    violations.sort(key=lambda v: (v.line, v.col, v.rule))
+    return violations
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -336,90 +417,8 @@ def lint_source(
     ``whole_program`` rules consume; without one they analyze this file
     in isolation.
     """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        raise LintError(f"{path}: cannot parse: {exc}") from exc
-    lines = tuple(source.splitlines())
-    index = NodeIndex(tree)
-    ctx = ModuleContext(
-        path=path,
-        source=source,
-        tree=tree,
-        hot_path=is_hot_path(path) if hot_path is None else hot_path,
-        lines=lines,
-        index=index,
-        project=project,
-    )
-    suppressed = _suppressions(lines, index)
-    violations: list[Violation] = []
-    for rl in _resolve_select(select, deep=deep):
-        if rl.hot_path_only and not ctx.hot_path:
-            continue
-        for lineno, col, message in rl.check(ctx):
-            mask = suppressed.get(lineno, "absent")
-            if mask is None or (mask != "absent" and rl.code in mask):
-                continue
-            violations.append(
-                Violation(
-                    rule=rl.code,
-                    message=message,
-                    path=path,
-                    line=lineno,
-                    col=col,
-                )
-            )
-    violations.sort(key=lambda v: (v.line, v.col, v.rule))
-    return violations
-
-
-def _diagnostic(path: Path, message: str, line: int = 1) -> Violation:
-    return Violation(
-        rule=DIAGNOSTIC_RULE,
-        message=message,
-        path=str(path),
-        line=line,
-        col=0,
-    )
-
-
-def lint_file(
-    path: str | Path,
-    *,
-    select: Iterable[str] | None = None,
-    deep: bool = False,
-    project: object | None = None,
-) -> list[Violation]:
-    """Lint one file on disk.
-
-    Files that cannot be decoded as UTF-8 or parsed as Python yield a
-    single structured ``RPR000`` diagnostic violation instead of
-    raising, so a directory run reports them and keeps going (the CLI
-    exit code is nonzero either way).  A missing/unreadable file is
-    still a usage error (:class:`~repro.errors.LintError`).
-    """
-    p = Path(path)
-    try:
-        source = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        return [_diagnostic(p, f"cannot decode as UTF-8: {exc}")]
-    except OSError as exc:
-        raise LintError(f"{p}: cannot read: {exc}") from exc
-    try:
-        return lint_source(
-            source, str(p), select=select, deep=deep, project=project
-        )
-    except LintError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, SyntaxError):
-            return [
-                _diagnostic(
-                    p,
-                    f"cannot parse: {cause.msg}",
-                    line=cause.lineno or 1,
-                )
-            ]
-        raise
+    ctx = parse_module(source, path, hot_path=hot_path)
+    return _check(ctx, _resolve_select(select, deep=deep), project)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -515,28 +514,37 @@ def lint_paths(
     located in a restricted file surface (and only those files count
     toward ``files_checked``).  Returns ``(violations, files_checked)``.
     """
+    rules = _resolve_select(select, deep=deep)
     files = list(iter_python_files(paths))
     report_files = files
     if restrict_to is not None:
         wanted = {Path(p).resolve() for p in restrict_to}
         report_files = [f for f in files if Path(f).resolve() in wanted]
-    project: object | None = None
-    if any(r.whole_program for r in _resolve_select(select, deep=deep)):
-        from repro.analysis.callgraph import build_project
-        from repro.errors import CallGraphError
-
+    whole_program = any(r.whole_program for r in rules)
+    reported = set(report_files)
+    modules: dict[Path, ModuleContext | Violation] = {}
+    for file in files if whole_program else report_files:
         try:
-            project = build_project(files)
-        except CallGraphError:
-            project = None  # nothing parsable; per-file diagnostics follow
+            modules[file] = read_module(file)
+        except LintError:
+            if file in reported:
+                raise  # unreadable files outside the report set are skipped
+    project: object | None = None
+    if whole_program:
+        from repro.analysis.callgraph import Project, module_record
+
+        project = Project([
+            module_record(m) for m in modules.values()
+            if isinstance(m, ModuleContext)
+        ])
     violations: list[Violation] = []
-    checked = 0
     for file in report_files:
-        violations.extend(
-            lint_file(file, select=select, deep=deep, project=project)
-        )
-        checked += 1
-    return violations, checked
+        module = modules[file]
+        if isinstance(module, Violation):
+            violations.append(module)
+        else:
+            violations.extend(_check(module, rules, project))
+    return violations, len(report_files)
 
 
 # -- reporters ------------------------------------------------------------

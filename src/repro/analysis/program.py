@@ -47,13 +47,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from repro.analysis.callgraph import (
-    Project,
-    edge_bindings,
-    project_from_sources,
-)
+from repro.analysis.callgraph import Project, edge_bindings, module_record
+from repro.analysis.effects import WORKSPACE_CLASS
 from repro.analysis.lint import ModuleContext, rule
-from repro.errors import CallGraphError
 
 __all__ = [
     "PROTOCOL_SHARED",
@@ -71,19 +67,15 @@ Findings = dict[str, dict[str, list[tuple[int, int, str]]]]
 
 
 @lru_cache(maxsize=64)
-def _single_file_project(ctx: ModuleContext) -> Project | None:
-    try:
-        return project_from_sources([(ctx.path, ctx.source)])
-    except CallGraphError:
-        return None
+def _single_file_project(ctx: ModuleContext) -> Project:
+    return Project([module_record(ctx)])
 
 
-def _project_for(ctx: ModuleContext) -> Project | None:
+def _project_for(ctx: ModuleContext) -> Project:
     """The lint run's project, or a one-file project for a lone source
     (the lifecycle rules of :mod:`repro.analysis.dataflow` share it)."""
-    project = getattr(ctx, "project", None)
-    if isinstance(project, Project):
-        return project
+    if isinstance(ctx.project, Project):
+        return ctx.project
     return _single_file_project(ctx)
 
 
@@ -116,10 +108,8 @@ def program_report(project: Project) -> Findings:
 
 
 def _yield_for(ctx: ModuleContext, code: str) -> Iterator[tuple[int, int, str]]:
-    project = _project_for(ctx)
-    if project is None:
-        return
-    yield from program_report(project).get(code, {}).get(ctx.path, [])
+    report = program_report(_project_for(ctx))
+    yield from report.get(code, {}).get(ctx.path, [])
 
 
 # -- RPR013/RPR014/RPR017: worker writes outside the ownership protocol ----
@@ -237,7 +227,7 @@ def _check_workspace_escapes(project: Project, add) -> None:
         info = project.functions[qname]
         if not info.is_public:
             continue
-        if info.cls is not None and "Workspace" in info.cls:
+        if info.cls == WORKSPACE_CLASS:
             continue  # the workspace's own accessors ARE the alias API
         add(
             "RPR016", info.path, info.line, 0,

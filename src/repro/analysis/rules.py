@@ -43,6 +43,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.effects import MUTATING_METHODS
 from repro.analysis.lint import ModuleContext, rule
 
 __all__ = [
@@ -72,8 +73,6 @@ _VERTEXY_ITER_NAMES = {
 _CSR_ARRAY_ATTRS = {"offsets", "targets"}
 _SIZE_NAMES = {"num_vertices", "num_edges", "num_directed_edges",
                "nverts", "nedges", "n_vertices", "n_edges"}
-_MUTATING_METHODS = {"fill", "sort", "resize", "put", "partition",
-                     "setfield", "byteswap"}
 
 
 def _terminal_name(node: ast.expr) -> str | None:
@@ -268,7 +267,7 @@ def check_csr_mutation(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
             fn = node.func
             if (
                 isinstance(fn, ast.Attribute)
-                and fn.attr in _MUTATING_METHODS
+                and fn.attr in MUTATING_METHODS
                 and isinstance(fn.value, ast.Attribute)
                 and fn.value.attr in _CSR_ARRAY_ATTRS
             ):

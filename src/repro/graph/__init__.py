@@ -1,9 +1,8 @@
-"""Graph substrate: CSR storage, bitmaps, frontiers, generators, I/O,
-Graph 500 validation and statistics."""
+"""Graph substrate: CSR storage, bitmaps, generators, I/O, Graph 500
+validation and statistics."""
 
 from repro.graph.bitmap import Bitmap
 from repro.graph.csr import CSRGraph, coalesce_edges
-from repro.graph.frontier import Frontier
 from repro.graph.generators import (
     GRAPH500_PARAMS,
     RMATParams,
@@ -39,7 +38,6 @@ __all__ = [
     "Bitmap",
     "CSRGraph",
     "coalesce_edges",
-    "Frontier",
     "RMATParams",
     "GRAPH500_PARAMS",
     "rmat",

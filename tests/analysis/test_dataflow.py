@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import callgraph
 from repro.analysis.dataflow import UNKNOWN, AbstractValue, promote
 from repro.analysis.lint import (
-    ModuleContext,
     NodeIndex,
     deep_rule_codes,
+    lint_paths,
     lint_source,
 )
 
@@ -208,16 +209,24 @@ class TestNodeIndex:
         got = index.of(ast.FunctionDef, ast.Return)
         assert {type(n) for n in got} == {ast.FunctionDef, ast.Return}
 
-    def test_context_falls_back_without_index(self):
-        tree = ast.parse(self.SRC)
-        ctx = ModuleContext(
-            path="x.py", source=self.SRC, tree=tree, hot_path=False
-        )
-        assert ctx.index is None
-        assert len(ctx.nodes(ast.Call)) == 2
+    def test_lint_source_shares_one_index(self, monkeypatch):
+        """Each file is parsed exactly once: the rules, the call-graph
+        extraction and the dataflow interpreter all read the one
+        context (and index) that lint_source / lint_paths build."""
+        parsed = []
+        real_parse = ast.parse
 
-    def test_lint_source_shares_one_index(self):
-        """All rules see the same ModuleContext index object —
-        lint_source builds it exactly once per file."""
-        violations = lint_source(self.SRC, path="t.py", deep=True)
-        assert isinstance(violations, list)  # ran every rule on one parse
+        def counting_parse(*args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(callgraph, "_MEMORY_CACHE", {})
+        lint_source(self.SRC, path="t.py", deep=True)
+        assert parsed == ["t.py"]
+        parsed.clear()
+        _, checked = lint_paths([FIXTURES / "rpr017_bad"], deep=True)
+        assert checked == 2
+        assert sorted(Path(f).name for f in parsed) == [
+            "engine.py", "helpers.py",
+        ]

@@ -1,14 +1,11 @@
-"""Per-function read/write/escape effect summaries and their
+"""Per-function write/raise/lifecycle effect summaries and their
 propagation by the whole-program worklist fixpoint."""
 
 import ast
 
-from repro.analysis.callgraph import project_from_sources
-from repro.analysis.effects import (
-    format_effects,
-    function_effects,
-    module_import_names,
-)
+from repro.analysis.callgraph import extract_module, project_from_sources
+from repro.analysis.effects import format_effects, function_effects
+from repro.analysis.lint import parse_module
 
 
 def _fn(src: str) -> ast.FunctionDef:
@@ -56,24 +53,8 @@ class TestFunctionEffects:
     def test_module_sort_is_not_a_write(self):
         """``np.sort(x)`` is the copying functional sort; the module
         receiver must not be recorded as a mutated array."""
-        tree = ast.parse(
-            "import numpy as np\n"
-            "def f(a):\n"
-            "    return np.sort(a)\n"
-        )
-        fx = function_effects(
-            tree.body[1], module_imports=module_import_names(tree)
-        )
-        assert fx.writes == frozenset()
-        assert "np" not in fx.reads
-
-    def test_return_escapes(self):
-        fx = function_effects(_fn("def f(a, b):\n    return a\n"))
-        assert fx.escapes == {"a"}
-
-    def test_reads_recorded(self):
-        fx = function_effects(_fn("def f(a, i):\n    x = a[i] + 1\n"))
-        assert {"a", "i"} <= fx.reads
+        src = "import numpy as np\ndef f(a):\n    return np.sort(a)\n"
+        assert _direct(src)["f"].writes == frozenset()
 
     def test_nested_def_effects_stay_its_own(self):
         src = (
@@ -97,10 +78,16 @@ class TestFunctionEffects:
 
 class TestModuleImports:
     def test_import_names_collected(self):
-        tree = ast.parse(
+        """The import table maps each bound name to what it imports; a
+        name bound twice keeps its last binding."""
+        src = (
             "import numpy as np\nimport ast\nfrom os import path as p\n"
+            "from a import f\nimport b as f\n"
         )
-        assert module_import_names(tree) == {"np", "ast", "p"}
+        (rec,) = project_from_sources([("m.py", src)]).modules.values()
+        assert dict(rec.imports) == {
+            "np": "numpy", "ast": "ast", "p": "os.path", "f": "b",
+        }
 
 
 def _summaries(src: str):
@@ -254,11 +241,10 @@ class TestLifecycleFacts:
         assert "closes={e}" in p.format_summaries()
 
     def test_extraction_records_lifecycle_facts(self):
-        from repro.analysis.callgraph import extract_module
-
-        rec = extract_module(
-            "m.py", "def f(e, w, c):\n    e.close()\n    if c:\n        w.begin(0)\n"
-        )
+        rec = extract_module(parse_module(
+            "def f(e, w, c):\n    e.close()\n    if c:\n        w.begin(0)\n",
+            "m.py",
+        ))
         (info,) = rec.functions
         assert info.summary.closes == {"e"} and info.summary.resets == {"w"}
         assert {c.callee: c.maybe for c in info.summary.calls} == {

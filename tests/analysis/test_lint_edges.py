@@ -9,7 +9,6 @@ import pytest
 from repro.analysis import (
     DIAGNOSTIC_RULE,
     changed_python_files,
-    lint_file,
     lint_paths,
 )
 from repro.cli import main
@@ -29,25 +28,25 @@ def broken_tree(tmp_path):
 
 class TestDiagnostics:
     def test_syntax_error_is_a_structured_diagnostic(self, broken_tree):
-        violations = lint_file(broken_tree / "syntax.py")
+        violations, _ = lint_paths([broken_tree / "syntax.py"])
         assert [v.rule for v in violations] == [DIAGNOSTIC_RULE]
         assert "cannot parse" in violations[0].message
         assert violations[0].line == 1
 
     def test_undecodable_file_is_a_structured_diagnostic(self, broken_tree):
-        violations = lint_file(broken_tree / "binary.py")
+        violations, _ = lint_paths([broken_tree / "binary.py"])
         assert [v.rule for v in violations] == [DIAGNOSTIC_RULE]
         assert "UTF-8" in violations[0].message
 
     def test_empty_file_is_not_a_diagnostic(self, broken_tree):
         """An empty module parses: ordinary rules may fire (RPR006 wants
         __all__) but it must not be reported as unanalyzable."""
-        violations = lint_file(broken_tree / "empty.py")
+        violations, _ = lint_paths([broken_tree / "empty.py"])
         assert DIAGNOSTIC_RULE not in {v.rule for v in violations}
 
     def test_missing_file_still_raises(self, tmp_path):
         with pytest.raises(LintError):
-            lint_file(tmp_path / "nope.py")
+            lint_paths([tmp_path / "nope.py"])
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_lint_paths_reports_and_keeps_going(self, broken_tree, deep):

@@ -15,7 +15,6 @@ PUBLIC = {
     "repro.graph": [
         "CSRGraph",
         "Bitmap",
-        "Frontier",
         "rmat",
         "rmat_edges",
         "RMATParams",
