@@ -8,7 +8,9 @@ Beside them sit the two-phase bottom-up row scan that the
 growing-window scan replaced, and the bottom-up level's three pieces
 from before the probe columns: the growing-window scan whose first
 window was one ragged gather, the ``np.bitwise_or.at`` frontier load
-and the two-step unvisited build.  ``bench_kernels.py`` times them
+and the two-step unvisited build.  Both scans read the packed
+``uint64`` frontier bitmap (:class:`LegacyBitmap`) that the
+workspace's bool mask replaced.  ``bench_kernels.py`` times them
 against the current engines and records the ratios in
 ``BENCH_kernels.json``.
 
@@ -18,9 +20,44 @@ speedup claims stay measurable after the old code paths are gone.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.bfs.result import BFSResult, Direction
+
+
+class LegacyBitmap:
+    """The packed frontier bitmap: one bit per vertex in ``uint64``
+    words, loaded with one ``np.bitwise_or.at`` and probed a byte at a
+    time."""
+
+    def __init__(self, size):
+        self.words = np.zeros((size + 63) >> 6, dtype=np.uint64)
+
+    def load(self, ids):
+        bit = np.uint64(1) << (ids & 63).astype(np.uint64)
+        np.bitwise_or.at(self.words, ids >> 6, bit)
+
+    def reset(self):
+        self.words.fill(0)
+
+    def test_many(self, indices):
+        """Membership of ``indices``, unchecked: callers pass CSR
+        targets, which are valid ids by construction."""
+        indices = np.asarray(indices)
+        if indices.size == 0:
+            return np.zeros(0, dtype=bool)
+        if sys.byteorder == "little":
+            # Byte-granular probe: narrower gather and uint8 arithmetic
+            # beat the uint64 word path on every level-sized input.
+            byte = self.words.view(np.uint8)[indices >> 3]
+            byte >>= (indices & 7).astype(np.uint8)
+            byte &= np.uint8(1)
+            return byte.view(bool)
+        word = self.words[indices >> 6]
+        shift = (indices & 63).astype(np.uint64)
+        return ((word >> shift) & np.uint64(1)).astype(bool)
 
 
 def legacy_expand_rows(graph, vertices):
@@ -191,8 +228,8 @@ def legacy_two_phase_scan(graph, deg, starts, in_frontier, workspace):
 
     Phase 1 gathers the first 4 entries of every row; phase 2 gathers
     the *whole* remaining row of every row that missed.  Takes a
-    frontier :class:`~repro.graph.bitmap.Bitmap` and rows of degree
-    > 0; returns ``(found, first_local, inspected)``.
+    frontier :class:`LegacyBitmap` and rows of degree > 0; returns
+    ``(found, first_local, inspected)``.
     """
     targets = graph.targets
     window = 4
@@ -204,7 +241,7 @@ def legacy_two_phase_scan(graph, deg, starts, in_frontier, workspace):
         k = int(seg[-1])
         pos = np.repeat(row_starts - seg[:-1], counts)
         pos += workspace.iota(k)
-        hits = in_frontier.test_many(targets[pos], checked=False)
+        hits = in_frontier.test_many(targets[pos])
         big = np.int64(k)
         mins = np.minimum.reduceat(
             np.where(hits, workspace.iota(k), big), seg[:-1]
@@ -230,8 +267,8 @@ def legacy_growing_window_scan(graph, deg, starts, in_frontier, workspace):
 
     Every round, the first included, gathers a ragged window of each
     row still searching: 4 entries, then 16, 64, ...  Takes a frontier
-    :class:`~repro.graph.bitmap.Bitmap` and rows of degree > 0; returns
-    ``(found, first_local, inspected)``.
+    :class:`LegacyBitmap` and rows of degree > 0; returns ``(found,
+    first_local, inspected)``.
     """
     targets = graph.targets
     window = 4
@@ -248,7 +285,7 @@ def legacy_growing_window_scan(graph, deg, starts, in_frontier, workspace):
         k = int(seg[-1])
         pos = np.repeat(cursor - seg[:-1], count)
         pos += workspace.iota(k)
-        hits = in_frontier.test_many(targets[pos], checked=False)
+        hits = in_frontier.test_many(targets[pos])
         big = np.int64(k)
         mins = np.minimum.reduceat(
             np.where(hits, workspace.iota(k), big), seg[:-1]
@@ -274,13 +311,12 @@ def legacy_growing_window_scan(graph, deg, starts, in_frontier, workspace):
 
 def legacy_bottom_up_level(graph, bits, frontier, parent, level, depth, workspace):
     """One bottom-up level from the three frozen pieces: load
-    ``frontier`` into the cleared ``bits`` with one
-    ``np.bitwise_or.at``, build the unvisited list with
+    ``frontier`` into the cleared :class:`LegacyBitmap` ``bits`` with
+    one ``np.bitwise_or.at``, build the unvisited list with
     ``flatnonzero`` and a degree filter, scan it with
     :func:`legacy_growing_window_scan` and claim.  Returns
     ``(winners, edges_checked)``."""
-    bit = np.uint64(1) << (frontier & 63).astype(np.uint64)
-    np.bitwise_or.at(bits.words, frontier >> 6, bit)
+    bits.load(frontier)
     rows = np.flatnonzero(parent < 0)
     rows = rows[graph.degrees[rows] > 0]
     starts = graph.offsets[rows]

@@ -22,12 +22,7 @@ import numpy as np
 import pytest
 
 from repro.bfs._gather import expand_rows
-from repro.bfs.bottomup import (
-    DEFAULT_SCAN_WINDOW,
-    _row_scan,
-    bfs_bottom_up,
-    bottom_up_step,
-)
+from repro.bfs.bottomup import _row_scan, bfs_bottom_up, bottom_up_step
 from repro.bfs.hybrid import bfs_hybrid
 from repro.bfs.profiler import pick_sources
 from repro.bfs.result import Direction
@@ -39,6 +34,7 @@ from repro.obs.clock import now
 from repro.obs.tracer import get_tracer
 
 from _legacy_kernels import (
+    LegacyBitmap,
     legacy_bfs_hybrid,
     legacy_bottom_up_level,
     legacy_two_phase_scan,
@@ -279,13 +275,14 @@ def test_speedup_bottom_up_scan(workload, bench_config):
 
     Replays the top-down levels up to the earliest bottom-up level of
     16 roots' hybrid traversals, then races the two scans over that
-    level's unvisited rows on identical inputs.  That level is what a
-    slow root pays: it turns bottom-up from a small frontier, so many
-    rows search deep, and the two-phase scan gathered each missed row
-    whole.  On mid-traversal levels most rows hit in the first window,
-    which both scans gather alike.  Found rows, first-hit positions and
-    inspected counts must be identical; the new scan must be >= 1.1x
-    faster at scale >= 14.
+    level's unvisited rows on identical inputs: the frozen scan reads a
+    :class:`LegacyBitmap` of the frontier, the new one the workspace's
+    frontier mask.  That level is what a slow root pays: it turns
+    bottom-up from a small frontier, so many rows search deep, and the
+    two-phase scan gathered each missed row whole.  On mid-traversal
+    levels most rows hit in the first window, which both scans gather
+    alike.  Found rows, first-hit positions and inspected counts must
+    be identical; the new scan must be >= 1.1x faster at scale >= 14.
     """
     graph, _ = workload
     source, first_bu = _earliest_bottom_up_level(graph)
@@ -297,7 +294,9 @@ def test_speedup_bottom_up_scan(workload, bench_config):
         frontier, _ = top_down_step(
             graph, frontier, parent, level, depth, workspace=ws
         )
-    bits = ws.load_frontier(frontier)
+    mask = ws.load_frontier(frontier)
+    bits = LegacyBitmap(graph.num_vertices)
+    bits.load(frontier)
     rows = ws.unvisited_ids(graph, parent)
     deg = graph.degrees[rows]
     starts = graph.offsets[rows]
@@ -306,10 +305,7 @@ def test_speedup_bottom_up_scan(workload, bench_config):
         return legacy_two_phase_scan(graph, deg, starts, bits, ws)
 
     def new():
-        return _row_scan(
-            graph, rows, deg, starts, bits,
-            window=DEFAULT_SCAN_WINDOW, workspace=ws,
-        )
+        return _row_scan(graph, rows, deg, starts, mask, workspace=ws)
 
     old_found, old_first, old_inspected = legacy()
     new_found, new_first, new_inspected = new()
@@ -369,12 +365,12 @@ def test_speedup_bottom_up_level(workload, bench_config):
     vertices among 16 roots (the frontier, and the parent and level
     maps of the vertices reached so far), then races ``load_frontier``
     + ``unvisited_ids`` + ``bottom_up_step`` against the frozen
-    ``bitwise_or.at`` load, two-step unvisited build and
-    growing-window scan on identical inputs.  Each trial starts with
-    a cleared bitmap and no unvisited list, as the first bottom-up
-    level of a traversal does.  Winners, parents and ``edges_checked``
-    must be identical; the new level must be >= 1.3x faster at scale
-    >= 14.
+    ``bitwise_or.at`` load into a :class:`LegacyBitmap`, two-step
+    unvisited build and growing-window scan on identical inputs.  Each
+    trial starts with a cleared frontier and no unvisited list, as the
+    first bottom-up level of a traversal does.  Winners, parents and
+    ``edges_checked`` must be identical; the new level must be >= 1.3x
+    faster at scale >= 14.
     """
     graph, _ = workload
     source, depth, result = _bottom_up_level_with_most_claims(graph)
@@ -385,7 +381,7 @@ def test_speedup_bottom_up_level(workload, bench_config):
 
     ws = BFSWorkspace.for_graph(graph)
     legacy_ws = BFSWorkspace.for_graph(graph)
-    legacy_bits = legacy_ws.frontier_bitmap
+    legacy_bits = LegacyBitmap(graph.num_vertices)
     parent, level = parent0.copy(), level0.copy()
 
     def reset():
@@ -401,10 +397,10 @@ def test_speedup_bottom_up_level(workload, bench_config):
         )
 
     def new():
-        bits = ws.load_frontier(frontier)
+        mask = ws.load_frontier(frontier)
         unvisited = ws.unvisited_ids(graph, parent)
         return bottom_up_step(
-            graph, bits, parent, level, depth, unvisited=unvisited,
+            graph, mask, parent, level, depth, unvisited=unvisited,
             workspace=ws,
         )
 

@@ -82,7 +82,6 @@ _RECEIVER_CONVENTIONS = {
     "ws": "BFSWorkspace",
     "workspace": "BFSWorkspace",
     "graph": "CSRGraph",
-    "bitmap": "Bitmap",
 }
 
 _DISPATCH_ATTRS = frozenset({"map", "submit"})
@@ -523,8 +522,7 @@ def _extract_acquisitions(
 def extract_module(ctx: ModuleContext) -> ModuleRecord:
     """Phase-1 extraction of one parsed module (pure function of the
     context: its source, path and hot-path flag)."""
-    p = Path(ctx.path)
-    module = module_name_for(p)
+    module = module_name_for(Path(ctx.path))
     imports = _import_table(ctx.index, module)
     import_names = frozenset(imports)
     ws_method_ids = fx.workspace_methods(ctx)
@@ -578,7 +576,7 @@ def extract_module(ctx: ModuleContext) -> ModuleRecord:
                     FunctionInfo(
                         qname=qname,
                         module=module,
-                        path=str(p),
+                        path=ctx.path,
                         name=node.name,
                         cls=cls,
                         line=node.lineno,
@@ -611,7 +609,7 @@ def extract_module(ctx: ModuleContext) -> ModuleRecord:
     visit(ctx.tree.body, (), None)
     return ModuleRecord(
         module=module,
-        path=str(p),
+        path=ctx.path,
         hot=hot,
         imports=tuple(sorted(imports.items())),
         classes=tuple(classes),
@@ -656,7 +654,7 @@ def module_record(ctx: ModuleContext) -> ModuleRecord:
     """
     sha = hashlib.sha256(ctx.source.encode("utf-8")).hexdigest()
     rec = _MEMORY_CACHE.get(sha)
-    if rec is None or (rec.path, rec.hot) != (str(Path(ctx.path)), ctx.hot_path):
+    if rec is None or (rec.path, rec.hot) != (ctx.path, ctx.hot_path):
         rec = _MEMORY_CACHE[sha] = extract_module(ctx)
     return rec
 

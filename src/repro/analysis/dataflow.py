@@ -65,7 +65,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.callgraph import CallEdge, edge_bindings
@@ -116,12 +115,11 @@ _DTYPE_TOKENS = {
 }
 
 #: Attribute names with a conventional dtype in this codebase (the CSR
-#: contract: offsets/degrees int64, targets int32; bitmap words uint64).
+#: contract: offsets/degrees int64, targets int32).
 _ATTR_DTYPES = {
     "offsets": "int64",
     "degrees": "int64",
     "targets": "int32",
-    "words": "uint64",
 }
 
 
@@ -1038,11 +1036,10 @@ def _resolved_calls(
     """``fn``'s resolved call edges in the lint run's project, keyed by
     callee spelling and line, each with its callee's fixpoint summary."""
     project = _project_for(ctx)
-    path = str(Path(ctx.path))
     qname = next(
         (
             info.qname
-            for rec in project.modules.values() if rec.path == path
+            for rec in project.modules.values() if rec.path == ctx.path
             for info in rec.functions
             if (info.name, info.line) == (fn.name, fn.lineno)
         ),
@@ -1091,6 +1088,7 @@ def check_dataflow_narrowing(ctx: ModuleContext) -> Iterator[tuple[int, int, str
     "write to workspace storage still aliased by a live BFSResult; "
     "results alias the workspace until .detach()",
     deep=True,
+    whole_program=True,  # a callee's `resets` facts count as writes
 )
 def check_alias_writes(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
     """Alias-liveness violations (see module docstring)."""

@@ -19,7 +19,7 @@ rules); this module provides the machinery:
   type); every rule, the call-graph extraction and the dataflow
   interpreter read that one context;
 * a third tier: ``whole_program`` rules (RPR013–RPR017 and RPR019 in
-  :mod:`repro.analysis.program`, RPR023/RPR024 in
+  :mod:`repro.analysis.program`, RPR011, RPR023 and RPR024 in
   :mod:`repro.analysis.dataflow`) additionally receive a resolved
   :class:`~repro.analysis.callgraph.Project` built once per
   :func:`lint_paths` run, so their findings rest on interprocedural
@@ -321,10 +321,13 @@ def parse_module(
 
     This is the only ``ast.parse`` of a file: the rules, the call-graph
     extraction and the dataflow interpreter all read the returned
-    context and its :class:`NodeIndex`.  ``hot_path`` overrides the
+    context and its :class:`NodeIndex`.  ``path`` is normalized here
+    (``./a//b.py`` becomes ``a/b.py``), the one spelling every pass
+    files and looks up findings under.  ``hot_path`` overrides the
     path-based hot-path detection.  A source that does not parse raises
     :class:`~repro.errors.LintError` from the ``SyntaxError``.
     """
+    path = str(Path(path))
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:

@@ -18,7 +18,7 @@ corrupting the graph for every later traversal.
 1. every newly claimed vertex is recorded at depth ``d + 1`` and its
    parent sits at exactly depth ``d`` (one level shallower);
 2. no vertex is ever claimed twice across the traversal;
-3. when the level ran bottom-up, the frontier bitmap the kernel consumed
+3. when the level ran bottom-up, the frontier mask the kernel consumed
    agrees exactly with the queue representation;
 4. the unvisited count is strictly decreasing while the traversal makes
    progress, and always agrees with the parent map.
@@ -124,32 +124,26 @@ class Sanitizer(LevelObserver):
         parent: np.ndarray,
         level: np.ndarray,
         *,
-        in_frontier: object | None = None,
+        in_frontier: np.ndarray | None = None,
     ) -> None:
         """Validate the state left behind by the level at ``depth``.
 
         ``frontier`` is the queue the level consumed, ``next_frontier``
-        the vertices it claimed; ``in_frontier`` is the frontier
-        membership structure the kernel consumed when the level ran
-        bottom-up — either a packed :class:`~repro.graph.bitmap.Bitmap`
-        or a dense boolean mask (``None`` for top-down levels).
+        the vertices it claimed; ``in_frontier`` is the ``bool[V]``
+        frontier mask the kernel consumed when the level ran bottom-up
+        (``None`` for top-down levels).
         """
-        from repro.graph.bitmap import Bitmap
-
         nf = np.asarray(next_frontier, dtype=np.int64)
 
         if in_frontier is not None:
-            if isinstance(in_frontier, Bitmap):
-                bitmap_ids = in_frontier.nonzero()
-            else:
-                bitmap_ids = np.nonzero(in_frontier)[0]
+            mask_ids = np.flatnonzero(in_frontier)
             queue_ids = np.sort(np.asarray(frontier, dtype=np.int64))
-            if not np.array_equal(bitmap_ids, queue_ids):
-                extra = np.setdiff1d(bitmap_ids, queue_ids)
-                missing = np.setdiff1d(queue_ids, bitmap_ids)
+            if not np.array_equal(mask_ids, queue_ids):
+                extra = np.setdiff1d(mask_ids, queue_ids)
+                missing = np.setdiff1d(queue_ids, mask_ids)
                 bad = np.concatenate([extra, missing])
                 raise SanitizerError(
-                    "frontier bitmap and queue disagree "
+                    "frontier mask and queue disagree "
                     f"({extra.size} extra, {missing.size} missing)",
                     level=depth,
                     vertices=tuple(bad[:16]),

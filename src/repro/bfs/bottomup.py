@@ -3,23 +3,24 @@
 Each unvisited vertex scans its own adjacency list for *any* member of
 the current queue and, on the first hit, claims that neighbour as its
 parent and stops.  The vectorized kernel tests adjacency entries
-against a packed frontier bitmap (or a dense boolean mask) and locates
-the first hit per vertex, column by column and then with a segmented
-min, so the number of entries *inspected* (with early termination) is
-computed exactly — matching what a scalar implementation would touch.
+against a ``bool[V]`` frontier mask (the paper's frontier bitmap, one
+byte per vertex, read with ``mask.take(ids)``) and locates the first
+hit per vertex, column by column and then with a segmented min, so the
+number of entries *inspected* (with early termination) is computed
+exactly — matching what a scalar implementation would touch.
 
 The scan exploits the early exit the paper's Algorithm 2 relies on: in
 dense mid-traversal levels most unvisited vertices find a parent
 within their first few neighbours.  So it first *probes* each row's
-first ``window`` entries one column at a time — probe ``j`` gathers
-entry ``j`` of every row still searching, a fixed-width gather with no
-ragged bookkeeping — and then runs rounds of growing windows, each
-gathering the next window, ``SCAN_WINDOW_GROWTH`` times wider (16, 64,
-... entries), only for the rows still without a hit.  A row leaves at
-its first hit or at its row end, so the entries gathered track the
-entries inspected even for rows that search deep.  Winners, parents
-and inspected counts are bit-identical to a whole-row scan — the first
-hit in the earliest window is the first hit in the row.
+first ``DEFAULT_SCAN_WINDOW`` entries one column at a time — probe
+``j`` gathers entry ``j`` of every row still searching, a fixed-width
+gather with no ragged bookkeeping — and then runs rounds of growing
+windows, each gathering the next window, ``SCAN_WINDOW_GROWTH`` times
+wider (16, 64, ... entries), only for the rows still without a hit.  A
+row leaves at its first hit or at its row end, so the entries gathered
+track the entries inspected even for rows that search deep.  Winners,
+parents and inspected counts are bit-identical to a whole-row scan —
+the first hit in the earliest window is the first hit in the row.
 
 Two work figures matter and both are reported:
 
@@ -41,7 +42,6 @@ from repro.bfs.engine import Steps, forced, sanitizers, traverse
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.workspace import BFSWorkspace
 from repro.errors import BFSError
-from repro.graph.bitmap import Bitmap
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer, get_tracer
 
@@ -65,17 +65,6 @@ DEFAULT_SCAN_WINDOW = 4
 #: a row of degree ``d`` takes ``O(log d)`` rounds and gathers at most
 #: about ``SCAN_WINDOW_GROWTH`` times the entries it inspects.
 SCAN_WINDOW_GROWTH = 4
-
-
-def _frontier_hits(in_frontier, neighbours: np.ndarray) -> np.ndarray:
-    """Membership test of ``neighbours`` against the current queue.
-
-    Accepts either a packed :class:`~repro.graph.bitmap.Bitmap` (the
-    workspace path; unchecked byte probe) or a dense boolean mask.
-    """
-    if isinstance(in_frontier, Bitmap):
-        return in_frontier.test_many(neighbours, checked=False)
-    return in_frontier[neighbours]
 
 
 def _scratch(
@@ -102,9 +91,8 @@ def _row_scan(
     rows: np.ndarray,
     deg: np.ndarray,
     starts: np.ndarray,
-    in_frontier,
+    in_frontier: np.ndarray,
     *,
-    window: int,
     workspace: BFSWorkspace | None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Scan each row's adjacency list for its first frontier member.
@@ -116,13 +104,19 @@ def _row_scan(
     count.  Every row must have ``deg > 0``.  With a workspace, both
     arrays are the calling thread's scratch, valid until its next scan.
 
-    The first ``window`` entries are probed one column at a time: probe
-    ``j`` tests entry ``j`` of every row still searching, and a row
-    leaves at its first hit or its row end.  The rows left then search
-    in ragged rounds: each gathers the next window,
+    The first ``DEFAULT_SCAN_WINDOW`` entries are probed one column at
+    a time: probe ``j`` tests entry ``j`` of every row still searching,
+    and a row leaves at its first hit or its row end.  The rows left
+    then search in ragged rounds: each gathers the next window,
     ``SCAN_WINDOW_GROWTH`` times wider than the last (16, 64, ...
     entries after the 4 probes), of the rows that have neither hit nor
     reached their row end.
+
+    Membership is the method ``in_frontier.take(ids)``: the subscript
+    ``in_frontier[ids]`` converts int32 ``ids`` to ``intp`` first and
+    runs about 3x slower, and the function ``np.take`` puts a
+    ``fromnumeric`` frame on every gather that ``tracemalloc`` then
+    charges NumPy's small-block cache to.
     """
     targets = graph.targets
     found = _scratch(workspace, "bu-found", rows.size, np.bool_)
@@ -132,9 +126,9 @@ def _row_scan(
     live = None  # positions in ``rows`` still searching; None: every row
     remaining = deg  # entries from ``cursor`` to the row end
     cursor = starts
-    for j in range(window):
+    for j in range(DEFAULT_SCAN_WINDOW):
         inspected += cursor.size
-        hit = _frontier_hits(in_frontier, targets[cursor])
+        hit = in_frontier.take(targets[cursor])
         won = np.flatnonzero(hit)
         if live is not None:
             won = live[won]
@@ -146,14 +140,15 @@ def _row_scan(
         live = keep if live is None else live[keep]
         remaining = remaining[keep] - 1
         cursor = cursor[keep] + 1
-    offset = window  # within-row position of this round's window
+    # ``offset`` is the within-row position of this round's window.
+    offset = window = DEFAULT_SCAN_WINDOW
     while True:
         window *= SCAN_WINDOW_GROWTH
         count = np.minimum(remaining, window)
         seg = _cumsum0(count, workspace, "bu-seg")
         k = int(seg[-1])
         nbr = gather_segments(targets, cursor, count, seg, k, workspace)
-        hits = _frontier_hits(in_frontier, nbr)
+        hits = in_frontier.take(nbr)
         big = np.int64(k)
         mins = np.minimum.reduceat(
             np.where(hits, _iota(k, workspace), big), seg[:-1]
@@ -175,7 +170,7 @@ def _row_scan(
 
 def bottom_up_step(
     graph: CSRGraph,
-    in_frontier,
+    in_frontier: np.ndarray,
     parent: np.ndarray,
     level: np.ndarray,
     depth: int,
@@ -183,15 +178,14 @@ def bottom_up_step(
     unvisited: np.ndarray | None = None,
     chunk_entries: int = DEFAULT_CHUNK_ENTRIES,
     workspace: BFSWorkspace | None = None,
-    window: int = DEFAULT_SCAN_WINDOW,
 ) -> tuple[np.ndarray, int]:
     """Execute one bottom-up level.
 
     Parameters
     ----------
     in_frontier:
-        The current queue as a packed
-        :class:`~repro.graph.bitmap.Bitmap` or a dense boolean mask.
+        The current queue as a ``bool[V]`` mask: the workspace's
+        :meth:`~BFSWorkspace.load_frontier` mask, or the caller's own.
     unvisited:
         Optional precomputed ascending array of unvisited vertex ids.
         The kernel *trusts* this list — entries whose ``parent`` is
@@ -204,8 +198,6 @@ def bottom_up_step(
     Returns ``(next_frontier_ids, edges_checked)`` and mutates
     ``parent``/``level`` in place.
     """
-    if window <= 0:
-        raise BFSError(f"window must be positive, got {window}")
     if unvisited is None:
         unvisited = np.nonzero(parent < 0)[0]  # repro: noqa[RPR007] — cold path, no unvisited list supplied
     if unvisited.size == 0:
@@ -232,7 +224,6 @@ def bottom_up_step(
             deg_all[lo:hi],
             starts_all[lo:hi],
             in_frontier,
-            window=window,
             workspace=workspace,
         )
         edges_checked += inspected

@@ -7,9 +7,9 @@ call into it with a policy (:class:`DirectionPolicy`), a steps table
 of per-direction level kernels (:class:`Steps`) and observers
 (:class:`LevelObserver`).  The driver owns the source check, the
 workspace reset, the decision and its ``bfs.direction`` instant, one
-``bfs.level`` span per level, the bottom-up bitmap and unvisited-list
-loading (:func:`run_level`), the traversal counters and the result;
-see ``docs/api.md``, "Traverse".
+``bfs.level`` span per level, the bottom-up frontier-mask and
+unvisited-list loading (:func:`run_level`), the traversal counters and
+the result; see ``docs/api.md``, "Traverse".
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def forced(direction: str) -> DirectionPolicy:
 
 class Steps(NamedTuple):
     """A traversal's level kernels: ``top_down(graph, frontier, parent,
-    level, depth, workspace)`` and ``bottom_up(graph, bitmap, parent,
+    level, depth, workspace)`` and ``bottom_up(graph, mask, parent,
     level, depth, *, unvisited, workspace)``, each claiming the next
     frontier and returning ``(next_frontier, edges_examined)``.  A
     direction the policy never picks may be ``None``."""
@@ -115,8 +115,9 @@ class LevelObserver:
 
     def after_level(self, depth, frontier, next_frontier, parent, level,
                     *, in_frontier=None) -> None:
-        """After the span closed; ``in_frontier`` is the bitmap a
-        bottom-up kernel read (``None`` for top-down levels)."""
+        """After the span closed; ``in_frontier`` is the ``bool[V]``
+        frontier mask a bottom-up kernel read (``None`` for top-down
+        levels)."""
 
     def finish(self, parent, level) -> None:
         """After the last level."""
@@ -144,15 +145,15 @@ def sanitizers(graph: CSRGraph, source: int, sanitize) -> tuple:
 def run_level(graph, direction, steps, frontier, parent, level, depth, ws):
     """One level in ``direction`` with the kernel from ``steps``: the
     only direction dispatch.  A bottom-up level first loads the frontier
-    bitmap and the live unvisited list; the caller retires the claimed
+    mask and the live unvisited list; the caller retires the claimed
     vertices (:meth:`BFSWorkspace.retire_claimed`) before the next."""
     if direction == Direction.TOP_DOWN:
         return steps.top_down(graph, frontier, parent, level, depth, ws)
     if direction == Direction.BOTTOM_UP:
-        bits = ws.load_frontier(frontier)
+        mask = ws.load_frontier(frontier)
         unvisited = ws.unvisited_ids(graph, parent)
         return steps.bottom_up(
-            graph, bits, parent, level, depth, unvisited=unvisited,
+            graph, mask, parent, level, depth, unvisited=unvisited,
             workspace=ws,
         )
     raise BFSError(f"policy returned unknown direction {direction!r}")
@@ -220,11 +221,11 @@ def traverse(
                     "frontier.claim_ratio", next_frontier.size / examined
                 )
             if observers:
-                bits = None if kernel == "td" else ws.frontier_bitmap
+                mask = None if kernel == "td" else ws.frontier_mask
                 for observer in observers:
                     observer.after_level(
                         depth, frontier, next_frontier, parent, level,
-                        in_frontier=bits,
+                        in_frontier=mask,
                     )
             # Keep the incremental unvisited list honest after every
             # claiming level (no-op while it is still lazy).

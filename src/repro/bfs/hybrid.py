@@ -13,7 +13,7 @@ policies from :mod:`repro.tuning` plug in through the same interface.
 The level loop is :func:`repro.bfs.engine.traverse`; this module adds
 the rule and the serial kernel table.  The hybrid pays the real
 representation-conversion cost: a bottom-up level materializes the
-frontier bitmap inside its own level span.
+frontier mask inside its own level span.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def bfs_hybrid(
     switching point).
 
     ``sanitize`` is as for :func:`~repro.bfs.topdown.bfs_top_down` (a
-    bottom-up level also checks its bitmap against the queue);
+    bottom-up level also checks its frontier mask against the queue);
     ``workspace`` and ``tracer`` are as for
     :func:`~repro.bfs.engine.traverse`, under a ``bfs.hybrid`` root.
     """

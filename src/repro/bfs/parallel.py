@@ -25,7 +25,7 @@ through a helper in the worker's module) and ``RPR017`` (through
 another module), and dynamically by ``run(..., sanitize="race")``:
 
 1. worker closures may **read** shared state freely (``parent``,
-   ``level``, CSR arrays, the frontier bitmap);
+   ``level``, CSR arrays, the frontier mask);
 2. a worker may **write** only (a) arrays it allocated itself, (b) its
    per-thread workspace scratch (:meth:`BFSWorkspace.buffer` is keyed
    by thread id), and (c) the disjoint chunk it was handed
@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from repro.bfs._gather import expand_rows
-from repro.bfs.bottomup import DEFAULT_SCAN_WINDOW, _row_scan
+from repro.bfs.bottomup import _row_scan
 from repro.bfs.engine import (
     DirectionPolicy,
     Steps,
@@ -195,7 +195,7 @@ class ParallelBFS:
     def _bottom_up_level(
         self,
         graph: CSRGraph,
-        in_frontier,
+        in_frontier: np.ndarray,
         parent: np.ndarray,
         level: np.ndarray,
         depth: int,
@@ -239,7 +239,6 @@ class ParallelBFS:
                     deg,
                     starts,
                     in_frontier,
-                    window=DEFAULT_SCAN_WINDOW,
                     workspace=workspace,
                 )
                 return (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.bottomup import DEFAULT_SCAN_WINDOW, _row_scan
+from repro.bfs.bottomup import _row_scan
 from repro.bfs.engine import LevelObserver, Steps, forced, traverse
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.topdown import top_down_step
@@ -45,9 +45,9 @@ class _Counterfactual(LevelObserver):
         # (they are part of |V|un), so this full scan stays — it feeds
         # the record, not the kernel.
         unvisited = np.nonzero(parent < 0)[0]  # repro: noqa[RPR007] — profile counters, not a kernel
-        bits = self.workspace.load_frontier(frontier)
+        mask = self.workspace.load_frontier(frontier)
         checked, failed = _bottom_up_checked(
-            self.graph, unvisited, bits, self.workspace
+            self.graph, unvisited, mask, self.workspace
         )
         span.set("bu_edges_checked", checked)
         self._counters = dict(
@@ -107,7 +107,7 @@ def profile_bfs(
 def _bottom_up_checked(
     graph: CSRGraph,
     unvisited: np.ndarray,
-    in_frontier,
+    in_frontier: np.ndarray,
     workspace: BFSWorkspace | None = None,
 ) -> tuple[int, int]:
     """Edges a bottom-up sweep would inspect, with early termination.
@@ -133,7 +133,6 @@ def _bottom_up_checked(
         deg,
         starts,
         in_frontier,
-        window=DEFAULT_SCAN_WINDOW,
         workspace=workspace,
     )
     # A vertex that finds no parent inspects its whole adjacency list.

@@ -113,7 +113,7 @@ def timed_bfs(
     Either force a ``direction`` (``'td'``/``'bu'``), pass a policy, or
     give (``m``, ``n``) thresholds; defaults to pure top-down.  A warm
     ``workspace`` keeps allocation out of the timed region (the
-    frontier-bitmap load stays inside it: it is the paper's
+    frontier-mask load stays inside it: it is the paper's
     representation-conversion cost).
 
     Timing always happens: without an enabled ``tracer`` (passed or

@@ -16,9 +16,10 @@ The pieces:
   reset with :meth:`begin` (results returned from a traversal run with
   an explicit workspace *alias* these arrays; call
   :meth:`repro.bfs.result.BFSResult.detach` to keep one).
-* a packed frontier :class:`~repro.graph.bitmap.Bitmap` for the
-  bottom-up membership test, cleared word-by-word via the previously
-  loaded ids instead of a ``fill(False)`` over ``V``.
+* a ``bool[V]`` frontier mask for the bottom-up membership test
+  (the paper's frontier bitmap, one byte per vertex), cleared by
+  writing ``False`` at the previously loaded ids instead of a
+  ``fill(False)`` over ``V``.
 * an incrementally maintained unvisited id list for bottom-up levels:
   built once per traversal with a single ``flatnonzero`` (the paper's
   top-down→bottom-up representation-conversion cost) and shrunk by the
@@ -44,7 +45,6 @@ import numpy as np
 
 from repro.bfs.result import check_source
 from repro.errors import BFSError
-from repro.graph.bitmap import Bitmap
 from repro.graph.csr import CSRGraph
 
 __all__ = ["BFSWorkspace"]
@@ -72,7 +72,7 @@ class BFSWorkspace:
         self.num_vertices = int(num_vertices)
         self.parent = np.full(self.num_vertices, -1, dtype=np.int64)
         self.level = np.full(self.num_vertices, -1, dtype=np.int64)
-        self._frontier_bits = Bitmap(self.num_vertices)
+        self._in_frontier = np.zeros(self.num_vertices, dtype=np.bool_)
         self._frontier_loaded: np.ndarray | None = None
         self._claim_slot: np.ndarray | None = None
         self._iota: np.ndarray | None = None
@@ -104,32 +104,32 @@ class BFSWorkspace:
         self.invalidate_unvisited()
         return self.parent, self.level
 
-    # -- packed frontier ----------------------------------------------------
+    # -- frontier mask ------------------------------------------------------
 
     def clear_frontier(self) -> None:
-        """Clear the frontier bitmap by zeroing only the words the
-        previously loaded frontier touched."""
+        """Clear the frontier mask by writing ``False`` at only the ids
+        the previous :meth:`load_frontier` set."""
         loaded = self._frontier_loaded
-        if loaded is not None and loaded.size:
-            self._frontier_bits.zero_words_of(loaded)
+        if loaded is not None:
+            self._in_frontier[loaded] = False
         self._frontier_loaded = None
 
     @property
-    def frontier_bitmap(self) -> Bitmap:
-        """The bitmap :meth:`load_frontier` last loaded."""
-        return self._frontier_bits
+    def frontier_mask(self) -> np.ndarray:
+        """The ``bool[V]`` mask :meth:`load_frontier` last loaded."""
+        return self._in_frontier
 
-    def load_frontier(self, ids: np.ndarray) -> Bitmap:
-        """Load ``ids`` as the current frontier and return the bitmap.
+    def load_frontier(self, ids: np.ndarray) -> np.ndarray:
+        """Load ``ids`` as the current frontier and return the mask.
 
-        The previous frontier's words are cleared first, so the cost is
-        ``O(|previous| + |ids|)`` rather than ``O(V)``.
+        The previous frontier's entries are cleared first, so the cost
+        is ``O(|previous| + |ids|)`` rather than ``O(V)``.
         """
         self.clear_frontier()
         ids = np.asarray(ids, dtype=np.int64)
-        self._frontier_bits.set_many(ids)
+        self._in_frontier[ids] = True
         self._frontier_loaded = ids
-        return self._frontier_bits
+        return self._in_frontier
 
     # -- incremental unvisited tracking -------------------------------------
 

@@ -1,7 +1,6 @@
-"""Graph substrate: CSR storage, bitmaps, generators, I/O, Graph 500
+"""Graph substrate: CSR storage, generators, I/O, Graph 500
 validation and statistics."""
 
-from repro.graph.bitmap import Bitmap
 from repro.graph.csr import CSRGraph, coalesce_edges
 from repro.graph.generators import (
     GRAPH500_PARAMS,
@@ -35,7 +34,6 @@ from repro.graph.stats import (
 from repro.graph.validate import check_bfs, validate_bfs
 
 __all__ = [
-    "Bitmap",
     "CSRGraph",
     "coalesce_edges",
     "RMATParams",

@@ -13,8 +13,8 @@ by ``size_floor``: only allocation *sites* whose net growth meets the
 floor are reported.  The floor is the definition of "graph-sized":
 pass ``8 * num_vertices`` (one machine word per vertex) and per-level
 frontier churn — small arrays of claimed ids, strictly below one word
-per vertex — stays invisible, while any rebuilt parent map, bitmap or
-scratch buffer is caught at its exact allocation site.
+per vertex — stays invisible, while any rebuilt parent map or
+word-per-vertex scratch buffer is caught at its exact allocation site.
 
 A window opens after its span's start is stamped, and ``tracemalloc``
 taxes every allocation while it traces, so a windowed traversal's level

@@ -92,6 +92,41 @@ class TestGoldenFixtures:
         )
 
 
+#: A two-file tree: ``engine.f`` resets ``ws`` through a helper while
+#: the result of its own ``begin`` still aliases it.
+RESET_TREE = {
+    "helpers.py": "def reset(ws):\n    ws.begin(0)\n",
+    "engine.py": (
+        "from helpers import reset\n"
+        "from repro.bfs.result import BFSResult\n"
+        "\n"
+        "\n"
+        "def f(ws, source):\n"
+        "    parent, level = ws.begin(source)\n"
+        "    result = BFSResult(source=source, parent=parent, level=level)\n"
+        "    reset(ws)\n"
+        "    return result\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "select", [None, ["RPR011"], ["RPR011", "RPR013"]],
+    ids=["deep", "rpr011", "rpr011-rpr013"],
+)
+def test_rpr011_sees_a_reset_in_another_module(tmp_path, select):
+    """RPR011 reads the callee's ``resets`` facts through the call-graph
+    project, so ``lint_paths`` must build it when RPR011 is selected
+    alone too."""
+    for name, text in RESET_TREE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    violations, checked = lint_paths([tmp_path], select=select, deep=True)
+    assert checked == 2
+    assert [
+        (Path(v.path).name, v.line) for v in violations if v.rule == "RPR011"
+    ] == [("engine.py", 8)]
+
+
 class TestPromotionLattice:
     """The dtype lattice mirrors NumPy's promotion rules."""
 

@@ -56,11 +56,12 @@ class TestRegistry:
         ]
         for code in deep_rule_codes():
             assert RULES[code].deep
-        # the whole-program subset is flagged as such
-        for code in ("RPR013", "RPR014", "RPR015", "RPR016", "RPR017",
-                     "RPR019"):
+        # the rules that read the call-graph project are flagged as
+        # whole-program, so lint_paths builds it when they are selected
+        for code in ("RPR011", "RPR013", "RPR014", "RPR015", "RPR016",
+                     "RPR017", "RPR019", "RPR023", "RPR024"):
             assert RULES[code].whole_program
-        for code in ("RPR010", "RPR011", "RPR012"):
+        for code in ("RPR010", "RPR012"):
             assert not RULES[code].whole_program
 
     def test_deep_rules_excluded_by_default(self):

@@ -117,3 +117,27 @@ class TestOneLevelBlindSpots:
         assert all("parent" not in s.writes for s in alone.summaries.values())
         both = self._project("rpr017_bad/engine.py", "rpr017_bad/helpers.py")
         assert "parent" in both.summaries["engine.sneaky_level.scan"].writes
+
+
+class TestPathSpelling:
+    """Whole-program findings are filed and looked up under one
+    normalized path, however the caller spells it."""
+
+    @staticmethod
+    def _lint(name: str, path: str, rule: str):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        violations = lint_source(text, path=path, select=[rule], deep=True)
+        return [(v.line, v.rule) for v in violations]
+
+    @pytest.mark.parametrize(
+        "path", ["rpr016_bad.py", "./rpr016_bad.py", "a//rpr016_bad.py"]
+    )
+    def test_rpr016(self, path):
+        assert self._lint("rpr016_bad.py", path, "RPR016") == [
+            (21, "RPR016")
+        ]
+
+    def test_rpr013_dot_slash(self):
+        assert self._lint("rpr013_bad.py", "./rpr013_bad.py", "RPR013") == [
+            (17, "RPR013"), (18, "RPR013")
+        ]

@@ -31,7 +31,7 @@ class TestCleanRuns:
     def test_hybrid_sanitized(self, rmat_small, rmat_source):
         res = bfs_hybrid(rmat_small, rmat_source, m=20, n=100, sanitize=True)
         res.validate(rmat_small)
-        assert "bu" in res.directions  # the bitmap-agreement check ran
+        assert "bu" in res.directions  # the mask-agreement check ran
 
     def test_hybrid_sanitized_rmat_scale14(self):
         """The acceptance-criterion run: R-MAT scale 14, zero violations."""
@@ -152,9 +152,9 @@ class TestInjectedCorruption:
         san = Sanitizer(g, 0)
         parent, level = self._fresh(g, 0)
         parent[1], level[1] = 0, 1
-        bitmap = np.zeros(4, dtype=bool)
-        bitmap[0] = True
-        bitmap[3] = True  # extra member not in the queue
+        mask = np.zeros(4, dtype=bool)
+        mask[0] = True
+        mask[3] = True  # extra member not in the queue
         with pytest.raises(SanitizerError) as exc:
             san.after_level(
                 0,
@@ -162,7 +162,7 @@ class TestInjectedCorruption:
                 np.array([1]),
                 parent,
                 level,
-                in_frontier=bitmap,
+                in_frontier=mask,
             )
         assert 3 in exc.value.vertices
 

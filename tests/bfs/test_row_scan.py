@@ -26,12 +26,10 @@ from hypothesis import strategies as st
 from repro.bfs._gather import gather_segments
 from repro.bfs.bottomup import (
     DEFAULT_CHUNK_ENTRIES,
-    DEFAULT_SCAN_WINDOW,
     _row_scan,
     bottom_up_step,
 )
 from repro.bfs.workspace import BFSWorkspace
-from repro.graph.bitmap import Bitmap
 from repro.graph.csr import CSRGraph
 
 #: Row degrees on both sides of every window end up to the fourth.
@@ -76,41 +74,31 @@ def scalar_bottom_up(graph, member, parent, level, depth):
     return winners, checked, parent, level
 
 
-def frontier_forms(member: np.ndarray):
-    """The two ``in_frontier`` forms the kernels accept."""
-    return {"bitmap": Bitmap.from_bool(member), "mask": member}
-
-
 def check_row_scan(graph, rows, member, workspace=None):
     want_found, want_first, want_inspected = scalar_scan(graph, rows, member)
     rows = np.asarray(rows, dtype=np.int64)
     deg = graph.degrees[rows]
     starts = graph.offsets[rows]
-    for name, in_frontier in frontier_forms(member).items():
-        found, first_local, inspected = _row_scan(
-            graph, rows, deg, starts, in_frontier,
-            window=DEFAULT_SCAN_WINDOW, workspace=workspace,
-        )
-        np.testing.assert_array_equal(found, want_found, err_msg=name)
-        np.testing.assert_array_equal(
-            first_local[found], want_first[want_found], err_msg=name
-        )
-        assert inspected == want_inspected, name
+    found, first_local, inspected = _row_scan(
+        graph, rows, deg, starts, member, workspace=workspace
+    )
+    np.testing.assert_array_equal(found, want_found)
+    np.testing.assert_array_equal(first_local[found], want_first[want_found])
+    assert inspected == want_inspected
 
 
 def check_bottom_up_step(graph, member, parent, level, *, chunk_entries):
     depth = 3
     want = scalar_bottom_up(graph, member, parent, level, depth)
-    for name, in_frontier in frontier_forms(member).items():
-        got_parent, got_level = parent.copy(), level.copy()
-        nxt, checked = bottom_up_step(
-            graph, in_frontier, got_parent, got_level, depth,
-            chunk_entries=chunk_entries,
-        )
-        np.testing.assert_array_equal(nxt, want[0], err_msg=name)
-        assert checked == want[1], name
-        np.testing.assert_array_equal(got_parent, want[2], err_msg=name)
-        np.testing.assert_array_equal(got_level, want[3], err_msg=name)
+    got_parent, got_level = parent.copy(), level.copy()
+    nxt, checked = bottom_up_step(
+        graph, member, got_parent, got_level, depth,
+        chunk_entries=chunk_entries,
+    )
+    np.testing.assert_array_equal(nxt, want[0])
+    assert checked == want[1]
+    np.testing.assert_array_equal(got_parent, want[2])
+    np.testing.assert_array_equal(got_level, want[3])
 
 
 # -- the table ---------------------------------------------------------------
@@ -288,8 +276,8 @@ class TestProbes:
             graph, np.arange(len(rows)), member,
             BFSWorkspace.for_graph(graph),
         )
-        # Windows 16, 64 and 256 (entries 84-89), per frontier form.
-        assert rounds == [1, 1, 1] * 2
+        # Windows 16, 64 and 256 (entries 84-89).
+        assert rounds == [1, 1, 1]
 
     def test_found_is_reset_between_scans(self):
         """A second scan on one workspace, over more rows and with no

@@ -1,10 +1,12 @@
 """BFSWorkspace: reuse correctness, adversarial topologies, claim step,
-bitmap fast paths, and the parallel engine's pool lifecycle."""
+the frontier mask, and the parallel engine's pool lifecycle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bfs import (
     BFSWorkspace,
@@ -17,7 +19,6 @@ from repro.bfs import (
 )
 from repro.bfs.topdown import claim_first_writer
 from repro.errors import BFSError
-from repro.graph.bitmap import Bitmap
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 
@@ -226,36 +227,40 @@ class TestClaimFirstWriter:
         np.testing.assert_array_equal(out[0][2], out[1][2])
 
 
-# -- bitmap fast paths ------------------------------------------------------
+# -- the frontier mask ------------------------------------------------------
 
 
 class TestBitmapFastPaths:
-    def test_test_many_unchecked_matches_checked(self, rng):
-        bm = Bitmap.from_indices(300, rng.integers(0, 300, 80))
-        probe = rng.integers(0, 300, 500)
-        np.testing.assert_array_equal(
-            bm.test_many(probe), bm.test_many(probe, checked=False)
-        )
-
-    def test_zero_words_of_clears_loaded_bits(self):
-        bm = Bitmap.from_indices(200, np.array([0, 63, 64, 130, 199]))
-        bm.zero_words_of(np.array([0, 63, 64, 130, 199]))
-        assert bm.count() == 0
-
-    def test_zero_words_of_is_word_granular(self):
-        bm = Bitmap.from_indices(128, np.array([3, 70]))
-        bm.zero_words_of(np.array([70]))
-        # Bit 3 lives in word 0, untouched; word 1 is cleared whole.
-        assert bm.test(3) and not bm.test(70)
+    """The workspace's ``bool[V]`` frontier mask, the paper's frontier
+    bitmap at one byte per vertex."""
 
     def test_workspace_load_frontier_cycles(self):
+        """Every load reuses the one mask the workspace allocated."""
         ws = BFSWorkspace(150)
-        bits = ws.load_frontier(np.array([1, 64, 149]))
-        assert bits.nonzero().tolist() == [1, 64, 149]
-        bits = ws.load_frontier(np.array([2]))
-        assert bits.nonzero().tolist() == [2]
-        bits = ws.load_frontier(np.zeros(0, dtype=np.int64))
-        assert bits.count() == 0
+        mask = ws.frontier_mask
+        for ids in ([1, 64, 149], [2], []):
+            assert ws.load_frontier(np.array(ids, dtype=np.int64)) is mask
+            assert np.flatnonzero(mask).tolist() == ids
+
+
+@given(
+    st.integers(min_value=1, max_value=400).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.integers(0, n - 1), min_size=1),
+            st.sets(st.integers(0, n - 1), max_size=5),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_load_frontier_large_then_small(case):
+    """Reloading a small frontier after a large one leaves only the
+    small one's entries: the large one's are cleared first."""
+    size, large, small = case
+    ws = BFSWorkspace(size)
+    ws.load_frontier(np.array(sorted(large), dtype=np.int64))
+    mask = ws.load_frontier(np.array(sorted(small), dtype=np.int64))
+    assert np.flatnonzero(mask).tolist() == sorted(small)
 
 
 class TestUnvisitedIds:

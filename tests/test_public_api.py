@@ -14,7 +14,6 @@ PUBLIC = {
     "repro": ["__version__", "ReproError"],
     "repro.graph": [
         "CSRGraph",
-        "Bitmap",
         "rmat",
         "rmat_edges",
         "RMATParams",
