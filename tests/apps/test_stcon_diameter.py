@@ -123,6 +123,25 @@ class TestPseudoDiameter:
         true = nx.diameter(nxg.subgraph(comp))
         assert est.lower_bound <= true
 
+    @pytest.mark.parametrize(
+        ("graph", "start"),
+        [
+            (path(40), 20),
+            (ring(20), 0),
+            (star(50), 3),
+            (grid2d(6, 9), 0),
+            (rmat(10, 16, seed=1), 5),
+        ],
+        ids=["path", "ring", "star", "grid", "rmat"],
+    )
+    def test_endpoints_realize_the_bound(self, graph, start):
+        """The endpoints are the best sweep's source and a vertex it
+        reached last, read before the next sweep re-lends the
+        workspace."""
+        est = pseudo_diameter(graph, start)
+        level = bfs_reference(graph, est.endpoint_a).level
+        assert level[est.endpoint_b] == est.lower_bound
+
     def test_int_conversion(self):
         assert int(pseudo_diameter(path(5), 0)) == 4
 
