@@ -11,7 +11,10 @@ as the run itself).  :func:`validate_bfs` applies them, vectorized:
 4. every tree edge ``(parent[v], v)`` exists in the graph;
 5. every graph edge spans at most one level (no edge connects levels
    ``k`` and ``k + 2`` with both endpoints reached), and no edge joins
-   a reached vertex to an unreached one.
+   a reached vertex to an unreached one.  On a directed graph an edge
+   ``u -> w`` bounds only ``w``: with ``u`` reached, ``w`` must be
+   reached at a level of at most ``level[u] + 1``; an edge from an
+   unreached vertex bounds nothing.
 
 Check 5 is what makes the level map a true *breadth-first* distance
 labelling and not just any spanning tree.
@@ -105,24 +108,29 @@ def check_bfs(
 
     claim = np.full(n, -1, dtype=np.int32)
     claim[kids] = pk  # repro: noqa[RPR010] — ids checked to lie in [0, n)
-    spans, mixed, claimed = _scan_entries(graph, _level_keys(level, n), claim)
+    key = _level_keys(level, n, graph.symmetric)
+    spans, mixed, claimed = _scan_entries(graph, key, claim)
     missing = kids.size - claimed
     if missing:
         failures.append(f"{missing} tree edges are not graph edges")
     if spans:
         failures.append(f"{spans} graph edges span more than one level")
-    if graph.symmetric and mixed:
+    if mixed:
         failures.append(f"{mixed} edges join reached to unreached vertices")
     return failures
 
 
-def _level_keys(level: np.ndarray, n: int) -> np.ndarray:
+def _level_keys(
+    level: np.ndarray, n: int, symmetric: bool = True
+) -> np.ndarray:
     """Keys in ``[0, 3n)`` for reached vertices that are within one of each
-    other exactly when their levels are, and the dtype's minimum for the
-    unreached.  Levels of ``n`` and up (corrupt) are renumbered in order,
-    one step per gap of one and two per wider gap, so none wraps."""
+    other exactly when their levels are, and for the unreached the
+    dtype's minimum on a symmetric graph, its maximum on a directed one.
+    Levels of ``n`` and up (corrupt) are renumbered in order, one step
+    per gap of one and two per wider gap, so none wraps."""
     dt = np.int32 if 3 * n < 2**30 else np.int64
-    key = np.full(n, np.iinfo(dt).min, dtype=dt)
+    info = np.iinfo(dt)
+    key = np.full(n, info.min if symmetric else info.max, dtype=dt)
     low = (level >= 0) & (level < n)
     key[low] = level[low]
     over = level >= n
@@ -153,7 +161,9 @@ def _scan_entries(
 ) -> tuple[int, int, int]:
     """Checks 4 and 5: count entries between reached vertices whose keys
     differ by more than one, entries joining reached to unreached, and
-    vertices ``w`` that have an entry ``(claim[w], w)``.
+    vertices ``w`` that have an entry ``(claim[w], w)``.  On a directed
+    graph only entries ``(u, w)`` with ``u`` reached count: ``w``'s key
+    above ``u``'s by more than one, or ``w`` unreached.
 
     The blocks are split into contiguous runs, one per CPU.  The calling
     thread scans the first run and pool threads the others; a single
@@ -188,6 +198,7 @@ def _scan_run(
     claimed vertices.  The per-entry scratch is sized to the largest
     block and reused by every block."""
     offsets, targets, deg = graph.offsets, graph.targets, graph.degrees
+    symmetric = graph.symmetric
     claimed = np.zeros(graph.num_vertices, dtype=bool)
     size = int((offsets[stop] - offsets[first]).max(initial=0))
     idx = np.empty(size, dtype=np.intp)
@@ -214,13 +225,25 @@ def _scan_run(
         # shift then tells the first two apart by sign; a block with no
         # entry off by more than one has no mixed entry to count.
         np.take(key, i, out=d, mode="clip")
-        d -= np.repeat(key[lo:hi] - 1, deg[lo:hi])
-        np.greater(d.view(f"u{d.itemsize}"), 2, out=k)
+        if symmetric:
+            d -= np.repeat(key[lo:hi] - 1, deg[lo:hi])
+            np.greater(d.view(f"u{d.itemsize}"), 2, out=k)
+        else:
+            # Directed: the unreached key is the dtype's maximum, so
+            # key[w] - key[u] never wraps.  It is below 3n for a reached
+            # pair, above the shift when only w is unreached, and
+            # negative when u is unreached, which bounds nothing.
+            d -= np.repeat(key[lo:hi], deg[lo:hi])
+            np.greater(d, 1, out=k)
         far = int(np.count_nonzero(k))
         if far:
             off_by_more += far
-            d += shift
-            mixed += int(np.count_nonzero(np.less(d, 0, out=k)))
+            if symmetric:
+                d += shift
+                np.less(d, 0, out=k)
+            else:
+                np.greater(d, shift, out=k)
+            mixed += int(np.count_nonzero(k))
     return off_by_more, mixed, claimed
 
 

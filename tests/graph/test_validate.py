@@ -257,6 +257,68 @@ class TestEdgeCases:
         assert any("disagree" in f for f in failures)
 
 
+def _directed(src, dst, n):
+    return CSRGraph.from_edges(src, dst, n, symmetrize=False)
+
+
+def _random_directed(seed, n=300, m=900):
+    rng = np.random.default_rng(seed)
+    return _directed(rng.integers(0, n, m), rng.integers(0, n, m), n)
+
+
+class TestDirected:
+    """Check 5 on a directed graph: an edge ``u -> w`` with ``u``
+    reached needs ``w`` reached at a level of at most ``level[u] + 1``;
+    an edge from an unreached ``u`` needs nothing."""
+
+    def test_back_edge_of_a_cycle_accepted(self):
+        g = _directed([0, 1, 2], [1, 2, 0], 3)
+        res = bfs_reference(g, 0)
+        assert check_bfs(g, 0, res.parent, res.level) == []
+
+    def test_unreached_successor_rejected(self):
+        g = _directed([0, 1], [1, 2], 3)
+        assert check_bfs(g, 0, [0, 0, -1], [0, 1, -1]) == [
+            "1 edges join reached to unreached vertices"
+        ]
+
+    def test_only_edges_out_of_the_reached_set_count(self):
+        """2 -> 0 enters the tree from a vertex BFS never reaches and
+        bounds nothing; 1 -> 3 leaves it and fails."""
+        g = _directed([0, 1, 2], [1, 3, 0], 4)
+        assert check_bfs(g, 0, [0, 0, -1, -1], [0, 1, -1, -1]) == [
+            "1 edges join reached to unreached vertices"
+        ]
+
+    def test_forward_edge_skipping_a_level_rejected(self):
+        """0 -> 2 puts 2 at level 1; a tree through 1 at level 2 passes
+        checks 1-4 and fails only check 5."""
+        g = _directed([0, 1, 0], [1, 2, 2], 3)
+        assert check_bfs(g, 0, [0, 0, 1], [0, 1, 2]) == [
+            "1 graph edges span more than one level"
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reference_output_valid(self, seed):
+        g = _random_directed(seed)
+        for s in (0, 7, 150):
+            res = bfs_reference(g, s)
+            assert check_bfs(g, s, res.parent, res.level) == []
+
+    def test_blocked_scan_counts_like_one_block(self, blocked):
+        """The directed branch through blocks of 64 entries on three
+        threads: the reference passes and a cut-off subtree counts."""
+        g = _random_directed(9)
+        assert _blocks(g.offsets)[0].size > 3
+        res = bfs_reference(g, 0)
+        parent, level = res.parent.copy(), res.level.copy()
+        assert check_bfs(g, 0, parent, level) == []
+        deep = level == level.max()
+        parent[deep], level[deep] = -1, -1
+        (failure,) = check_bfs(g, 0, parent, level)
+        assert failure.endswith("edges join reached to unreached vertices")
+
+
 #: Edges 0-1, 0-2, 1-3, 2-3, 3-4; vertex 5 is isolated.
 PATH_GRAPH = ([0, 0, 1, 2, 3], [1, 2, 3, 3, 4], 6)
 PATH_PARENT = [0, 0, 0, 1, 3, -1]

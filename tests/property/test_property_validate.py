@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bfs.reference import bfs_reference
@@ -48,14 +48,21 @@ def oracle(graph, source, parent, level):
     missing = sum((parent[v], v) not in present for v in ok)
     if missing:
         out.append(f"{missing} tree edges are not graph edges")
-    spans = sum(
-        reached[u] and reached[w] and abs(level[u] - level[w]) > 1
-        for u, w in entries
-    )
+    if graph.symmetric:
+        spans = sum(
+            reached[u] and reached[w] and abs(level[u] - level[w]) > 1
+            for u, w in entries
+        )
+        mixed = sum(reached[u] != reached[w] for u, w in entries)
+    else:  # an edge u -> w bounds only w, and only when u is reached
+        spans = sum(
+            reached[u] and reached[w] and level[w] > level[u] + 1
+            for u, w in entries
+        )
+        mixed = sum(reached[u] and not reached[w] for u, w in entries)
     if spans:
         out.append(f"{spans} graph edges span more than one level")
-    mixed = sum(reached[u] != reached[w] for u, w in entries)
-    if graph.symmetric and mixed:
+    if mixed:
         out.append(f"{mixed} edges join reached to unreached vertices")
     return out
 
@@ -127,10 +134,7 @@ def test_every_single_field_corruption_rejected(case):
     graph, source = case
     n = graph.num_vertices
     ref = bfs_reference(graph, source)
-    # Check 5 compares levels across every stored entry, so on a
-    # directed graph a back edge spanning two levels fails even the
-    # reference output; such cases have no valid pair to corrupt.
-    assume(check_bfs(graph, source, ref.parent, ref.level) == [])
+    assert check_bfs(graph, source, ref.parent, ref.level) == []
     present = {(u, int(w)) for u in range(n) for w in graph.neighbors(u)}
 
     def rejected(v, parent=None, level=None):
