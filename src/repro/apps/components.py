@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bfs.engine import run_level
-from repro.bfs.hybrid import SCAN, DirectionPolicy, LevelState, MNPolicy
+from repro.bfs.hybrid import (
+    DEFAULT_M,
+    DEFAULT_N,
+    SCAN,
+    DirectionPolicy,
+    LevelState,
+    MNPolicy,
+)
 from repro.bfs.workspace import BFSWorkspace
 from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
@@ -64,7 +71,7 @@ def connected_components(
     Runs a shared-state level-synchronous sweep: the parent map doubles
     as the visited set across seeds, so total work stays O(V + E)
     regardless of component count.  ``policy`` defaults to the (M, N)
-    rule with moderate thresholds.  A passed-in ``workspace`` supplies
+    rule at the default switching point.  A passed-in ``workspace`` supplies
     every graph-sized scratch array (its parent/level maps are used as
     the shared visited state and left holding the final forest).
     """
@@ -73,7 +80,7 @@ def connected_components(
             "connected_components requires a symmetric (undirected) graph"
         )
     n = graph.num_vertices
-    policy = policy or MNPolicy(20.0, 100.0)
+    policy = policy or MNPolicy(DEFAULT_M, DEFAULT_N)
     degrees = graph.degrees
     nedges = max(graph.num_edges, 1)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bfs.hybrid import bfs_hybrid
+from repro.bfs.hybrid import DEFAULT_M, DEFAULT_N, bfs_hybrid
 from repro.bfs.workspace import BFSWorkspace
 from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
@@ -39,8 +39,8 @@ def pseudo_diameter(
     start: int = 0,
     *,
     sweeps: int = 4,
-    m: float = 20.0,
-    n: float = 100.0,
+    m: float = DEFAULT_M,
+    n: float = DEFAULT_N,
 ) -> DiameterEstimate:
     """Estimate the diameter of ``start``'s component.
 

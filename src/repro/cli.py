@@ -5,7 +5,7 @@ Subcommands::
     repro-bfs list                       # available experiments
     repro-bfs run fig08 [--scale 15] [--save DIR]
     repro-bfs all [--scale 15] [--save DIR]
-    repro-bfs bfs --scale 16 --edgefactor 16 [--m 64 --n 512] [--json]
+    repro-bfs bfs --scale 16 --edgefactor 16 [--m 20 --n 100] [--json]
     repro-bfs graph500 --scale 16 [--json]
     repro-bfs trace --scale 14 [--out PREFIX]
     repro-bfs profile --scale 12 [--repeat 5] [--out DIR]
@@ -51,6 +51,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument grammar."""
+    from repro.bfs.hybrid import DEFAULT_M, DEFAULT_N
+
     parser = argparse.ArgumentParser(
         prog="repro-bfs",
         description="Heuristic cross-architecture BFS combination "
@@ -193,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     san_p.add_argument(
         "--engine", choices=("td", "bu", "hybrid"), default="hybrid"
     )
-    san_p.add_argument("--m", type=float, default=64.0, help="threshold M")
-    san_p.add_argument("--n", type=float, default=512.0, help="threshold N")
+    san_p.add_argument("--m", type=float, default=DEFAULT_M, help="threshold M")
+    san_p.add_argument("--n", type=float, default=DEFAULT_N, help="threshold N")
     san_p.add_argument(
         "--skip-units",
         action="store_true",
@@ -237,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("td", "bu", "hybrid", "parallel"),
         default="hybrid",
     )
-    tr_p.add_argument("--m", type=float, default=64.0, help="threshold M")
-    tr_p.add_argument("--n", type=float, default=512.0, help="threshold N")
+    tr_p.add_argument("--m", type=float, default=DEFAULT_M, help="threshold M")
+    tr_p.add_argument("--n", type=float, default=DEFAULT_N, help="threshold N")
     tr_p.add_argument(
         "--threads", type=int, default=4, help="workers for --engine parallel"
     )
@@ -272,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf_p.add_argument(
         "--engine", choices=("td", "bu", "hybrid"), default="hybrid"
     )
-    pf_p.add_argument("--m", type=float, default=64.0, help="threshold M")
-    pf_p.add_argument("--n", type=float, default=512.0, help="threshold N")
+    pf_p.add_argument("--m", type=float, default=DEFAULT_M, help="threshold M")
+    pf_p.add_argument("--n", type=float, default=DEFAULT_N, help="threshold N")
     pf_p.add_argument(
         "--repeat",
         type=int,
@@ -307,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec_p.add_argument("--edgefactor", type=int, default=16)
     rec_p.add_argument("--roots", type=int, default=8)
     rec_p.add_argument("--seed", type=int, default=0)
-    rec_p.add_argument("--m", type=float, default=20.0, help="threshold M")
-    rec_p.add_argument("--n", type=float, default=100.0, help="threshold N")
+    rec_p.add_argument("--m", type=float, default=DEFAULT_M, help="threshold M")
+    rec_p.add_argument("--n", type=float, default=DEFAULT_N, help="threshold N")
     rec_p.add_argument(
         "--audit-candidates",
         type=int,
@@ -635,6 +637,7 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
     from repro.arch import CPU_SANDY_BRIDGE, GPU_K20X
     from repro.bench.metrics import gteps
     from repro.bfs import bfs_bottom_up, bfs_hybrid, bfs_top_down, pick_sources
+    from repro.bfs.hybrid import DEFAULT_M, DEFAULT_N
     from repro.graph import rmat
     from repro.obs import Tracer, use_tracer
 
@@ -676,8 +679,8 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
                 print(f"predicted switching point: {predicted}")
             m = pm if m is None else m
             n = pn if n is None else n
-        m = 64.0 if m is None else m
-        n = 512.0 if n is None else n
+        m = DEFAULT_M if m is None else m
+        n = DEFAULT_N if n is None else n
         runner = lambda: bfs_hybrid(graph, source, m=m, n=n)
 
     workload = f"rmat-s{args.scale}-ef{args.edgefactor}-{args.engine}"

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bfs.hybrid import bfs_hybrid
+from repro.bfs.hybrid import DEFAULT_M, DEFAULT_N, bfs_hybrid
 from repro.bfs.profiler import pick_sources
 from repro.bfs.result import BFSResult
 from repro.bfs.workspace import BFSWorkspace
@@ -136,9 +136,10 @@ class Graph500Result:
 
 
 def default_engine(graph: CSRGraph, source: int) -> BFSResult:
-    """The library's recommended engine: the hybrid with the moderate
-    (M, N) defaults used across the examples."""
-    return bfs_hybrid(graph, source, m=20.0, n=100.0)
+    """The library's recommended engine: the hybrid at the default
+    switching point (:data:`~repro.bfs.hybrid.DEFAULT_M`,
+    :data:`~repro.bfs.hybrid.DEFAULT_N`)."""
+    return bfs_hybrid(graph, source, m=DEFAULT_M, n=DEFAULT_N)
 
 
 class HybridEngine:
@@ -155,7 +156,7 @@ class HybridEngine:
     intended usage.  Call ``result.detach()`` to keep one longer.
     """
 
-    def __init__(self, m: float = 20.0, n: float = 100.0) -> None:
+    def __init__(self, m: float = DEFAULT_M, n: float = DEFAULT_N) -> None:
         self.m = float(m)
         self.n = float(n)
         self._workspace: BFSWorkspace | None = None

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bfs.hybrid import DEFAULT_M, DEFAULT_N
 from repro.cli import build_parser, main
 from repro.obs import read_jsonl, validate_chrome_trace
 
@@ -14,7 +15,7 @@ class TestTraceCommand:
         assert args.command == "trace"
         assert args.scale == 14
         assert args.engine == "hybrid"
-        assert args.m == 64.0 and args.n == 512.0
+        assert (args.m, args.n) == (DEFAULT_M, DEFAULT_N)
 
     def test_writes_validated_trace_and_jsonl(self, capsys, tmp_path):
         out = tmp_path / "run"
