@@ -3,26 +3,23 @@
 Five coordinated correctness tools (see ``docs/static_analysis.md``):
 
 * :mod:`repro.analysis.lint` — a dependency-free AST rule engine with
-  codebase-specific rules (``RPR001`` … ``RPR024``) and line-level
+  codebase-specific rules (``RPR001`` … ``RPR020``) and line-level
   ``# repro: noqa[RULE]`` suppression; the repo lints itself as a
   tier-1 test.  Rules ``RPR010+`` are *deep* rules that run under
   ``repro-bfs lint --deep``.  Each file is parsed once: the dataflow,
   effect and call-graph passes below read that one
   :class:`ModuleContext`.
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` — an
-  abstract interpreter (dtype/shape lattice, workspace alias analysis,
-  and the ``ParallelBFS`` / ``BFSWorkspace`` lifecycle rules
-  ``RPR023``/``RPR024``) and per-function write/raise/close/reset
+  abstract interpreter (dtype/shape lattice and workspace alias
+  analysis: ``RPR010``-``RPR012``) and per-function write/raise/reset
   effect summaries.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.program` —
   whole-program analysis: a project-wide call graph with import-aware
   name resolution and method dispatch, a worklist *fixpoint* that
   propagates effects through arbitrary call depth, and the rules built
-  on it (``RPR013`` … ``RPR017``, ``RPR019``): thread-pool workers
-  writing shared arrays directly, through a same-module helper or
-  through another module, resource lifecycle, interprocedural
-  workspace escapes and hot-path call cycles.  Exposed as
-  ``repro-bfs callgraph`` and folded into ``lint --deep``.
+  on it (``RPR015`` resource lifecycle, ``RPR019`` hot-path call
+  cycles).  Exposed as ``repro-bfs callgraph`` and folded into
+  ``lint --deep``.
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime harness
   (``sanitize=True`` on the BFS engines) that freezes CSR arrays during
   traversal and checks per-level invariants, raising structured
@@ -63,7 +60,7 @@ from repro.analysis.units import (
     check_cost_model,
 )
 
-# Importing the rule modules registers RPR001..RPR024 in RULES.
+# Importing the rule modules registers RPR001..RPR020 in RULES.
 from repro.analysis import dataflow as _dataflow  # noqa: F401
 from repro.analysis import program as _program  # noqa: F401
 from repro.analysis import rules as _rules  # noqa: F401

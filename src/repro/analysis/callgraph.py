@@ -9,7 +9,7 @@ module lifts those summaries to the whole program:
    each function body once, and record an import table, the
    class/method layout, per-function
    :class:`~repro.analysis.effects.FunctionEffects` base summaries,
-   thread-pool dispatch sites, array writes, resource acquisitions
+   thread-pool dispatch sites, resource acquisitions
    (``ParallelBFS()``, executors) and a lightweight
    receiver-typing environment.  Records are memoized in-process by
    the file's SHA-256, so repeated builds in one interpreter never
@@ -25,15 +25,15 @@ module lifts those summaries to the whole program:
    effect-free and non-raising — the optimism
    :mod:`repro.analysis.effects` documents.
 3. **Fixpoint**: a worklist iterates over the resolved edges until
-   per-function writes/raises/workspace-write and close/reset facts
-   stop changing.  The lattice is the finite powerset of names
+   per-function writes/raises/workspace-write/reset facts stop
+   changing.  The lattice is the finite powerset of names
    mentioned in the program and every transfer is monotone, so the
    iteration terminates; recursion (direct or mutual) simply
    converges, and a generous round cap widens defensively.
 
 The resulting :class:`Project` answers the queries the whole-program
-rules (:mod:`repro.analysis.program`, RPR013–RPR017 and RPR019; the
-lifecycle rules RPR023/RPR024 in :mod:`repro.analysis.dataflow`) and the
+rules (:mod:`repro.analysis.program`, RPR015 and RPR019; RPR011's
+callee ``resets`` in :mod:`repro.analysis.dataflow`) and the
 ``repro-bfs callgraph`` CLI need: ``who_writes("workspace.parent")``,
 transitive callers, strongly-connected components through hot-path
 modules, and DOT/JSON exports.
@@ -124,17 +124,12 @@ class FunctionInfo:
     name: str
     cls: str | None
     line: int
-    end_line: int
-    is_public: bool
     hot: bool
     summary: fx.FunctionEffects
-    locals: frozenset[str]
-    scratch: frozenset[str]
     types: tuple[tuple[str, str], ...]
     acquisitions: tuple[Acquisition, ...]
     temp_ctors: tuple[tuple[str, int, int], ...]
     dispatch_targets: tuple[tuple[str, int, int], ...]
-    array_writes: tuple[tuple[str, str, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,6 @@ class CallEdge:
     args: tuple[str | None, ...]
     kwargs: tuple[tuple[str, str], ...]
     dispatch: bool = False
-    maybe: bool = False
 
 
 def edge_bindings(
@@ -275,46 +269,19 @@ def _looks_like_pool(node: ast.expr) -> bool:
     return any(hint in lowered for hint in _POOL_NAME_HINTS)
 
 
-def _subscript_base(node: ast.expr) -> str | None:
-    """``a`` for a subscript target ``a[i]`` / ``a[i][j]``, else None."""
-    if not isinstance(node, ast.Subscript):
-        return None
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
 def _scan_body(
-    own: list[ast.AST], imports: frozenset[str]
-) -> tuple[
-    dict[str, str],
-    set[str],
-    list[tuple[str, int, int]],
-    list[tuple[str, str, int, int]],
-]:
+    own: list[ast.AST],
+) -> tuple[dict[str, str], list[tuple[str, int, int]]]:
     """One pass over a function body (``own`` is ``_walk_own(fn)``).
 
     Returns the locals assigned directly from a named call (receiver
-    typing), the locals holding per-thread workspace scratch
-    (``ws.buffer(...)``), the worker names handed to a pool or thread
-    with their dispatch sites, and the body's array writes as
-    ``(name, how, line, col)``: subscript and augmented stores,
-    in-place methods on a plain name and ``out=`` targets (RPR013).
-    A mutating method on a module receiver (``np.sort(x)``) is the
-    copying function, not a write.
+    typing) and the worker names handed to a pool or thread with their
+    dispatch sites.
     """
     ctor_locals: dict[str, str] = {}
-    scratch: set[str] = set()
     dispatch: list[tuple[str, int, int]] = []
-    writes: list[tuple[str, str, int, int]] = []
     for node in own:
         if isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                name = _subscript_base(tgt)
-                if name:
-                    writes.append(
-                        (name, "subscript store", tgt.lineno, tgt.col_offset)
-                    )
             call = node.value
             if not isinstance(call, ast.Call):
                 continue
@@ -325,30 +292,9 @@ def _scan_body(
                 and isinstance(node.targets[0], ast.Name)
             ):
                 ctor_locals[node.targets[0].id] = raw
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "buffer":
-                scratch.update(
-                    t.id for t in node.targets if isinstance(t, ast.Name)
-                )
-        elif isinstance(node, ast.AugAssign):
-            target = node.target
-            name = _subscript_base(target)
-            if name:
-                writes.append(
-                    (name, "augmented store", target.lineno, target.col_offset)
-                )
         elif isinstance(node, ast.Call):
             f = node.func
             site = (node.lineno, node.col_offset)
-            if (
-                isinstance(f, ast.Attribute)
-                and f.attr in fx.MUTATING_METHODS
-                and isinstance(f.value, ast.Name)
-                and f.value.id not in imports
-            ):
-                writes.append((f.value.id, f"in-place .{f.attr}()", *site))
-            for kw in node.keywords:
-                if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                    writes.append((kw.value.id, "out= target", *site))
             if (
                 isinstance(f, ast.Attribute)
                 and f.attr in _DISPATCH_ATTRS
@@ -363,7 +309,7 @@ def _scan_body(
                     for kw in node.keywords
                     if kw.arg == "target" and isinstance(kw.value, ast.Name)
                 )
-    return ctor_locals, scratch, dispatch, writes
+    return ctor_locals, dispatch
 
 
 def _is_resource_call(call: ast.Call) -> str | None:
@@ -532,7 +478,7 @@ def extract_module(ctx: ModuleContext) -> ModuleRecord:
     functions: list[FunctionInfo] = []
 
     def visit(body: Iterable[ast.stmt], prefix: tuple[str, ...],
-              cls: str | None, nested: bool = False) -> None:
+              cls: str | None) -> None:
         for node in body:
             if isinstance(node, ast.ClassDef):
                 cq = ".".join((module, *prefix, node.name))
@@ -553,21 +499,18 @@ def extract_module(ctx: ModuleContext) -> ModuleRecord:
                         methods=methods,
                     )
                 )
-                visit(node.body, (*prefix, node.name), node.name, nested)
+                visit(node.body, (*prefix, node.name), node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qname = ".".join((module, *prefix, node.name))
                 own = fx._walk_own(node)
-                locals_ = fx._local_names(node, own)
                 summary = fx._function_effects(
                     node,
                     own,
-                    locals_,
+                    fx._local_names(node, own),
                     module_imports=import_names,
                     self_is_workspace=id(node) in ws_method_ids,
                 )
-                ctor_locals, scratch, dispatch, writes = _scan_body(
-                    own, import_names
-                )
+                ctor_locals, dispatch = _scan_body(own)
                 types = dict(_annotation_types(node))
                 for var, raw in ctor_locals.items():
                     types.setdefault(var, raw)
@@ -580,31 +523,23 @@ def extract_module(ctx: ModuleContext) -> ModuleRecord:
                         name=node.name,
                         cls=cls,
                         line=node.lineno,
-                        end_line=getattr(node, "end_lineno", node.lineno),
-                        is_public=not nested and all(
-                            not part.startswith("_")
-                            for part in qname.split(".")
-                        ),
                         hot=hot,
                         summary=summary,
-                        locals=frozenset(locals_),
-                        scratch=frozenset(scratch),
                         types=tuple(sorted(types.items())),
                         acquisitions=acqs,
                         temp_ctors=temps,
                         dispatch_targets=tuple(dispatch),
-                        array_writes=tuple(writes),
                     )
                 )
-                visit(node.body, (*prefix, node.name), None, True)
+                visit(node.body, (*prefix, node.name), None)
             else:
                 # A def under if/for/while/with/try/match binds in the
                 # enclosing scope.
                 for block in ("body", "orelse", "finalbody"):
-                    visit(getattr(node, block, ()), prefix, cls, nested)
+                    visit(getattr(node, block, ()), prefix, cls)
                 for sub in (*getattr(node, "handlers", ()),
                             *getattr(node, "cases", ())):
-                    visit(sub.body, prefix, cls, nested)
+                    visit(sub.body, prefix, cls)
 
     visit(ctx.tree.body, (), None)
     return ModuleRecord(
@@ -627,16 +562,13 @@ def _summary_to_dict(s: fx.FunctionEffects) -> dict:
         "writes": sorted(s.writes),
         "calls": [
             [c.callee, list(c.args), [list(kv) for kv in c.kwargs],
-             c.line, c.col, c.maybe]
+             c.line, c.col]
             for c in s.calls
         ],
         "line": s.line,
         "raises": s.raises,
         "ws_params": sorted(s.ws_params),
         "ws_writes": sorted(s.ws_writes),
-        "returns_ws": s.returns_ws,
-        "returns_calls": list(s.returns_calls),
-        "closes": sorted(s.closes),
         "resets": sorted(s.resets),
     }
 
@@ -685,7 +617,6 @@ class Project:
                 self.classes[ci.qname] = ci
                 self._classes_by_bare.setdefault(ci.name, []).append(ci.qname)
         self.edges: list[CallEdge] = []
-        self.workers: dict[str, list[str]] = {}
         self._resolve_edges()
         self._edges_by_caller: dict[str, list[CallEdge]] = {}
         for edge in self.edges:
@@ -824,13 +755,10 @@ class Project:
                         receiver=receiver,
                         args=call.args,
                         kwargs=call.kwargs,
-                        maybe=call.maybe,
                     )
                 )
             for worker_raw, line, col in info.dispatch_targets:
                 worker_q = self._resolve_plain(info, worker_raw)
-                if worker_q is not None:
-                    self.workers.setdefault(worker_q, []).append(info.qname)
                 self.edges.append(
                     CallEdge(
                         caller=info.qname,
@@ -854,8 +782,6 @@ class Project:
                 "writes": set(s.writes),
                 "raises": s.raises,
                 "ws_writes": set(s.ws_writes),
-                "returns_ws": s.returns_ws,
-                "closes": set(s.closes),
                 "resets": set(s.resets),
             }
             for q, s in base.items()
@@ -872,7 +798,6 @@ class Project:
             rounds += 1
             q = worklist.popleft()
             queued.discard(q)
-            info = self.functions[q]
             s = state[q]
             bs = base[q]
             changed = False
@@ -895,23 +820,15 @@ class Project:
                     if param in callee_state["writes"] and arg not in s["writes"]:
                         s["writes"].add(arg)
                         changed = True
-                    # A callee that closes or resets its parameter does
-                    # so to the caller's parameter bound there; a close
-                    # counts only from a call made on every path.
-                    if arg in bs.params:
-                        if (
-                            param in callee_state["resets"]
-                            and arg not in s["resets"]
-                        ):
-                            s["resets"].add(arg)
-                            changed = True
-                        if (
-                            not edge.maybe
-                            and param in callee_state["closes"]
-                            and arg not in s["closes"]
-                        ):
-                            s["closes"].add(arg)
-                            changed = True
+                    # A callee that resets its parameter resets the
+                    # caller's parameter bound there.
+                    if (
+                        arg in bs.params
+                        and param in callee_state["resets"]
+                        and arg not in s["resets"]
+                    ):
+                        s["resets"].add(arg)
+                        changed = True
                     if param in callee_base.ws_params and (
                         arg in bs.ws_params or arg in fx.WS_PARAM_NAMES
                     ):
@@ -921,14 +838,6 @@ class Project:
                     s["ws_writes"].update(callee_state["ws_writes"])
                     if len(s["ws_writes"]) != before:
                         changed = True
-                if (
-                    not s["returns_ws"]
-                    and callee_state["returns_ws"]
-                    and edge.raw in bs.returns_calls
-                    and ws_bound
-                ):
-                    s["returns_ws"] = True
-                    changed = True
             if changed:
                 # Sorted, so the round count does not depend on set
                 # order (and so on PYTHONHASHSEED).
@@ -943,8 +852,6 @@ class Project:
                 writes=frozenset(state[q]["writes"]),
                 raises=state[q]["raises"],
                 ws_writes=frozenset(state[q]["ws_writes"]),
-                returns_ws=state[q]["returns_ws"],
-                closes=frozenset(state[q]["closes"]),
                 resets=frozenset(state[q]["resets"]),
             )
             for q in self.functions
@@ -1053,7 +960,6 @@ class Project:
             "functions": len(self.functions),
             "edges": len(self.edges),
             "resolved_edges": resolved,
-            "workers": len(self.workers),
             "fixpoint_rounds": self.rounds,
         }
 

@@ -1,4 +1,4 @@
-"""Per-function write/raise/lifecycle effect summaries.
+"""Per-function write/raise/reset effect summaries.
 
 For every function defined in a module (including methods and nested
 closures) this computes a :class:`FunctionEffects` record:
@@ -12,11 +12,8 @@ closures) this computes a :class:`FunctionEffects` record:
   through a workspace-typed receiver (``workspace.parent`` for a
   ``ws.parent[rows] = v`` store, including ``self.parent`` inside
   :class:`~repro.bfs.workspace.BFSWorkspace` methods);
-* ``closes``   — parameters the function closes (``p.close()`` /
-  ``p.shutdown()``) on every path: a close under an ``if``, inside a
-  loop or in an ``except`` handler does not count (RPR023);
 * ``resets``   — parameters that get ``begin()`` or are handed to a
-  traversal as ``workspace=``/``ws=`` on some path (RPR024);
+  traversal as ``workspace=``/``ws=`` on some path (RPR011);
 * ``calls``    — call sites (plain names *and* dotted attribute
   spellings like ``ws.begin``) with the variable names bound to each
   argument position, so effects can be propagated through a call graph.
@@ -25,9 +22,10 @@ These are *direct* facts: :mod:`repro.analysis.callgraph` resolves the
 call sites against the whole program and propagates the summaries to a
 fixpoint, through arbitrary call depth and across modules.  Unresolved
 callees (imports outside the project, attribute calls the call graph
-cannot type) are assumed effect-free for their arguments —
-deliberately optimistic, because pessimism would drown the worker-race
-rules of :mod:`repro.analysis.program` in false positives.
+cannot type) are assumed effect-free for their arguments and
+non-raising — deliberately optimistic, because pessimism would drown
+the whole-program rules of :mod:`repro.analysis.program` in false
+positives.
 
 Plain rebinding of a *local* name is not an effect; only names bound
 outside the function (parameters and free variables) can carry effects
@@ -52,7 +50,6 @@ __all__ = [
     "MUTATING_METHODS",
     "WORKSPACE_CLASS",
     "WS_PARAM_NAMES",
-    "WS_FACTORY_METHODS",
     "CLOSE_METHODS",
 ]
 
@@ -62,19 +59,12 @@ MUTATING_METHODS = frozenset(
     {"fill", "sort", "resize", "put", "partition", "setfield", "byteswap"}
 )
 
-#: The workspace class: ``self`` in its methods is a workspace, so is a
-#: parameter annotated with it, and its own accessors are the alias API
-#: RPR016 exempts.
+#: The workspace class: ``self`` in its methods is a workspace, and so
+#: is a parameter annotated with it.
 WORKSPACE_CLASS = "BFSWorkspace"
 
 #: Parameter names conventionally bound to a BFSWorkspace.
 WS_PARAM_NAMES = frozenset({"ws", "workspace"})
-
-#: BFSWorkspace methods whose return value aliases workspace-owned
-#: storage (the alias-until-detach contract RPR011/RPR016 police).
-WS_FACTORY_METHODS = frozenset(
-    {"buffer", "begin", "iota", "unvisited_ids", "load_frontier"}
-)
 
 #: Methods that release a ``ParallelBFS`` engine or a thread pool.
 CLOSE_METHODS = frozenset({"close", "shutdown"})
@@ -90,8 +80,6 @@ class CallSite:
     recorded).  ``args`` holds the *variable name* bound to each
     positional slot (``None`` when the argument is a computed
     expression), ``kwargs`` maps keyword names to variable names.
-    ``maybe`` marks a call made only on some paths (under an ``if``,
-    inside a loop or in an ``except`` handler).
     """
 
     callee: str
@@ -99,12 +87,11 @@ class CallSite:
     kwargs: tuple[tuple[str, str], ...]
     line: int
     col: int
-    maybe: bool = False
 
 
 @dataclass(frozen=True)
 class FunctionEffects:
-    """Write/raise/lifecycle summary for one function definition."""
+    """Write/raise/reset summary for one function definition."""
 
     name: str
     params: tuple[str, ...]
@@ -114,9 +101,6 @@ class FunctionEffects:
     raises: bool = False
     ws_params: frozenset[str] = frozenset()
     ws_writes: frozenset[str] = frozenset()
-    returns_ws: bool = False
-    returns_calls: tuple[str, ...] = ()
-    closes: frozenset[str] = frozenset()
     resets: frozenset[str] = frozenset()
 
     def writes_param(self, param: str) -> bool:
@@ -257,39 +241,6 @@ def _walk_own(fn: ast.AST) -> list[ast.AST]:
     return out
 
 
-def _definite_calls(body: list[ast.stmt]) -> set[int]:
-    """ids of the calls a statement list makes on every path through it.
-
-    Calls under an ``if``, inside a loop body or in an ``except``
-    handler are left out; ``try`` bodies, ``finally`` blocks and
-    ``with`` bodies run on every path.
-    """
-    out: set[int] = set()
-    for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        if isinstance(stmt, ast.Try):
-            for block in (stmt.body, stmt.orelse, stmt.finalbody):
-                out |= _definite_calls(block)
-            continue
-        heads: list[ast.AST] = [stmt]
-        if isinstance(stmt, (ast.If, ast.While)):
-            heads = [stmt.test]
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            heads = [stmt.iter]
-        elif isinstance(stmt, ast.Match):
-            heads = [stmt.subject]
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            heads = [item.context_expr for item in stmt.items]
-            out |= _definite_calls(stmt.body)
-        out.update(
-            id(node) for head in heads for node in ast.walk(head)
-            if isinstance(node, ast.Call)
-        )
-    return out
-
-
 def _ws_location(node: ast.expr, ws_names: frozenset[str]) -> str | None:
     """``workspace.<attr>`` for an lvalue rooted at a workspace name.
 
@@ -347,11 +298,9 @@ def _function_effects(
     ws_params = _workspace_params(fn, self_is_workspace=self_is_workspace)
     writes: set[str] = set()
     ws_writes: set[str] = set()
-    closes: set[str] = set()
     resets: set[str] = set()
     calls: list[CallSite] = []
     raises = False
-    definite = _definite_calls(fn.body)
 
     def tracked(name: str | None) -> str | None:
         """A name whose effects a caller can observe: a parameter or a
@@ -361,55 +310,6 @@ def _function_effects(
         if name in nonlocal_names or name not in locals_:
             return name
         return None
-
-    # Pass 1: workspace-derived locals, needed before returns can be
-    # classified (walk order is not source order).
-    ws_derived: set[str] = set(ws_params)
-    for node in own:
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        if isinstance(value, ast.Call):
-            raw = _dotted_name(value.func)
-            receiver = raw.rsplit(".", 1) if raw and "." in raw else None
-            if (
-                receiver is not None
-                and receiver[0] in ws_params
-                and receiver[1] in WS_FACTORY_METHODS
-            ):
-                for tgt in node.targets:
-                    ws_derived.update(_binding_names(tgt))
-        elif (
-            isinstance(value, ast.Subscript)
-            and isinstance(value.slice, ast.Slice)
-            and isinstance(value.value, ast.Name)
-            and value.value.id in ws_derived
-        ):
-            # A plain slice is a view: `buf[:k]` still aliases scratch.
-            for tgt in node.targets:
-                for name in _binding_names(tgt):
-                    ws_derived.add(name)
-
-    returns_ws = False
-    returns_calls: list[str] = []
-
-    def classify_return(value: ast.expr) -> None:
-        nonlocal returns_ws
-        exprs = value.elts if isinstance(value, ast.Tuple) else [value]
-        for expr in exprs:
-            if isinstance(expr, ast.Name) and expr.id in ws_derived:
-                returns_ws = True
-            elif isinstance(expr, ast.Call):
-                raw = _dotted_name(expr.func)
-                if raw:
-                    returns_calls.append(raw)
-                    receiver = raw.rsplit(".", 1) if "." in raw else None
-                    if (
-                        receiver is not None
-                        and receiver[0] in ws_params
-                        and receiver[1] in WS_FACTORY_METHODS
-                    ):
-                        returns_ws = True
 
     for node in own:
         if isinstance(node, ast.Assign):
@@ -427,13 +327,10 @@ def _function_effects(
             _record_store(node.target, tracked, writes)
         elif isinstance(node, ast.Call):
             _record_call_writes(node, tracked, writes, ws_params, ws_writes)
-            maybe = id(node) not in definite
-            _record_call_site(node, calls, maybe=maybe)
-            _record_lifecycle(node, params, closes, resets, maybe=maybe)
+            _record_call_site(node, calls)
+            _record_resets(node, params, resets)
         elif isinstance(node, ast.Raise):
             raises = True
-        elif isinstance(node, ast.Return) and node.value is not None:
-            classify_return(node.value)
     return FunctionEffects(
         name=fn.name,
         params=params,
@@ -443,30 +340,22 @@ def _function_effects(
         raises=raises,
         ws_params=ws_params,
         ws_writes=frozenset(ws_writes),
-        returns_ws=returns_ws,
-        returns_calls=tuple(returns_calls),
-        closes=frozenset(closes),
         resets=frozenset(resets),
     )
 
 
-def _record_lifecycle(
-    node: ast.Call,
-    params: tuple[str, ...],
-    closes: set[str],
-    resets: set[str],
-    *,
-    maybe: bool,
+def _record_resets(
+    node: ast.Call, params: tuple[str, ...], resets: set[str]
 ) -> None:
-    # p.close() on every path closes p; p.begin() or workspace=p on
-    # any path resets it.
+    # p.begin() or workspace=p on any path resets p.
     fn = node.func
-    if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name):
-        recv = fn.value.id
-        if recv in params and fn.attr in CLOSE_METHODS and not maybe:
-            closes.add(recv)
-        elif recv in params and fn.attr == "begin":
-            resets.add(recv)
+    if (
+        isinstance(fn, ast.Attribute)
+        and isinstance(fn.value, ast.Name)
+        and fn.value.id in params
+        and fn.attr == "begin"
+    ):
+        resets.add(fn.value.id)
     for kw in node.keywords:
         if (
             kw.arg in WS_PARAM_NAMES
@@ -515,9 +404,7 @@ def _record_call_writes(
                 ws_writes.add(loc)
 
 
-def _record_call_site(
-    node: ast.Call, calls: list[CallSite], *, maybe: bool
-) -> None:
+def _record_call_site(node: ast.Call, calls: list[CallSite]) -> None:
     # Record both plain-name calls (resolvable within the module) and
     # dotted attribute calls (resolvable by the whole-program graph).
     raw = _dotted_name(node.func)
@@ -538,7 +425,6 @@ def _record_call_site(
             kwargs=kwargs,
             line=node.lineno,
             col=node.col_offset,
-            maybe=maybe,
         )
     )
 
@@ -554,7 +440,6 @@ def format_effects(effects: dict[str, FunctionEffects]) -> str:
             f" {label}={{{', '.join(sorted(names))}}}"
             for label, names in (
                 ("ws_writes", fx.ws_writes),
-                ("closes", fx.closes),
                 ("resets", fx.resets),
             )
             if names

@@ -11,15 +11,15 @@ rules); this module provides the machinery:
 
 * a rule registry (``RULES``) populated by the :func:`rule` decorator;
 * a two-tier rule model: default rules run everywhere, ``deep`` rules
-  (abstract interpretation, effect summaries, race detection) run only
+  (abstract interpretation, effect summaries, the call graph) run only
   under ``--deep`` or when explicitly selected;
 * per-file AST visiting with a :class:`ModuleContext` handed to each
   rule.  :func:`parse_module` parses each file **once** and builds a
   shared :class:`NodeIndex` (one ``ast.walk`` materialized by node
   type); every rule, the call-graph extraction and the dataflow
   interpreter read that one context;
-* a third tier: ``whole_program`` rules (RPR013–RPR017 and RPR019 in
-  :mod:`repro.analysis.program`, RPR011, RPR023 and RPR024 in
+* a third tier: ``whole_program`` rules (RPR015 and RPR019 in
+  :mod:`repro.analysis.program`, RPR011 in
   :mod:`repro.analysis.dataflow`) additionally receive a resolved
   :class:`~repro.analysis.callgraph.Project` built once per
   :func:`lint_paths` run, so their findings rest on interprocedural
@@ -208,7 +208,7 @@ def rule(
 ) -> Callable[[RuleCheck], RuleCheck]:
     """Register a rule under ``code`` (e.g. ``'RPR001'``).
 
-    ``deep`` rules (dataflow / race analysis) only run when the caller
+    ``deep`` rules (dataflow / call-graph analysis) only run when the caller
     passes ``deep=True`` or selects the code explicitly.
     ``whole_program`` rules additionally want a resolved call-graph
     project on the context (``lint_paths`` builds one per run).
@@ -241,7 +241,7 @@ def _ensure_rules_loaded() -> None:
 
 
 def deep_rule_codes() -> list[str]:
-    """Codes of the registered deep (dataflow/race) rules, sorted."""
+    """Codes of the registered deep (dataflow/call-graph) rules, sorted."""
     _ensure_rules_loaded()
     return sorted(c for c, r in RULES.items() if r.deep)
 
@@ -415,7 +415,7 @@ def lint_source(
 
     ``hot_path`` overrides the path-based hot-path detection (useful for
     testing rules against files outside the package layout).  ``deep``
-    additionally runs the dataflow/race rules (RPR010+).  ``project``
+    additionally runs the deep rules (RPR010+).  ``project``
     optionally carries the whole-program call graph the
     ``whole_program`` rules consume; without one they analyze this file
     in isolation.

@@ -29,9 +29,9 @@ parallel engine's ``sanitize="race"`` mode.  It snapshots the
 the segments they process, and after the level verifies that the set
 of modified vertices is *exactly* the claimed next frontier — any
 write outside the claimed set is a cross-thread write that bypassed
-the main-thread merge (the ownership protocol the static rules
-``RPR013``/``RPR014`` enforce at the AST level), and raises
-:class:`~repro.errors.SanitizerError` naming the rogue vertices.
+the main-thread merge (rule 3 of :mod:`repro.bfs.parallel`'s ownership
+protocol), and raises :class:`~repro.errors.SanitizerError` naming the
+rogue vertices.
 
 Violations raise :class:`~repro.errors.SanitizerError` carrying the
 level and the offending vertex ids.  The checks are vectorized and add

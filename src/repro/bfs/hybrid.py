@@ -48,8 +48,8 @@ __all__ = [
 #: The one default switching point ``(M, N)``, read by every entry point
 #: that neither takes nor predicts one: the CLI, ``default_engine``,
 #: ``HybridEngine``, ``connected_components`` and ``pseudo_diameter``.
-#: On R-MAT scale 17 with a warm workspace, (64, 512) took about 50%
-#: longer per root.
+#: On R-MAT scale 17 with a warm workspace, on a 2-vCPU host, (64, 512)
+#: took about 50% longer per root.
 DEFAULT_M = 20.0
 DEFAULT_N = 100.0
 

@@ -19,10 +19,11 @@ accompanies the simulated Fig. 10.
 
 Ownership protocol
 ------------------
-The engine's thread-safety contract, enforced statically by the deep
-lint rules ``RPR013`` (a worker's own write), ``RPR014`` (a write
-through a helper in the worker's module) and ``RPR017`` (through
-another module), and dynamically by ``run(..., sanitize="race")``:
+The engine's thread-safety contract, guarded by the golden traversals
+at one to three threads (``tests/bfs/test_traversal_golden.py``: a
+racy write changes the bit-identical parent maps) and, for writes
+outside the claimed frontier, at run time by
+``run(..., sanitize="race")``:
 
 1. worker closures may **read** shared state freely (``parent``,
    ``level``, CSR arrays, the frontier mask);
@@ -34,9 +35,6 @@ another module), and dynamically by ``run(..., sanitize="race")``:
    **main thread after the pool has joined**: top-down merges the
    concatenated proposals through the first-writer claim, bottom-up
    scatters the winners of the partitioned unvisited scan.
-
-A deliberate exception is suppressed where the rule reports it, with
-``# repro: noqa[<code>]`` and a reason.
 """
 
 from __future__ import annotations

@@ -217,9 +217,7 @@ class BFSWorkspace:
         two pool workers asking for the same ``name`` get *disjoint*
         backing arrays — this is what makes workspace scratch a
         permitted write target inside ``ParallelBFS`` worker closures
-        (ownership protocol rule 2; the worker-race rules ``RPR013``,
-        ``RPR014`` and ``RPR017`` treat a buffer obtained inside the
-        worker as the worker's own for the same reason).
+        (ownership protocol rule 2).
         """
         key = (name, np.dtype(dtype).str, threading.get_ident())
         buf = self._buffers.get(key)

@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--deep",
         action="store_true",
-        help="also run the deep dataflow/race/lifecycle rules "
-        "(RPR010..RPR019, RPR023, RPR024)",
+        help="also run the deep dataflow and whole-program rules "
+        "(RPR010, RPR011, RPR012, RPR015, RPR019)",
     )
     lint_p.add_argument(
         "--changed",

@@ -280,6 +280,8 @@ def complete(n: int) -> CSRGraph:
         raise GraphError(f"complete needs n >= 1, got {n}")
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
     g = CSRGraph.from_edges(
+        # repro: noqa[RPR010] — endpoint ids, not edge offsets: from_edges
+        # takes int32 vertex ids and generator sizes stay far below 2^31
         src.astype(np.int32), dst.astype(np.int32), n, symmetrize=False
     )
     # Every edge already appears in both directions.

@@ -1,4 +1,4 @@
-"""Deep dataflow rules (RPR010-RPR014): golden fixtures, the dtype
+"""Deep dataflow rules (RPR010-RPR012): golden fixtures, the dtype
 lattice, suppression extents, and the shared single-pass node index.
 
 Each seeded-bug fixture in ``tests/analysis/fixtures/`` must be caught
@@ -24,7 +24,7 @@ from repro.analysis.lint import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-DEEP_RULES = ("RPR010", "RPR011", "RPR012", "RPR013", "RPR014")
+DEEP_RULES = ("RPR010", "RPR011", "RPR012")
 
 
 def _lint_fixture(name: str, rule: str):
@@ -67,60 +67,55 @@ class TestGoldenFixtures:
         assert any("detach()" in v.message for v in violations)
         assert any("BFSResult" in v.message for v in violations)
 
-    def test_rpr013_matches_dynamic_defect(self):
-        """The static fixture encodes the same defect the runtime race
-        sanitizer catches (tests/test_stress_and_concurrency.py): a
-        pool worker writing the shared parent map."""
-        violations = _lint_fixture("rpr013_bad.py", "RPR013")
-        assert any(
-            "parent" in v.message and "main thread" in v.message
-            for v in violations
-        )
-
-    def test_rpr014_reports_the_callee(self):
-        violations = _lint_fixture("rpr014_bad.py", "RPR014")
-        assert any("_claim_rows" in v.message for v in violations)
-
     def test_deep_registry_is_exactly_the_fixture_set(self):
-        """Module-local deep rules plus the whole-program tier
-        (tests/analysis/test_program_rules.py covers the latter) and the
-        lifecycle rules (RPR023, RPR024, tests/analysis/test_typestate.py)."""
-        program_rules = ("RPR015", "RPR016", "RPR017", "RPR019")
-        lifecycle_rules = ("RPR023", "RPR024")
-        assert deep_rule_codes() == sorted(
-            DEEP_RULES + program_rules + lifecycle_rules
-        )
+        """The dataflow rules plus the whole-program tier
+        (tests/analysis/test_program_rules.py covers the latter)."""
+        program_rules = ("RPR015", "RPR019")
+        assert deep_rule_codes() == sorted(DEEP_RULES + program_rules)
 
 
-#: A two-file tree: ``engine.f`` resets ``ws`` through a helper while
-#: the result of its own ``begin`` still aliases it.
-RESET_TREE = {
-    "helpers.py": "def reset(ws):\n    ws.begin(0)\n",
-    "engine.py": (
-        "from helpers import reset\n"
-        "from repro.bfs.result import BFSResult\n"
-        "\n"
-        "\n"
-        "def f(ws, source):\n"
-        "    parent, level = ws.begin(source)\n"
-        "    result = BFSResult(source=source, parent=parent, level=level)\n"
-        "    reset(ws)\n"
-        "    return result\n"
+#: ``np.nonzero`` returns a tuple of int64 index arrays, so narrowing
+#: the offsets gathered at its first element is a known-int64 narrowing,
+#: whether the ids come straight from it or from a branch joining it
+#: with an int64 parameter.
+NONZERO_ROWS = {
+    "direct": (
+        "import numpy as np\n"
+        "def f(graph, parent):\n"
+        "    ids = np.nonzero(parent < 0)[0]\n"
+        "    starts = graph.offsets[ids]\n"
+        "    return starts.astype(np.int32)\n"
+    ),
+    "joined": (
+        "import numpy as np\n"
+        "def f(graph, parent, unvisited, cold):\n"
+        "    if cold:\n"
+        "        unvisited = np.nonzero(parent < 0)[0]\n"
+        "    starts = graph.offsets[unvisited]\n"
+        "    return starts.astype(np.int32)\n"
     ),
 }
 
 
+@pytest.mark.parametrize("source", NONZERO_ROWS.values(), ids=NONZERO_ROWS)
+def test_rpr010_sees_ids_from_nonzero(source):
+    violations = lint_source(
+        source, path="src/repro/bfs/snippet.py", select=["RPR010"], deep=True
+    )
+    assert [(v.rule, v.line) for v in violations] == [
+        ("RPR010", len(source.splitlines()))
+    ]
+
+
 @pytest.mark.parametrize(
-    "select", [None, ["RPR011"], ["RPR011", "RPR013"]],
-    ids=["deep", "rpr011", "rpr011-rpr013"],
+    "select", [None, ["RPR011"], ["RPR011", "RPR015"]],
+    ids=["deep", "rpr011", "rpr011-rpr015"],
 )
-def test_rpr011_sees_a_reset_in_another_module(tmp_path, select):
+def test_rpr011_sees_a_reset_in_another_module(reset_tree, select):
     """RPR011 reads the callee's ``resets`` facts through the call-graph
     project, so ``lint_paths`` must build it when RPR011 is selected
     alone too."""
-    for name, text in RESET_TREE.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    violations, checked = lint_paths([tmp_path], select=select, deep=True)
+    violations, checked = lint_paths([reset_tree], select=select, deep=True)
     assert checked == 2
     assert [
         (Path(v.path).name, v.line) for v in violations if v.rule == "RPR011"
@@ -244,7 +239,7 @@ class TestNodeIndex:
         got = index.of(ast.FunctionDef, ast.Return)
         assert {type(n) for n in got} == {ast.FunctionDef, ast.Return}
 
-    def test_lint_source_shares_one_index(self, monkeypatch):
+    def test_lint_source_shares_one_index(self, monkeypatch, reset_tree):
         """Each file is parsed exactly once: the rules, the call-graph
         extraction and the dataflow interpreter all read the one
         context (and index) that lint_source / lint_paths build."""
@@ -260,7 +255,7 @@ class TestNodeIndex:
         lint_source(self.SRC, path="t.py", deep=True)
         assert parsed == ["t.py"]
         parsed.clear()
-        _, checked = lint_paths([FIXTURES / "rpr017_bad"], deep=True)
+        _, checked = lint_paths([reset_tree], deep=True)
         assert checked == 2
         assert sorted(Path(f).name for f in parsed) == [
             "engine.py", "helpers.py",

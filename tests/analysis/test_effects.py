@@ -1,4 +1,4 @@
-"""Per-function write/raise/lifecycle effect summaries and their
+"""Per-function write/raise/reset effect summaries and their
 propagation by the whole-program worklist fixpoint."""
 
 import ast
@@ -177,30 +177,7 @@ class TestPropagation:
 
 
 class TestLifecycleFacts:
-    """``closes`` (every path) and ``resets`` (some path): the callee
-    facts RPR023 and RPR024 read."""
-
-    def test_close_on_every_path_only(self):
-        src = (
-            "def f(a, b, c, d, e, g, h, cond, items):\n"
-            "    a.close()\n"
-            "    try:\n"
-            "        b.shutdown()\n"
-            "    except ValueError:\n"
-            "        c.close()\n"
-            "    finally:\n"
-            "        d.close()\n"
-            "    if cond:\n"
-            "        e.close()\n"
-            "    for _ in items:\n"
-            "        g.close()\n"
-            "    with open(cond):\n"
-            "        h.close()\n"
-        )
-        fx = function_effects(_fn(src))
-        assert fx.closes == {"a", "b", "d", "h"}
-        maybe = {c.callee: c.maybe for c in fx.calls}
-        assert not maybe["a.close"] and maybe["e.close"] and maybe["c.close"]
+    """``resets`` (some path): the callee fact RPR011 reads."""
 
     def test_resets_on_some_path(self):
         src = (
@@ -214,31 +191,23 @@ class TestLifecycleFacts:
         )
         assert function_effects(_fn(src)).resets == {"w", "v", "u"}
 
-    def test_fixpoint_lifts_closes_through_unconditional_calls(self):
+    def test_fixpoint_lifts_resets_through_calls(self):
         src = (
-            "def _stop(engine):\n"
-            "    engine.close()\n"
-            "\n"
-            "def stop(e):\n"
-            "    _stop(e)\n"
-            "\n"
-            "def maybe_stop(e, cond):\n"
-            "    if cond:\n"
-            "        _stop(e)\n"
-            "\n"
             "def _reset(w):\n"
             "    w.begin(0)\n"
             "\n"
             "def maybe_reset(ws, cond):\n"
             "    if cond:\n"
             "        _reset(ws)\n"
+            "\n"
+            "def run_on(space):\n"
+            "    maybe_reset(space, True)\n"
         )
         p = project_from_sources([("lifecycle.py", src)])
-        assert p.functions["lifecycle.stop"].summary.closes == frozenset()
-        assert p.summaries["lifecycle.stop"].closes == {"e"}
-        assert p.summaries["lifecycle.maybe_stop"].closes == frozenset()
+        assert p.functions["lifecycle.run_on"].summary.resets == frozenset()
         assert p.summaries["lifecycle.maybe_reset"].resets == {"ws"}
-        assert "closes={e}" in p.format_summaries()
+        assert p.summaries["lifecycle.run_on"].resets == {"space"}
+        assert "resets={space}" in p.format_summaries()
 
     def test_extraction_records_lifecycle_facts(self):
         rec = extract_module(parse_module(
@@ -246,7 +215,7 @@ class TestLifecycleFacts:
             "m.py",
         ))
         (info,) = rec.functions
-        assert info.summary.closes == {"e"} and info.summary.resets == {"w"}
-        assert {c.callee: c.maybe for c in info.summary.calls} == {
-            "e.close": False, "w.begin": True,
-        }
+        assert info.summary.resets == {"w"}
+        assert sorted(c.callee for c in info.summary.calls) == [
+            "e.close", "w.begin",
+        ]

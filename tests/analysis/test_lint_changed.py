@@ -14,38 +14,35 @@ from pathlib import Path
 from repro.analysis import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
-RPR017_DIR = FIXTURES / "rpr017_bad"
-ENGINE = RPR017_DIR / "engine.py"
 
 
 class TestRestrictTo:
-    def test_restricted_run_keeps_whole_project_context(self):
+    def test_restricted_run_keeps_whole_project_context(self, reset_tree):
         """Reporting only on engine.py must still surface the
-        cross-module RPR017 violation (helpers.py provides the write
-        path)."""
+        cross-module RPR011 violation (helpers.py provides the reset)."""
         violations, checked = lint_paths(
-            [RPR017_DIR],
-            select=["RPR017"],
+            [reset_tree],
+            select=["RPR011"],
             deep=True,
-            restrict_to=[ENGINE],
+            restrict_to=[reset_tree / "engine.py"],
         )
         assert checked == 1  # only the restricted file is reported on
-        assert [v.rule for v in violations] == ["RPR017"]
+        assert [v.rule for v in violations] == ["RPR011"]
         assert violations[0].path.endswith("engine.py")
 
-    def test_naive_subset_analysis_would_miss_it(self):
+    def test_naive_subset_analysis_would_miss_it(self, reset_tree):
         """The defect this fixes: analyzing the changed file alone
         (the old --changed behavior) cannot see the violation."""
         violations, checked = lint_paths(
-            [ENGINE], select=["RPR017"], deep=True
+            [reset_tree / "engine.py"], select=["RPR011"], deep=True
         )
         assert checked == 1
         assert violations == []
 
-    def test_restrict_to_outside_scope_reports_nothing(self):
+    def test_restrict_to_outside_scope_reports_nothing(self, reset_tree):
         violations, checked = lint_paths(
-            [RPR017_DIR],
-            select=["RPR017"],
+            [reset_tree],
+            select=["RPR011"],
             deep=True,
             restrict_to=[FIXTURES / "rpr015_bad.py"],
         )
@@ -55,7 +52,7 @@ class TestRestrictTo:
 
 class TestChangedFlagCli:
     def test_changed_deep_lint_analyzes_the_full_scope(
-        self, monkeypatch, capsys
+        self, monkeypatch, capsys, reset_tree
     ):
         """`repro-bfs lint --deep --changed` with only engine.py
         changed must still report the cross-module violation."""
@@ -65,20 +62,20 @@ class TestChangedFlagCli:
         monkeypatch.setattr(
             repro.analysis,
             "changed_python_files",
-            lambda paths: [ENGINE],
+            lambda paths: [reset_tree / "engine.py"],
         )
         code = main(
-            ["lint", "--deep", "--select", "RPR017",
-             "--changed", str(RPR017_DIR)]
+            ["lint", "--deep", "--select", "RPR011",
+             "--changed", str(reset_tree)]
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert "RPR017" in captured.out
+        assert "RPR011" in captured.out
         assert "engine.py" in captured.out
         assert "1 file(s)" in captured.err
 
     def test_changed_with_no_changes_short_circuits(
-        self, monkeypatch, capsys
+        self, monkeypatch, capsys, reset_tree
     ):
         import repro.analysis
         from repro.cli import main
@@ -86,6 +83,6 @@ class TestChangedFlagCli:
         monkeypatch.setattr(
             repro.analysis, "changed_python_files", lambda paths: []
         )
-        code = main(["lint", "--deep", "--changed", str(RPR017_DIR)])
+        code = main(["lint", "--deep", "--changed", str(reset_tree)])
         assert code == 0
         assert "no changed" in capsys.readouterr().out

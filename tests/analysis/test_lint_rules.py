@@ -35,31 +35,22 @@ class TestRegistry:
             "RPR010",
             "RPR011",
             "RPR012",
-            "RPR013",
-            "RPR014",
             "RPR015",
-            "RPR016",
-            "RPR017",
             "RPR019",
             "RPR020",
-            "RPR023",
-            "RPR024",
         }
 
     def test_deep_rules_flagged(self):
         from repro.analysis import deep_rule_codes
 
         assert deep_rule_codes() == [
-            "RPR010", "RPR011", "RPR012", "RPR013", "RPR014",
-            "RPR015", "RPR016", "RPR017", "RPR019",
-            "RPR023", "RPR024",
+            "RPR010", "RPR011", "RPR012", "RPR015", "RPR019",
         ]
         for code in deep_rule_codes():
             assert RULES[code].deep
         # the rules that read the call-graph project are flagged as
         # whole-program, so lint_paths builds it when they are selected
-        for code in ("RPR011", "RPR013", "RPR014", "RPR015", "RPR016",
-                     "RPR017", "RPR019", "RPR023", "RPR024"):
+        for code in ("RPR011", "RPR015", "RPR019"):
             assert RULES[code].whole_program
         for code in ("RPR010", "RPR012"):
             assert not RULES[code].whole_program

@@ -152,6 +152,16 @@ class TestWorkspaceReuse:
         third = bfs_hybrid(rmat_small, 3, m=20, n=100, workspace=ws)
         _check_against_reference(rmat_small, 2, kept)
         _check_against_reference(rmat_small, 3, third)
+        # ParallelBFS lends the same way: a result read after the next
+        # traversal of its workspace reads that traversal.
+        with ParallelBFS(num_threads=2) as engine:
+            lent = engine.run(rmat_small, 4, workspace=ws)
+            kept = engine.run(rmat_small, 5, workspace=ws).detach()
+            last = engine.run(rmat_small, 6, workspace=ws)
+        assert lent.parent is last.parent is ws.parent
+        assert lent.source == 4 and lent.parent[6] == 6
+        _check_against_reference(rmat_small, 5, kept)
+        _check_against_reference(rmat_small, 6, last)
 
     def test_private_workspace_results_independent(self, rmat_small):
         """Without an explicit workspace, results own their arrays."""

@@ -115,8 +115,7 @@ class TestConcurrencyProperties:
 class BrokenParallelBFS(ParallelBFS):
     """An engine whose worker violates ownership protocol rule 3: it
     writes the shared parent map from the pool thread instead of
-    returning proposals for the main-thread merge.  The static twin of
-    this defect lives in tests/analysis/fixtures/rpr013_bad.py.
+    returning proposals for the main-thread merge.
 
     The scribble fires once, at depth 0: un-claiming the frontier every
     level would let vertices be re-discovered forever and the traversal
@@ -185,22 +184,3 @@ class TestRaceSanitizer:
         # write the source's self-parent is gone — either still -7, or
         # re-claimed from a neighbour one level too deep.
         assert result.parent[src] != src
-
-    def test_static_twin_of_the_dynamic_defect(self):
-        """The race fixture the static detector must flag encodes the
-        same bug BrokenParallelBFS injects at runtime."""
-        from pathlib import Path
-
-        from repro.analysis import lint_source
-
-        fixture = (
-            Path(__file__).parent
-            / "analysis" / "fixtures" / "rpr013_bad.py"
-        )
-        violations = lint_source(
-            fixture.read_text(encoding="utf-8"),
-            path="src/repro/bfs/rpr013_bad.py",
-            select=["RPR013"],
-            deep=True,
-        )
-        assert any("parent" in v.message for v in violations)
