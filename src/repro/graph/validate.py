@@ -108,7 +108,11 @@ def check_bfs(
 
     claim = np.full(n, -1, dtype=np.int32)
     claim[kids] = pk  # repro: noqa[RPR010] — ids checked to lie in [0, n)
-    key = _level_keys(level, n, graph.symmetric)
+    key = _level_keys(level, n)
+    if not graph.symmetric:
+        # The directed scan subtracts keys and must not wrap: unreached
+        # vertices take the dtype's maximum there, not its minimum.
+        key[~reached] = np.iinfo(key.dtype).max
     spans, mixed, claimed = _scan_entries(graph, key, claim)
     missing = kids.size - claimed
     if missing:
@@ -120,17 +124,13 @@ def check_bfs(
     return failures
 
 
-def _level_keys(
-    level: np.ndarray, n: int, symmetric: bool = True
-) -> np.ndarray:
+def _level_keys(level: np.ndarray, n: int) -> np.ndarray:
     """Keys in ``[0, 3n)`` for reached vertices that are within one of each
-    other exactly when their levels are, and for the unreached the
-    dtype's minimum on a symmetric graph, its maximum on a directed one.
-    Levels of ``n`` and up (corrupt) are renumbered in order, one step
-    per gap of one and two per wider gap, so none wraps."""
+    other exactly when their levels are, and the dtype's minimum for the
+    unreached.  Levels of ``n`` and up (corrupt) are renumbered in order,
+    one step per gap of one and two per wider gap, so none wraps."""
     dt = np.int32 if 3 * n < 2**30 else np.int64
-    info = np.iinfo(dt)
-    key = np.full(n, info.min if symmetric else info.max, dtype=dt)
+    key = np.full(n, np.iinfo(dt).min, dtype=dt)
     low = (level >= 0) & (level < n)
     key[low] = level[low]
     over = level >= n

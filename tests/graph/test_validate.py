@@ -276,9 +276,17 @@ class TestDirected:
         res = bfs_reference(g, 0)
         assert check_bfs(g, 0, res.parent, res.level) == []
 
-    def test_unreached_successor_rejected(self):
-        g = _directed([0, 1], [1, 2], 3)
-        assert check_bfs(g, 0, [0, 0, -1], [0, 1, -1]) == [
+    @pytest.mark.parametrize(
+        ("edges", "parent", "level"),
+        [
+            (([0, 1], [1, 2], 3), [0, 0, -1], [0, 1, -1]),
+            (([0], [1], 2), [0, -1], [0, -1]),  # the source's own successor
+        ],
+        ids=["level-1", "source"],
+    )
+    def test_unreached_successor_rejected(self, edges, parent, level):
+        g = _directed(*edges)
+        assert check_bfs(g, 0, parent, level) == [
             "1 edges join reached to unreached vertices"
         ]
 
