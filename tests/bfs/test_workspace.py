@@ -20,7 +20,7 @@ from repro.bfs import (
 from repro.bfs.topdown import claim_first_writer
 from repro.errors import BFSError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat
+from repro.graph.generators import grid2d, rmat
 
 
 def _engines(ws=None):
@@ -152,16 +152,33 @@ class TestWorkspaceReuse:
         third = bfs_hybrid(rmat_small, 3, m=20, n=100, workspace=ws)
         _check_against_reference(rmat_small, 2, kept)
         _check_against_reference(rmat_small, 3, third)
-        # ParallelBFS lends the same way: a result read after the next
-        # traversal of its workspace reads that traversal.
+
+    def test_parallel_result_reads_next_traversal(self):
+        """ParallelBFS lends the same way: a result read after the next
+        traversal of its workspace reads that traversal."""
+        graph = grid2d(4, 4)
         with ParallelBFS(num_threads=2) as engine:
-            lent = engine.run(rmat_small, 4, workspace=ws)
-            kept = engine.run(rmat_small, 5, workspace=ws).detach()
-            last = engine.run(rmat_small, 6, workspace=ws)
-        assert lent.parent is last.parent is ws.parent
-        assert lent.source == 4 and lent.parent[6] == 6
-        _check_against_reference(rmat_small, 5, kept)
-        _check_against_reference(rmat_small, 6, last)
+            ws = BFSWorkspace(graph.num_vertices)
+            first = engine.run(graph, 0, workspace=ws)
+            second = engine.run(graph, 15, workspace=ws)  # first still live
+        assert first.parent is second.parent is ws.parent
+        assert first.source == 0
+        assert int(first.level[0]) == 6  # now reads the BFS from 15
+
+    def test_parallel_detached_result_survives_reuse(self):
+        """A detached result owns its arrays: re-lending the workspace
+        leaves it intact."""
+        graph = grid2d(4, 4)
+        with ParallelBFS(num_threads=2) as engine:
+            ws = BFSWorkspace(graph.num_vertices)
+            first = engine.run(graph, 0, workspace=ws)
+            first.detach()
+            second = engine.run(graph, 15, workspace=ws)
+        assert not np.shares_memory(first.parent, second.parent)
+        assert int(first.parent[0]) == 0 and int(first.level[0]) == 0
+        assert int(second.level[0]) == 6
+        first.validate(graph)
+        second.validate(graph)
 
     def test_private_workspace_results_independent(self, rmat_small):
         """Without an explicit workspace, results own their arrays."""
