@@ -10,8 +10,8 @@ Five coordinated correctness tools (see ``docs/static_analysis.md``):
   effect and call-graph passes below read that one
   :class:`ModuleContext`.
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` — an
-  abstract interpreter (dtype/shape lattice and workspace alias
-  analysis: ``RPR010``-``RPR012``) and per-function write/raise/reset
+  abstract interpreter (dtype/shape lattice: ``RPR010`` and
+  ``RPR012``), one function at a time, and per-function write/raise
   effect summaries.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.program` —
   whole-program analysis: a project-wide call graph with import-aware

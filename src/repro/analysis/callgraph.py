@@ -25,15 +25,14 @@ module lifts those summaries to the whole program:
    effect-free and non-raising — the optimism
    :mod:`repro.analysis.effects` documents.
 3. **Fixpoint**: a worklist iterates over the resolved edges until
-   per-function writes/raises/workspace-write/reset facts stop
-   changing.  The lattice is the finite powerset of names
-   mentioned in the program and every transfer is monotone, so the
-   iteration terminates; recursion (direct or mutual) simply
-   converges, and a generous round cap widens defensively.
+   per-function writes/raises/workspace-write facts stop changing.
+   The lattice is the finite powerset of names mentioned in the
+   program and every transfer is monotone, so the iteration
+   terminates; recursion (direct or mutual) simply converges, and a
+   generous round cap widens defensively.
 
 The resulting :class:`Project` answers the queries the whole-program
-rules (:mod:`repro.analysis.program`, RPR015 and RPR019; RPR011's
-callee ``resets`` in :mod:`repro.analysis.dataflow`) and the
+rules (:mod:`repro.analysis.program`, RPR015 and RPR019) and the
 ``repro-bfs callgraph`` CLI need: ``who_writes("workspace.parent")``,
 transitive callers, strongly-connected components through hot-path
 modules, and DOT/JSON exports.
@@ -569,7 +568,6 @@ def _summary_to_dict(s: fx.FunctionEffects) -> dict:
         "raises": s.raises,
         "ws_params": sorted(s.ws_params),
         "ws_writes": sorted(s.ws_writes),
-        "resets": sorted(s.resets),
     }
 
 
@@ -782,7 +780,6 @@ class Project:
                 "writes": set(s.writes),
                 "raises": s.raises,
                 "ws_writes": set(s.ws_writes),
-                "resets": set(s.resets),
             }
             for q, s in base.items()
         }
@@ -820,15 +817,6 @@ class Project:
                     if param in callee_state["writes"] and arg not in s["writes"]:
                         s["writes"].add(arg)
                         changed = True
-                    # A callee that resets its parameter resets the
-                    # caller's parameter bound there.
-                    if (
-                        arg in bs.params
-                        and param in callee_state["resets"]
-                        and arg not in s["resets"]
-                    ):
-                        s["resets"].add(arg)
-                        changed = True
                     if param in callee_base.ws_params and (
                         arg in bs.ws_params or arg in fx.WS_PARAM_NAMES
                     ):
@@ -852,7 +840,6 @@ class Project:
                 writes=frozenset(state[q]["writes"]),
                 raises=state[q]["raises"],
                 ws_writes=frozenset(state[q]["ws_writes"]),
-                resets=frozenset(state[q]["resets"]),
             )
             for q in self.functions
         }

@@ -1,7 +1,7 @@
 """Abstract interpretation for the deep lint rules.
 
 This module implements a small abstract interpreter over Python AST
-with a NumPy-aware value domain, and registers three deep rules on top
+with a NumPy-aware value domain, and registers two deep rules on top
 of it:
 
 ========  ==============================================================
@@ -11,10 +11,6 @@ RPR010    silent dtype narrowing / mixed-dtype index math on the kernel
           of ``x`` is *known* to be 64-bit, and ``uint64 (op) int64``
           array arithmetic, which NumPy resolves by promoting to
           float64
-RPR011    write to a workspace-aliased array (``parent``, ``level``,
-          claim slots, scratch buffers, ``workspace.begin()``) while a
-          live :class:`~repro.bfs.result.BFSResult` still aliases it —
-          results alias workspace storage until ``detach()``
 RPR012    a ``workspace.buffer(...)`` scratch array that is written but
           never read in its function — a dead store burning memory
           bandwidth on the hot path
@@ -26,19 +22,10 @@ The value domain tracks, per local variable:
   ``float32``/``float64`` or unknown) propagated through assignments,
   slicing, ``astype``, views, and arithmetic with NumPy's promotion
   rules;
-* a **kind** (array / scalar / workspace / result / tuple / unknown) —
-  the rank-0 vs rank-1 shape distinction the narrowing rules need;
-* an **alias set** of symbolic workspace locations
-  (``ws.parent``, ``ws.level``, ``ws.claim``, ``ws.iota``,
-  ``ws.buffer:<name>``), seeded from :class:`BFSWorkspace` API calls
-  and preserved through basic-slice views, dropped by copies.
+* a **kind** (array / scalar / workspace / tuple / unknown) — the
+  rank-0 vs rank-1 shape distinction the narrowing rules need.
 
-RPR011 is interprocedural: a workspace re-lent by ``begin()``, by
-``workspace=``/``ws=``, or by a callee whose fixpoint summary
-``resets`` the bound argument (:mod:`repro.analysis.callgraph`; a
-one-file project when the lint run has none) counts as a write to
-``ws.parent``/``ws.level``.
-
+Each function is interpreted on its own, with no call-graph facts.
 The interpreter is deliberately approximate: branches are joined
 point-wise, loop bodies are interpreted once, ``except`` handlers do
 not flow on, and anything it cannot prove is *unknown* — every rule
@@ -53,17 +40,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator
 
-from repro.analysis.callgraph import CallEdge, edge_bindings
 from repro.analysis.effects import (
     MUTATING_METHODS,
-    WS_PARAM_NAMES,
-    FunctionEffects,
-    _dotted_name,
     _workspace_params,
     workspace_methods,
 )
 from repro.analysis.lint import ModuleContext, rule
-from repro.analysis.program import _project_for
 
 __all__ = [
     "AbstractValue",
@@ -72,7 +54,6 @@ __all__ = [
     "promote",
     "UNKNOWN",
     "check_dataflow_narrowing",
-    "check_alias_writes",
     "check_dead_scratch_stores",
 ]
 
@@ -150,17 +131,13 @@ def _is_narrow_int(dtype: str | None) -> bool:
 class AbstractValue:
     """One point in the value lattice.
 
-    ``kind`` is one of ``'array'``, ``'scalar'``, ``'workspace'``,
-    ``'result'``, ``'tuple'`` or ``None`` (unknown).  ``rid`` links a
-    result value back to its creation record for ``detach()``
-    tracking.
+    ``kind`` is one of ``'array'``, ``'scalar'``, ``'pyint'``,
+    ``'workspace'``, ``'tuple'`` or ``None`` (unknown).
     """
 
     dtype: str | None = None
     kind: str | None = None
-    aliases: frozenset[str] = frozenset()
     elts: tuple = ()
-    rid: int = -1
 
 
 UNKNOWN = AbstractValue()
@@ -172,8 +149,6 @@ def _join_values(a: AbstractValue, b: AbstractValue) -> AbstractValue:
     return AbstractValue(
         dtype=a.dtype if a.dtype == b.dtype else None,
         kind=a.kind if a.kind == b.kind else None,
-        aliases=a.aliases | b.aliases,
-        rid=a.rid if a.rid == b.rid else -1,
     )
 
 
@@ -190,16 +165,11 @@ class DataflowReport:
     """Findings from one module's interpretation, bucketed by rule."""
 
     narrowing: list[tuple[int, int, str]] = field(default_factory=list)
-    alias_writes: list[tuple[int, int, str]] = field(default_factory=list)
     dead_stores: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 # -- the interpreter ------------------------------------------------------
 
-#: What a workspace re-lend writes (RPR011's view of ``begin()``).
-_WS_MAPS = AbstractValue(
-    dtype="int64", kind="array", aliases=frozenset({"ws.parent", "ws.level"})
-)
 #: np namespace calls whose result keeps the first argument's dtype.
 _PASSTHROUGH_FNS = {
     "sort", "unique", "ravel", "ascontiguousarray", "concatenate",
@@ -230,18 +200,13 @@ class _FunctionInterpreter:
         self.report = report
         self.env: dict[str, AbstractValue] = {}
         self.self_is_workspace = self_is_workspace
-        # Live BFSResult records: {"aliases", "detached", "line"}
-        self.results: list[dict] = []
         # Scratch-buffer registry: var -> {"buffer", "line", "col",
         # "writes", "reads"}
         self.buffers: dict[str, dict] = {}
-        self.fn: ast.FunctionDef | ast.AsyncFunctionDef | None = None
-        self._calls: dict | None = None
 
     # -- entry points ----------------------------------------------------
 
     def run_function(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self.fn = fn
         self._seed_params(fn)
         self.exec_body(fn.body)
         self._finish_dead_stores()
@@ -411,7 +376,7 @@ class _FunctionInterpreter:
         target_name: str | None = None,
     ) -> None:
         """A store into ``target`` (subscript/fill/out=); run the
-        narrowing, alias-liveness, and dead-store bookkeeping."""
+        narrowing and dead-store bookkeeping."""
         line = getattr(node, "lineno", 0)
         col = getattr(node, "col_offset", 0)
         # RPR010: 64-bit array stored into a known narrow-int array.
@@ -427,21 +392,6 @@ class _FunctionInterpreter:
                 f"storing a {value.dtype} array into a {target.dtype} "
                 "array silently narrows 64-bit indices on the hot path",
             ))
-        # RPR011: write to storage a live result still aliases.
-        if target.aliases:
-            for rec in self.results:
-                if rec["detached"]:
-                    continue
-                shared = target.aliases & rec["aliases"]
-                if shared:
-                    where = ", ".join(sorted(shared))
-                    self.report.alias_writes.append((
-                        line, col,
-                        f"write to workspace storage ({where}) still "
-                        "aliased by the BFSResult constructed at line "
-                        f"{rec['line']}; call .detach() first",
-                    ))
-                    break
         # RPR012 bookkeeping: writes into a registered scratch buffer.
         name = target_name
         if name is None and isinstance(node, ast.Subscript):
@@ -459,53 +409,6 @@ class _FunctionInterpreter:
     def _read_name(self, name: str) -> None:
         if name in self.buffers:
             self.buffers[name]["reads"] += 1
-
-    def _callee(
-        self, node: ast.Call
-    ) -> tuple[CallEdge, FunctionEffects] | None:
-        """The resolved callee edge of ``node`` and the callee's
-        fixpoint summary (``None`` when unresolved)."""
-        if self.fn is None:
-            return None
-        if self._calls is None:
-            self._calls = _resolved_calls(self.ctx, self.fn)
-        return self._calls.get((_dotted_name(node.func), node.lineno))
-
-    def _lifecycle(self, node: ast.Call) -> None:
-        """A workspace re-lent at ``node`` (``begin()``,
-        ``workspace=``/``ws=``, or a callee that resets the bound
-        argument) counts as a write to its parent/level maps."""
-
-        def is_ws(expr: ast.expr) -> bool:
-            return (
-                isinstance(expr, ast.Name)
-                and self.env.get(expr.id, UNKNOWN).kind == "workspace"
-            )
-
-        fn = node.func
-        receiver = fn.value if isinstance(fn, ast.Attribute) else None
-        args = [*node.args, *(kw.value for kw in node.keywords)]
-        if receiver is not None:
-            args.append(receiver)
-        if not any(is_ws(a) for a in args):
-            return
-        relent = (
-            receiver is not None and fn.attr == "begin" and is_ws(receiver)
-        ) or any(
-            kw.arg in WS_PARAM_NAMES and is_ws(kw.value)
-            for kw in node.keywords
-        )
-        if not relent:
-            resolved = self._callee(node)
-            if resolved is not None:
-                edge, summary = resolved
-                relent = any(
-                    param in summary.resets
-                    and self.env.get(arg, UNKNOWN).kind == "workspace"
-                    for param, arg in edge_bindings(edge, summary.params)
-                )
-        if relent:
-            self.record_write(node, _WS_MAPS, UNKNOWN)
 
     def _finish_dead_stores(self) -> None:
         for name, entry in self.buffers.items():
@@ -620,20 +523,9 @@ class _FunctionInterpreter:
         base = self.eval(node.value)
         attr = node.attr
         if base.kind == "workspace" and attr in ("parent", "level"):
-            return AbstractValue(
-                dtype="int64", kind="array",
-                aliases=frozenset({f"ws.{attr}"}),
-            )
-        if base.kind == "result" and attr in ("parent", "level"):
-            rec = (
-                self.results[base.rid]
-                if 0 <= base.rid < len(self.results) else None
-            )
-            aliases = frozenset(rec["aliases"]) if rec else frozenset()
-            return AbstractValue(dtype="int64", kind="array", aliases=aliases)
+            return AbstractValue(dtype="int64", kind="array")
         if attr in _ATTR_DTYPES:
-            return AbstractValue(dtype=_ATTR_DTYPES[attr], kind="array",
-                                 aliases=base.aliases)
+            return AbstractValue(dtype=_ATTR_DTYPES[attr], kind="array")
         if attr in ("size", "shape", "ndim", "nbytes"):
             return AbstractValue(kind="scalar")
         if attr == "dtype":
@@ -653,14 +545,10 @@ class _FunctionInterpreter:
             return UNKNOWN
         if base.kind != "array":
             return UNKNOWN
-        if isinstance(node.slice, ast.Slice) or (
+        if index.kind == "array" or isinstance(node.slice, ast.Slice) or (
             isinstance(node.slice, ast.Tuple)
             and all(isinstance(e, ast.Slice) for e in node.slice.elts)
         ):
-            # basic slicing returns a view: aliases survive
-            return replace(base, kind="array")
-        if index.kind == "array":
-            # fancy indexing copies: aliases dropped
             return AbstractValue(dtype=base.dtype, kind="array")
         return AbstractValue(dtype=base.dtype, kind="scalar")
 
@@ -700,7 +588,6 @@ class _FunctionInterpreter:
             if kw.arg == "out" and isinstance(kw.value, ast.Name):
                 continue
             self.eval(kw.value)
-        self._lifecycle(node)
         return result
 
     def _eval_method_call(
@@ -739,10 +626,6 @@ class _FunctionInterpreter:
                     "past 2^31",
                 ))
             return AbstractValue(dtype=target_dtype, kind="array")
-        if attr == "detach":
-            if base.kind == "result" and 0 <= base.rid < len(self.results):
-                self.results[base.rid]["detached"] = True
-            return base
         if attr in MUTATING_METHODS:
             self.record_write(
                 node, base, args[0] if args else UNKNOWN, target_name=recv
@@ -767,34 +650,16 @@ class _FunctionInterpreter:
         for a in node.args:
             self.eval(a)
         if attr == "begin":
-            # begin() resets parent/level in place: a write event,
-            # recorded with the other re-lends by _lifecycle
-            return AbstractValue(kind="tuple", elts=(
-                AbstractValue(dtype="int64", kind="array",
-                              aliases=frozenset({"ws.parent"})),
-                AbstractValue(dtype="int64", kind="array",
-                              aliases=frozenset({"ws.level"})),
-            ))
+            # the (parent, level) maps
+            maps = AbstractValue(dtype="int64", kind="array")
+            return AbstractValue(kind="tuple", elts=(maps, maps))
         if attr == "buffer":
             dtype = self._dtype_of_node(
                 node.args[2] if len(node.args) > 2 else dtype_kw
             )
-            bufname = "<dynamic>"
-            if node.args and isinstance(node.args[0], ast.Constant):
-                bufname = str(node.args[0].value)
-            return AbstractValue(
-                dtype=dtype, kind="array",
-                aliases=frozenset({f"ws.buffer:{bufname}"}),
-            )
-        if attr == "claim_slots":
-            return AbstractValue(dtype="int64", kind="array",
-                                 aliases=frozenset({"ws.claim"}))
-        if attr == "iota":
-            return AbstractValue(dtype="int64", kind="array",
-                                 aliases=frozenset({"ws.iota"}))
-        if attr == "unvisited_ids":
-            return AbstractValue(dtype="int64", kind="array",
-                                 aliases=frozenset({"ws.unvisited"}))
+            return AbstractValue(dtype=dtype, kind="array")
+        if attr in ("claim_slots", "iota", "unvisited_ids"):
+            return AbstractValue(dtype="int64", kind="array")
         return UNKNOWN
 
     def _eval_np_call(
@@ -831,10 +696,7 @@ class _FunctionInterpreter:
                     f"{source.dtype} array; 64-bit indices silently "
                     "truncate",
                 ))
-            aliases = frozenset()
-            if name == "asarray" and explicit is None and args:
-                aliases = source.aliases  # asarray may return its input
-            return AbstractValue(dtype=dtype, kind="array", aliases=aliases)
+            return AbstractValue(dtype=dtype, kind="array")
         if name == "arange":
             return AbstractValue(dtype=explicit or "int64", kind="array")
         if name in _INDEX_FNS:
@@ -863,27 +725,9 @@ class _FunctionInterpreter:
     def _eval_plain_call(
         self, node: ast.Call, fn: ast.expr, dtype_kw: ast.expr | None
     ) -> AbstractValue:
-        args = [self.eval(a) for a in node.args]
+        for a in node.args:
+            self.eval(a)
         if isinstance(fn, ast.Name):
-            if fn.id == "BFSResult":
-                aliases: set[str] = set()
-                for kw in node.keywords:
-                    if kw.arg in ("parent", "level"):
-                        aliases |= self.env.get(
-                            kw.value.id, UNKNOWN
-                        ).aliases if isinstance(kw.value, ast.Name) else (
-                            self.eval(kw.value).aliases
-                        )
-                for pos in (1, 2):
-                    if pos < len(args):
-                        aliases |= args[pos].aliases
-                rid = len(self.results)
-                self.results.append({
-                    "aliases": frozenset(aliases),
-                    "detached": not aliases,
-                    "line": node.lineno,
-                })
-                return AbstractValue(kind="result", rid=rid)
             if fn.id == "BFSWorkspace":
                 return AbstractValue(kind="workspace")
             if fn.id == "len":
@@ -896,32 +740,10 @@ class _FunctionInterpreter:
 # -- module driver --------------------------------------------------------
 
 
-def _resolved_calls(
-    ctx: ModuleContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
-) -> dict[tuple[str, int], tuple[CallEdge, FunctionEffects]]:
-    """``fn``'s resolved call edges in the lint run's project, keyed by
-    callee spelling and line, each with its callee's fixpoint summary."""
-    project = _project_for(ctx)
-    qname = next(
-        (
-            info.qname
-            for rec in project.modules.values() if rec.path == ctx.path
-            for info in rec.functions
-            if (info.name, info.line) == (fn.name, fn.lineno)
-        ),
-        None,
-    )
-    return {
-        (e.raw, e.line): (e, project.summaries[e.callee])
-        for e in project._edges_by_caller.get(qname, ())
-        if e.callee is not None and not e.dispatch
-    }
-
-
 @lru_cache(maxsize=32)
 def analyze(ctx: ModuleContext) -> DataflowReport:
     """Interpret every function in ``ctx`` once; results are cached per
-    context so the three deep rules share one interpretation."""
+    context so the two deep rules share one interpretation."""
     report = DataflowReport()
     ws_methods = workspace_methods(ctx)
     for fn in ctx.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
@@ -947,18 +769,6 @@ def analyze(ctx: ModuleContext) -> DataflowReport:
 def check_dataflow_narrowing(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
     """Dataflow-tracked dtype narrowing (see module docstring)."""
     yield from analyze(ctx).narrowing
-
-
-@rule(
-    "RPR011",
-    "write to workspace storage still aliased by a live BFSResult; "
-    "results alias the workspace until .detach()",
-    deep=True,
-    whole_program=True,  # a callee's `resets` facts count as writes
-)
-def check_alias_writes(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    """Alias-liveness violations (see module docstring)."""
-    yield from analyze(ctx).alias_writes
 
 
 @rule(

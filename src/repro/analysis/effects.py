@@ -1,4 +1,4 @@
-"""Per-function write/raise/reset effect summaries.
+"""Per-function write/raise effect summaries.
 
 For every function defined in a module (including methods and nested
 closures) this computes a :class:`FunctionEffects` record:
@@ -12,8 +12,6 @@ closures) this computes a :class:`FunctionEffects` record:
   through a workspace-typed receiver (``workspace.parent`` for a
   ``ws.parent[rows] = v`` store, including ``self.parent`` inside
   :class:`~repro.bfs.workspace.BFSWorkspace` methods);
-* ``resets``   — parameters that get ``begin()`` or are handed to a
-  traversal as ``workspace=``/``ws=`` on some path (RPR011);
 * ``calls``    — call sites (plain names *and* dotted attribute
   spellings like ``ws.begin``) with the variable names bound to each
   argument position, so effects can be propagated through a call graph.
@@ -91,7 +89,7 @@ class CallSite:
 
 @dataclass(frozen=True)
 class FunctionEffects:
-    """Write/raise/reset summary for one function definition."""
+    """Write/raise summary for one function definition."""
 
     name: str
     params: tuple[str, ...]
@@ -101,7 +99,6 @@ class FunctionEffects:
     raises: bool = False
     ws_params: frozenset[str] = frozenset()
     ws_writes: frozenset[str] = frozenset()
-    resets: frozenset[str] = frozenset()
 
     def writes_param(self, param: str) -> bool:
         """Whether the summary records a mutation of ``param``."""
@@ -298,7 +295,6 @@ def _function_effects(
     ws_params = _workspace_params(fn, self_is_workspace=self_is_workspace)
     writes: set[str] = set()
     ws_writes: set[str] = set()
-    resets: set[str] = set()
     calls: list[CallSite] = []
     raises = False
 
@@ -328,7 +324,6 @@ def _function_effects(
         elif isinstance(node, ast.Call):
             _record_call_writes(node, tracked, writes, ws_params, ws_writes)
             _record_call_site(node, calls)
-            _record_resets(node, params, resets)
         elif isinstance(node, ast.Raise):
             raises = True
     return FunctionEffects(
@@ -340,29 +335,7 @@ def _function_effects(
         raises=raises,
         ws_params=ws_params,
         ws_writes=frozenset(ws_writes),
-        resets=frozenset(resets),
     )
-
-
-def _record_resets(
-    node: ast.Call, params: tuple[str, ...], resets: set[str]
-) -> None:
-    # p.begin() or workspace=p on any path resets p.
-    fn = node.func
-    if (
-        isinstance(fn, ast.Attribute)
-        and isinstance(fn.value, ast.Name)
-        and fn.value.id in params
-        and fn.attr == "begin"
-    ):
-        resets.add(fn.value.id)
-    for kw in node.keywords:
-        if (
-            kw.arg in WS_PARAM_NAMES
-            and isinstance(kw.value, ast.Name)
-            and kw.value.id in params
-        ):
-            resets.add(kw.value.id)
 
 
 def _record_store(tgt: ast.expr, tracked, writes: set[str]) -> None:
@@ -436,13 +409,9 @@ def format_effects(effects: dict[str, FunctionEffects]) -> str:
     for name in sorted(effects):
         fx = effects[name]
         flags = " raises" if fx.raises else ""
-        optional = "".join(
-            f" {label}={{{', '.join(sorted(names))}}}"
-            for label, names in (
-                ("ws_writes", fx.ws_writes),
-                ("resets", fx.resets),
-            )
-            if names
+        optional = (
+            f" ws_writes={{{', '.join(sorted(fx.ws_writes))}}}"
+            if fx.ws_writes else ""
         )
         rows.append(
             f"{name}({', '.join(fx.params)})"

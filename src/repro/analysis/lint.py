@@ -19,8 +19,7 @@ rules); this module provides the machinery:
   type); every rule, the call-graph extraction and the dataflow
   interpreter read that one context;
 * a third tier: ``whole_program`` rules (RPR015 and RPR019 in
-  :mod:`repro.analysis.program`, RPR011 in
-  :mod:`repro.analysis.dataflow`) additionally receive a resolved
+  :mod:`repro.analysis.program`) additionally receive a resolved
   :class:`~repro.analysis.callgraph.Project` built once per
   :func:`lint_paths` run, so their findings rest on interprocedural
   fixpoint facts;

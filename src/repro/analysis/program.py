@@ -41,8 +41,8 @@ def _single_file_project(ctx: ModuleContext) -> Project:
 
 
 def _project_for(ctx: ModuleContext) -> Project:
-    """The lint run's project, or a one-file project for a lone source
-    (RPR011 in :mod:`repro.analysis.dataflow` shares it)."""
+    """The lint run's project, or a one-file project for a lone
+    source."""
     if isinstance(ctx.project, Project):
         return ctx.project
     return _single_file_project(ctx)

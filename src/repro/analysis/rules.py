@@ -8,8 +8,6 @@ RPR001    no Python-level loop over vertices/edges in hot-path modules
           must stay vectorized or the paper's performance story is void
 RPR002    no ``int64 -> int32`` narrowing of CSR ``offsets`` — offsets
           index the edge array and overflow int32 past 2^31 edges
-RPR003    ``time.time()`` is not a benchmark clock — use
-          ``time.perf_counter()`` (monotonic, highest resolution)
 RPR004    no bare ``assert`` in library code — asserts vanish under
           ``python -O``; raise a :mod:`repro.errors` type instead
 RPR005    no mutation of ``CSRGraph.offsets``/``targets`` outside the
@@ -19,9 +17,10 @@ RPR007    no fresh graph-sized allocation inside a BFS level kernel
           (``repro/bfs/``) — level kernels must draw scratch from the
           :class:`~repro.bfs.workspace.BFSWorkspace` so warm traversals
           stay allocation-free
-RPR008    no ad-hoc ``time.perf_counter()`` outside ``repro/obs/`` —
-          timing goes through :func:`repro.obs.clock.now` (one
-          swappable clock, so traces/tests can substitute a
+RPR008    no ad-hoc ``time.perf_counter()`` or ``time.time()`` outside
+          ``repro/obs/`` — timing goes through
+          :func:`repro.obs.clock.now` (one swappable clock, so
+          traces/tests can substitute a
           :class:`~repro.obs.clock.ManualClock`)
 RPR009    metric names passed to the registry/tracer must be lowercase
           dotted identifiers from the declared catalog
@@ -49,7 +48,6 @@ from repro.analysis.lint import ModuleContext, rule
 __all__ = [
     "check_hot_path_loops",
     "check_offset_narrowing",
-    "check_wall_clock",
     "check_bare_assert",
     "check_csr_mutation",
     "check_missing_all",
@@ -198,39 +196,6 @@ def check_offset_narrowing(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]
 
 
 @rule(
-    "RPR003",
-    "time.time() used for timing; use time.perf_counter() "
-    "(monotonic, not subject to clock adjustments)",
-)
-def check_wall_clock(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    """Flag ``time.time()`` calls and ``from time import time``."""
-    for node in ctx.nodes(ast.ImportFrom, ast.Call):
-        if isinstance(node, ast.ImportFrom):
-            if node.module == "time" and any(
-                alias.name == "time" for alias in node.names
-            ):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    "importing time.time; use time.perf_counter for timing",
-                )
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            if (
-                isinstance(fn, ast.Attribute)
-                and fn.attr == "time"
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id == "time"
-            ):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    "time.time() is not a benchmark clock; "
-                    "use time.perf_counter()",
-                )
-
-
-@rule(
     "RPR004",
     "bare assert in library code; asserts vanish under `python -O` — "
     "raise a repro.errors type",
@@ -373,46 +338,53 @@ def check_kernel_allocations(ctx: ModuleContext) -> Iterator[tuple[int, int, str
                 )
 
 
+#: ``time`` functions that read a clock: every timing site goes through
+#: :func:`repro.obs.clock.now` instead.
+_CLOCK_FNS = frozenset({"perf_counter", "time"})
+
+
 @rule(
     "RPR008",
-    "ad-hoc time.perf_counter() outside repro/obs/; use "
+    "ad-hoc time.perf_counter()/time.time() outside repro/obs/; use "
     "repro.obs.clock.now (the library's one swappable clock)",
 )
 def check_adhoc_perf_counter(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    """Flag ``time.perf_counter()`` calls and ``from time import
-    perf_counter`` anywhere but the :mod:`repro.obs` package.
+    """Flag ``time.perf_counter()`` and ``time.time()`` calls, and
+    ``from time import perf_counter`` or ``time``, anywhere but the
+    :mod:`repro.obs` package.
 
     The observability layer routes every timestamp through
     :func:`repro.obs.clock.now` so spans, ``timed_bfs`` and the bench
     harness all read the same clock — and tests can swap in a
-    :class:`~repro.obs.clock.ManualClock`.  A scattered
-    ``perf_counter()`` call bypasses that substitution point.
+    :class:`~repro.obs.clock.ManualClock`.  A scattered clock call
+    bypasses that substitution point.
     """
     if "repro/obs/" in ctx.path.replace("\\", "/"):
         return
     for node in ctx.nodes(ast.ImportFrom, ast.Call):
         if isinstance(node, ast.ImportFrom):
-            if node.module == "time" and any(
-                alias.name == "perf_counter" for alias in node.names
-            ):
+            name = next(
+                (a.name for a in node.names if a.name in _CLOCK_FNS), None
+            )
+            if node.module == "time" and name is not None:
                 yield (
                     node.lineno,
                     node.col_offset,
-                    "importing time.perf_counter outside repro/obs/; "
+                    f"importing time.{name} outside repro/obs/; "
                     "use repro.obs.clock.now",
                 )
         elif isinstance(node, ast.Call):
             fn = node.func
             if (
                 isinstance(fn, ast.Attribute)
-                and fn.attr == "perf_counter"
+                and fn.attr in _CLOCK_FNS
                 and isinstance(fn.value, ast.Name)
                 and fn.value.id == "time"
             ):
                 yield (
                     node.lineno,
                     node.col_offset,
-                    "ad-hoc time.perf_counter() outside repro/obs/; "
+                    f"ad-hoc time.{fn.attr}() outside repro/obs/; "
                     "use repro.obs.clock.now so the clock stays "
                     "swappable",
                 )

@@ -240,16 +240,22 @@ class RaceTracker(LevelObserver):
       two O(V) copies per level, only in race mode);
     * workers call :meth:`stamp_chunk` to record which thread touched
       which segment (pure bookkeeping, used for diagnostics);
-    * :meth:`verify_level` diffs the maps against the snapshot and
-      raises :class:`~repro.errors.SanitizerError` if any vertex
-      changed that is **not** in the claimed next frontier — a write
-      that bypassed the main-thread merge — or if a claimed vertex was
-      never actually written.
+    * :meth:`verify_pool`, which the engine calls after the pool has
+      joined and before its merge, raises
+      :class:`~repro.errors.SanitizerError` if either map differs from
+      the snapshot — a worker wrote it, even if only at vertices the
+      merge then claims anyway;
+    * :meth:`verify_level` diffs the maps against the snapshot after
+      the level and raises if any vertex changed that is **not** in
+      the claimed next frontier — a write that bypassed the
+      main-thread merge — or if a claimed vertex was never actually
+      written.
 
-    Because the legitimate write set is exactly the claimed frontier,
-    the check is independent of how the level function is implemented:
-    a worker scribbling on shared state is caught even if it races the
-    snapshot, since its target vertices are not claimed.
+    :meth:`verify_level` needs nothing from the level function, since
+    the legitimate write set is exactly the claimed frontier; but a
+    stray write to a claimed vertex looks like the merge's own, so
+    only :meth:`verify_pool`, run between the join and the merge, can
+    see it.
     """
 
     def __init__(self, graph: CSRGraph, source: int) -> None:
@@ -281,6 +287,27 @@ class RaceTracker(LevelObserver):
         """Record that the calling thread processed one work chunk."""
         with self._lock:
             self._stamps.append((threading.get_ident(), note))
+
+    def verify_pool(
+        self, depth: int, parent: np.ndarray, level: np.ndarray
+    ) -> None:
+        """Check that the level's workers wrote neither map: between
+        the pool's join and the merge, both still equal the snapshot."""
+        for name, current, snapshot in (
+            ("parent", parent, self._snap_parent),
+            ("level", level, self._snap_level),
+        ):
+            rogue = np.flatnonzero(current != snapshot)
+            if rogue.size:
+                threads = sorted({tid for tid, _ in self._stamps})
+                raise SanitizerError(
+                    f"{rogue.size} write(s) to the {name} map before the "
+                    f"merge at depth {depth} — a cross-thread write "
+                    "bypassed the main-thread merge (worker threads this "
+                    f"level: {threads})",
+                    level=depth,
+                    vertices=tuple(rogue[:16]),
+                )
 
     def verify_level(
         self,

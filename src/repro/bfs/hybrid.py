@@ -67,7 +67,7 @@ class MNPolicy:
     n: float
 
     def __post_init__(self) -> None:
-        if self.m <= 0 or self.n <= 0:
+        if not (self.m > 0 and self.n > 0):
             raise BFSError(f"M and N must be positive, got ({self.m}, {self.n})")
 
     def direction(self, state: LevelState) -> str:

@@ -21,9 +21,10 @@ Ownership protocol
 ------------------
 The engine's thread-safety contract, guarded by the golden traversals
 at one to three threads (``tests/bfs/test_traversal_golden.py``: a
-racy write changes the bit-identical parent maps) and, for writes
-outside the claimed frontier, at run time by
-``run(..., sanitize="race")``:
+racy write changes the bit-identical parent maps) and at run time by
+``run(..., sanitize="race")``, which checks that the maps are
+unchanged when the pool joins and that the merge wrote exactly the
+claimed frontier:
 
 1. worker closures may **read** shared state freely (``parent``,
    ``level``, CSR arrays, the frontier mask);
@@ -178,6 +179,8 @@ class ParallelBFS:
                 return neighbours[fresh], owners[fresh], int(neighbours.size)
 
         results = list(self._pool.map(expand, chunks))
+        if race is not None:
+            race.verify_pool(depth, parent, level)
         examined = sum(r[2] for r in results)
         if not results:
             return np.zeros(0, dtype=np.int64), 0
@@ -246,6 +249,8 @@ class ParallelBFS:
                 )
 
         results = list(self._pool.map(scan, chunks))
+        if race is not None:
+            race.verify_pool(depth, parent, level)
         checked = sum(r[2] for r in results)
         winners_list = [r[0] for r in results if r[0].size]
         if not winners_list:
@@ -284,9 +289,10 @@ class ParallelBFS:
         ``sanitize=True`` runs under the invariant
         :class:`~repro.analysis.sanitizer.Sanitizer`; ``"race"`` adds
         :class:`~repro.analysis.sanitizer.RaceTracker` write tracking,
-        which raises :class:`~repro.errors.SanitizerError` if any
-        vertex outside the claimed next frontier was written — a
-        cross-thread write that bypassed the main-thread merge.
+        which raises :class:`~repro.errors.SanitizerError` if a worker
+        wrote either map, or if any vertex outside the claimed next
+        frontier was written — a cross-thread write that bypassed the
+        main-thread merge.
         """
         if self._closed:
             raise BFSError("ParallelBFS engine is closed; create a new one")

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help="also run the deep dataflow and whole-program rules "
-        "(RPR010, RPR011, RPR012, RPR015, RPR019)",
+        "(RPR010, RPR012, RPR015, RPR019)",
     )
     lint_p.add_argument(
         "--changed",
@@ -1175,9 +1175,7 @@ def _cmd_monitor_check(args: argparse.Namespace) -> int:
 
 def _cmd_monitor_report(args: argparse.Namespace) -> int:
     store = _history_store(args)
-    records = store.read()
-    if args.tail:
-        records = records[-args.tail:]
+    records = store.tail(args.tail) if args.tail else store.read()
     if args.json:
         print(json.dumps([r.as_dict() for r in records], indent=2))
         return 0

@@ -40,7 +40,7 @@ def mn_directions(profile: LevelProfile, m: float, n: float) -> list[str]:
     profile — the directions a live hybrid would choose are recovered
     exactly without re-traversal.
     """
-    if m <= 0 or n <= 0:
+    if not (m > 0 and n > 0):
         raise PlanError(f"M and N must be positive, got ({m}, {n})")
     out = []
     for rec in profile:
@@ -83,7 +83,7 @@ def cross_plan(
     level runs GPU top-down or GPU bottom-up under ``(M2, N2)``.
     """
     for value, label in ((m1, "M1"), (n1, "N1"), (m2, "M2"), (n2, "N2")):
-        if value <= 0:
+        if not value > 0:
             raise PlanError(f"{label} must be positive, got {value}")
     plan: list[PlanStep] = []
     on_gpu = False

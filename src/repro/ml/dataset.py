@@ -100,7 +100,7 @@ class TrainingSet:
                 f"sample must have {len(FEATURE_NAMES)} features, "
                 f"got {sample.shape}"
             )
-        if m <= 0 or n <= 0:
+        if not (m > 0 and n > 0):
             raise ModelError(f"switching points must be positive, got ({m}, {n})")
         self.samples.append(sample)
         self.best_m.append(float(m))

@@ -208,7 +208,7 @@ def audit_switching_point(
     ``predicted_seconds >= best_seconds`` holds by construction.
     """
     _check_profile(profile)
-    if predicted_m <= 0 or predicted_n <= 0:
+    if not (predicted_m > 0 and predicted_n > 0):
         raise ObsError(
             f"M and N must be positive, got ({predicted_m}, {predicted_n})"
         )
@@ -268,7 +268,7 @@ def audit_cross_architecture(
     """
     _check_profile(profile)
     predicted = tuple(float(v) for v in predicted)
-    if len(predicted) != 4 or any(v <= 0 for v in predicted):
+    if len(predicted) != 4 or not all(v > 0 for v in predicted):
         raise ObsError(
             f"predicted must be 4 positive values (M1, N1, M2, N2), "
             f"got {predicted}"

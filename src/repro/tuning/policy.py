@@ -69,7 +69,7 @@ class HeuristicBeamerPolicy:
     _bottom_up: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
+        if not (self.alpha > 0 and self.beta > 0):
             raise TuningError(
                 f"alpha and beta must be positive, got ({self.alpha}, {self.beta})"
             )

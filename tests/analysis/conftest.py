@@ -2,28 +2,34 @@
 
 import pytest
 
-#: A two-file tree: ``engine.f`` resets ``ws`` through a helper while
-#: the result of its own ``begin`` still aliases it, so RPR011 reports
-#: ``engine.py`` line 8 only when ``helpers.py`` is in the project.
-RESET_TREE = {
-    "helpers.py": "def reset(ws):\n    ws.begin(0)\n",
+#: A two-file tree: ``engine.f`` acquires a ``ParallelBFS`` and then
+#: calls ``helpers.drive``, which can raise, before ``close()``, so
+#: RPR015 reports ``engine.py`` line 6 only when ``helpers.py`` is in
+#: the project.
+LEAK_TREE = {
+    "helpers.py": (
+        "def drive(graph, engine, source):\n"
+        "    if source < 0:\n"
+        "        raise ValueError('negative source')\n"
+        "    return engine.run(graph, source)\n"
+    ),
     "engine.py": (
-        "from helpers import reset\n"
-        "from repro.bfs.result import BFSResult\n"
+        "from helpers import drive\n"
+        "from repro.bfs.parallel import ParallelBFS\n"
         "\n"
         "\n"
-        "def f(ws, source):\n"
-        "    parent, level = ws.begin(source)\n"
-        "    result = BFSResult(source=source, parent=parent, level=level)\n"
-        "    reset(ws)\n"
+        "def f(graph, source):\n"
+        "    engine = ParallelBFS(num_threads=2)\n"
+        "    result = drive(graph, engine, source)\n"
+        "    engine.close()\n"
         "    return result\n"
     ),
 }
 
 
 @pytest.fixture()
-def reset_tree(tmp_path):
-    """:data:`RESET_TREE` written to a fresh directory."""
-    for name, text in RESET_TREE.items():
+def leak_tree(tmp_path):
+    """:data:`LEAK_TREE` written to a fresh directory."""
+    for name, text in LEAK_TREE.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     return tmp_path

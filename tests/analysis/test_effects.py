@@ -177,37 +177,8 @@ class TestPropagation:
 
 
 class TestLifecycleFacts:
-    """``resets`` (some path): the callee fact RPR011 reads."""
-
-    def test_resets_on_some_path(self):
-        src = (
-            "def f(w, v, u, cond):\n"
-            "    if cond:\n"
-            "        w.begin(0)\n"
-            "    run(0, workspace=v)\n"
-            "    u.begin(0)\n"
-            "    local = make()\n"
-            "    local.begin(0)\n"
-        )
-        assert function_effects(_fn(src)).resets == {"w", "v", "u"}
-
-    def test_fixpoint_lifts_resets_through_calls(self):
-        src = (
-            "def _reset(w):\n"
-            "    w.begin(0)\n"
-            "\n"
-            "def maybe_reset(ws, cond):\n"
-            "    if cond:\n"
-            "        _reset(ws)\n"
-            "\n"
-            "def run_on(space):\n"
-            "    maybe_reset(space, True)\n"
-        )
-        p = project_from_sources([("lifecycle.py", src)])
-        assert p.functions["lifecycle.run_on"].summary.resets == frozenset()
-        assert p.summaries["lifecycle.maybe_reset"].resets == {"ws"}
-        assert p.summaries["lifecycle.run_on"].resets == {"space"}
-        assert "resets={space}" in p.format_summaries()
+    """Extraction records every call site, ``close()`` and ``begin()``
+    included."""
 
     def test_extraction_records_lifecycle_facts(self):
         rec = extract_module(parse_module(
@@ -215,7 +186,6 @@ class TestLifecycleFacts:
             "m.py",
         ))
         (info,) = rec.functions
-        assert info.summary.resets == {"w"}
         assert sorted(c.callee for c in info.summary.calls) == [
             "e.close", "w.begin",
         ]

@@ -25,7 +25,6 @@ class TestRegistry:
         assert set(RULES) == {
             "RPR001",
             "RPR002",
-            "RPR003",
             "RPR004",
             "RPR005",
             "RPR006",
@@ -33,7 +32,6 @@ class TestRegistry:
             "RPR008",
             "RPR009",
             "RPR010",
-            "RPR011",
             "RPR012",
             "RPR015",
             "RPR019",
@@ -44,13 +42,13 @@ class TestRegistry:
         from repro.analysis import deep_rule_codes
 
         assert deep_rule_codes() == [
-            "RPR010", "RPR011", "RPR012", "RPR015", "RPR019",
+            "RPR010", "RPR012", "RPR015", "RPR019",
         ]
         for code in deep_rule_codes():
             assert RULES[code].deep
         # the rules that read the call-graph project are flagged as
         # whole-program, so lint_paths builds it when they are selected
-        for code in ("RPR011", "RPR015", "RPR019"):
+        for code in ("RPR015", "RPR019"):
             assert RULES[code].whole_program
         for code in ("RPR010", "RPR012"):
             assert not RULES[code].whole_program
@@ -155,20 +153,6 @@ class TestRPR002OffsetNarrowing:
         assert v == []
 
 
-class TestRPR003WallClock:
-    def test_fires_on_time_time(self):
-        v = lint_source("t0 = time.time()\n", select=["RPR003"])
-        assert codes(v) == ["RPR003"]
-
-    def test_fires_on_from_import(self):
-        v = lint_source("from time import time\n", select=["RPR003"])
-        assert codes(v) == ["RPR003"]
-
-    def test_silent_on_perf_counter(self):
-        v = lint_source("t0 = time.perf_counter()\n", select=["RPR003"])
-        assert v == []
-
-
 class TestRPR008AdHocPerfCounter:
     def test_fires_on_call(self):
         v = lint_source("t0 = time.perf_counter()\n", select=["RPR008"])
@@ -176,6 +160,15 @@ class TestRPR008AdHocPerfCounter:
 
     def test_fires_on_from_import(self):
         v = lint_source("from time import perf_counter\n", select=["RPR008"])
+        assert codes(v) == ["RPR008"]
+
+    def test_fires_on_time_time(self):
+        v = lint_source("t0 = time.time()\n", select=["RPR008"])
+        assert codes(v) == ["RPR008"]
+        assert "repro.obs.clock.now" in v[0].message
+
+    def test_fires_on_from_import_time(self):
+        v = lint_source("from time import time\n", select=["RPR008"])
         assert codes(v) == ["RPR008"]
 
     def test_exempt_inside_obs_package(self):
@@ -413,7 +406,7 @@ class TestRPR020AdhocInstrumentation:
 class TestSuppression:
     def test_targeted_noqa(self):
         v = lint_source(
-            "t0 = time.time()  # repro: noqa[RPR003]\n", select=["RPR003"]
+            "t0 = time.time()  # repro: noqa[RPR008]\n", select=["RPR008"]
         )
         assert v == []
 
@@ -423,20 +416,20 @@ class TestSuppression:
 
     def test_noqa_for_other_rule_does_not_suppress(self):
         v = lint_source(
-            "t0 = time.time()  # repro: noqa[RPR004]\n", select=["RPR003"]
+            "t0 = time.time()  # repro: noqa[RPR004]\n", select=["RPR008"]
         )
-        assert codes(v) == ["RPR003"]
+        assert codes(v) == ["RPR008"]
 
     def test_noqa_multiple_codes(self):
         v = lint_source(
-            "assert time.time()  # repro: noqa[RPR003, RPR004]\n",
-            select=["RPR003", "RPR004"],
+            "assert time.time()  # repro: noqa[RPR008, RPR004]\n",
+            select=["RPR008", "RPR004"],
         )
         assert v == []
 
     def test_noqa_only_applies_to_its_line(self):
-        src = "t0 = time.time()  # repro: noqa[RPR003]\nt1 = time.time()\n"
-        v = lint_source(src, select=["RPR003"])
+        src = "t0 = time.time()  # repro: noqa[RPR008]\nt1 = time.time()\n"
+        v = lint_source(src, select=["RPR008"])
         assert [x.line for x in v] == [2]
 
 

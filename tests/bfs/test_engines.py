@@ -165,6 +165,8 @@ class TestHybridSpecifics:
             MNPolicy(0, 1)
         with pytest.raises(BFSError):
             MNPolicy(1, -1)
+        with pytest.raises(BFSError):
+            MNPolicy(3, float("nan"))
 
     def test_bad_policy_direction(self, rmat_small, rmat_source):
         class Bad:

@@ -40,6 +40,8 @@ class TestMNDirections:
     def test_validation(self, small_profile):
         with pytest.raises(PlanError):
             mn_directions(small_profile, 0, 1)
+        with pytest.raises(PlanError):
+            mn_directions(small_profile, 1, float("nan"))
 
     def test_single_device_plan(self, small_profile):
         plan = single_device_plan(small_profile, "cpu", 20, 100)
@@ -82,6 +84,8 @@ class TestCrossPlan:
             cross_plan(medium_profile, 0, 1, 1, 1)
         with pytest.raises(PlanError):
             cross_plan(medium_profile, 1, 1, 1, -2)
+        with pytest.raises(PlanError):
+            cross_plan(medium_profile, float("nan"), 1, 1, 1)
 
     def test_custom_device_names(self, medium_profile):
         plan = cross_plan(

@@ -61,6 +61,8 @@ class TestTrainingSet:
         with pytest.raises(ModelError):
             ts.add(s, 0, 1)
         with pytest.raises(ModelError):
+            ts.add(s, 1, float("nan"))
+        with pytest.raises(ModelError):
             ts.as_arrays()
 
     def test_save_load(self, tmp_path, rmat_small):

@@ -105,6 +105,8 @@ class TestSwitchingPointAudit:
     def test_rejects_bad_inputs(self, small_profile, model):
         with pytest.raises(ObsError):
             audit_switching_point(small_profile, model, 0.0, 24.0)
+        with pytest.raises(ObsError):
+            audit_switching_point(small_profile, model, float("nan"), 24.0)
         empty = LevelProfile(
             source=0,
             num_vertices=small_profile.num_vertices,
@@ -161,3 +163,7 @@ class TestCrossArchitectureAudit:
     def test_rejects_wrong_arity(self, small_profile, machine):
         with pytest.raises(ObsError):
             audit_cross_architecture(small_profile, machine, (1.0, 2.0))
+        with pytest.raises(ObsError):
+            audit_cross_architecture(
+                small_profile, machine, (1.0, 2.0, 3.0, float("nan"))
+            )

@@ -106,6 +106,18 @@ class TestMonitorReportAndDrift:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["kind"] == "graph500"
 
+    def test_report_rejects_negative_tail(self, capsys, tmp_path):
+        hist = tmp_path / "runs.jsonl"
+        _seed_history(hist, [1e8, 2e8, 3e8])
+        rc = main(
+            ["monitor", "report", "--history", str(hist), "--tail", "-2"]
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-bfs: HistoryError: tail needs n >= 0")
+        assert err.count("\n") == 1
+
     def test_monitor_without_subcommand_errors(self, capsys):
         assert main(["monitor"]) == 2
 

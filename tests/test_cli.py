@@ -113,19 +113,21 @@ class TestMain:
         assert payload["n"] > 0
 
     def test_bfs_zero_threshold_is_rejected(self, capsys):
-        assert main(["bfs", "--scale", "8", "--m", "0"]) == 2
-        out, err = capsys.readouterr()
-        # the given M is not reported as a prediction
-        predicted = [
-            line for line in out.splitlines()
-            if line.startswith("predicted switching point:")
-        ]
-        assert len(predicted) == 1
-        assert "N=" in predicted[0] and "M=" not in predicted[0]
-        assert err.startswith(
-            "repro-bfs: BFSError: M and N must be positive, "
-        )
-        assert err.count("\n") == 1
+        # NaN fails every comparison, so it must fail the check too
+        for bad in ("0", "nan"):
+            assert main(["bfs", "--scale", "8", "--m", bad]) == 2
+            out, err = capsys.readouterr()
+            # the given M is not reported as a prediction
+            predicted = [
+                line for line in out.splitlines()
+                if line.startswith("predicted switching point:")
+            ]
+            assert len(predicted) == 1
+            assert "N=" in predicted[0] and "M=" not in predicted[0]
+            assert err.startswith(
+                "repro-bfs: BFSError: M and N must be positive, "
+            )
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         ("argv", "named"),
@@ -218,7 +220,7 @@ class TestLintCommand:
         bad.write_text("__all__ = []\nimport time\nt0 = time.time()\n")
         assert main(["lint", str(bad)]) == 1
         captured = capsys.readouterr()
-        assert "RPR003" in captured.out
+        assert "RPR008" in captured.out
         assert "1 violation" in captured.err
 
     def test_lint_json_output(self, capsys, tmp_path):

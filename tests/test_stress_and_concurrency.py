@@ -5,6 +5,9 @@ reference at sizes where chunking, threading and int32/int64 seams
 actually engage — not just on toy graphs.
 """
 
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +145,34 @@ class BrokenParallelBFS(ParallelBFS):
         )
 
 
+def _claimed_anyway_engine() -> type[ParallelBFS]:
+    """A ``ParallelBFS`` whose top-down worker also stores the parents it
+    proposes, ``parent[neighbours[fresh]] = owners[fresh]``.
+
+    Every vertex that worker writes is one the main-thread merge claims
+    anyway, so the vertices that change in a level are still exactly
+    its claimed frontier.  The engine is the library's own
+    ``_top_down_level`` with that one line added after the worker's
+    ``fresh`` test, so every other line, race checks included, is the
+    library's."""
+    import repro.bfs.parallel as parallel
+
+    source = textwrap.dedent(inspect.getsource(ParallelBFS._top_down_level))
+    probe = "fresh = parent[neighbours] < 0\n"
+    assert source.count(probe) == 1, "the worker's fresh test moved"
+    indent = source.split(probe)[0].rsplit("\n", 1)[1]
+    mutant = source.replace(
+        probe, probe + indent + "parent[neighbours[fresh]] = owners[fresh]\n"
+    )
+    namespace = dict(vars(parallel))
+    exec(compile(mutant, parallel.__file__, "exec"), namespace)
+    return type(
+        "ClaimedAnywayBFS",
+        (ParallelBFS,),
+        {"_top_down_level": namespace["_top_down_level"]},
+    )
+
+
 class TestRaceSanitizer:
     """sanitize='race' write tracking on the parallel engine: clean
     protocol-following runs verify silently, a worker that scribbles on
@@ -171,6 +202,21 @@ class TestRaceSanitizer:
                 eng.run(big_graph, src, direction="td", sanitize="race")
         assert "bypassed the main-thread merge" in str(exc.value)
         assert exc.value.level == 0  # caught at the first racy level
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_race_mode_catches_worker_write_to_claimed_vertex(self, threads):
+        """A worker write the merge would have made anyway leaves the
+        changed set equal to the claimed frontier; race mode must still
+        see it, at the first level, before the merge."""
+        from repro.errors import SanitizerError
+
+        graph = rmat(12, 16, seed=7)
+        src = int(pick_sources(graph, 1, seed=3)[0])
+        with _claimed_anyway_engine().hybrid(threads, 20, 100) as eng:
+            with pytest.raises(SanitizerError) as exc:
+                eng.run(graph, src, sanitize="race")
+        assert "bypassed the main-thread merge" in str(exc.value)
+        assert exc.value.level == 0
 
     def test_broken_worker_undetected_without_race_mode(self, big_graph):
         """The defect is silent under sanitize=False — exactly why the

@@ -69,6 +69,10 @@ class TestBeamer:
             HeuristicBeamerPolicy(alpha=0)
         with pytest.raises(TuningError):
             HeuristicBeamerPolicy(beta=-1)
+        with pytest.raises(TuningError):
+            HeuristicBeamerPolicy(alpha=float("nan"))
+        with pytest.raises(TuningError):
+            HeuristicBeamerPolicy(beta=float("nan"))
 
     def test_hysteresis(self):
         p = HeuristicBeamerPolicy(alpha=10, beta=10)
