@@ -149,9 +149,11 @@ def pick_sources(
 ) -> np.ndarray:
     """Sample BFS roots the Graph 500 way: uniformly among vertices with
     at least ``min_degree`` edges (isolated roots make degenerate
-    searches)."""
+    searches).  An integer ``seed`` must be non-negative."""
     if count < 0:
         raise BFSError(f"count must be non-negative, got {count}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise BFSError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     eligible = np.nonzero(graph.degrees >= min_degree)[0]
     if eligible.size == 0:

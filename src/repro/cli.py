@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -1210,14 +1211,26 @@ def main(argv: list[str] | None = None) -> int:
     A library error no command handles is reported as one stderr line,
     ``repro-bfs: <ErrorClass>: <message>``, with exit status 2; so is a
     file the command cannot open or create (``repro-bfs: <path>:
-    <reason>``).
+    <reason>``).  A reader that closes standard output early
+    (``repro-bfs ... | head -1``) ends the command with exit status 1
+    and no traceback.
     """
     from repro.errors import ReproError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(parser, args)
+        status = _dispatch(parser, args)
+        # Output still buffered for a closed pipe must fail here, inside
+        # the try, not in the interpreter's flush at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python's recipe: point stdout at devnull, so that the flush at
+        # exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ReproError as exc:
         print(f"repro-bfs: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

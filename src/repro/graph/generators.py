@@ -94,7 +94,8 @@ def rmat_edges(
     output may contain duplicates and self loops; CSR construction
     removes them.  Vertex ids are randomly permuted so vertex id carries
     no degree information (the reference generator's final shuffle).
-    Vertex ids are ``int32``, so ``scale`` must be at most 31.
+    Vertex ids are ``int32``, so ``scale`` must be at most 31.  An
+    integer ``seed`` must be non-negative.
     """
     scale = _as_int("scale", scale)
     edgefactor = _as_int("edgefactor", edgefactor)
@@ -106,6 +107,8 @@ def rmat_edges(
         )
     if edgefactor < 0:
         raise GraphError(f"edgefactor must be >= 0, got {edgefactor}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise GraphError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = 1 << scale
     m = edgefactor << scale

@@ -75,6 +75,11 @@ class TestPickSources:
         with pytest.raises(BFSError):
             pick_sources(rmat_small, -1)
 
+    @pytest.mark.parametrize("seed", [-1, np.int32(-3)])
+    def test_negative_seed(self, rmat_small, seed):
+        with pytest.raises(BFSError, match=f"seed must be >= 0, got {seed}"):
+            pick_sources(rmat_small, 2, seed=seed)
+
     def test_no_eligible(self):
         from repro.graph.csr import CSRGraph
 

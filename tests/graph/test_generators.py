@@ -76,6 +76,13 @@ class TestRmatEdges:
         with pytest.raises(GraphError):
             rmat_edges(4, -1)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(GraphError, match=f"seed must be >= 0, got {seed}"):
+            rmat_edges(4, seed=seed)
+        with pytest.raises(GraphError, match="seed must be >= 0"):
+            rmat(4, seed=seed)
+
     def test_non_integer_parameters_rejected(self):
         with pytest.raises(GraphError, match="scale"):
             rmat_edges(1.5)

@@ -1,6 +1,5 @@
 """Unit tests for repro.graph.validate (Graph 500-style checks)."""
 
-import os
 import sys
 import threading
 import tracemalloc
@@ -14,10 +13,13 @@ from repro.errors import ValidationError
 from repro.graph import validate
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import ring, rmat, star
+from repro.graph.io import load_npz, save_npz
 from repro.graph.validate import (
     _blocks,
+    _half_list,
+    _half_spans,
     _level_keys,
-    _scan_entries,
+    _scan_directed,
     check_bfs,
     validate_bfs,
 )
@@ -25,10 +27,8 @@ from repro.graph.validate import (
 
 @pytest.fixture()
 def blocked(monkeypatch):
-    """Blocks of 64 entries scanned by three worker threads, whatever
-    the host's CPU count."""
+    """Blocks of 64 entries, in the CSR and in the half list."""
     monkeypatch.setattr(validate, "_BLOCK", 64)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
 
 
 @pytest.fixture()
@@ -314,8 +314,8 @@ class TestDirected:
             assert check_bfs(g, s, res.parent, res.level) == []
 
     def test_blocked_scan_counts_like_one_block(self, blocked):
-        """The directed branch through blocks of 64 entries on three
-        threads: the reference passes and a cut-off subtree counts."""
+        """The directed branch through blocks of 64 entries: the
+        reference passes and a cut-off subtree counts."""
         g = _random_directed(9)
         assert _blocks(g.offsets)[0].size > 3
         res = bfs_reference(g, 0)
@@ -390,24 +390,45 @@ class TestDtypes:
 
     def test_wide_keys_count_like_narrow_ones(self, valid_run):
         """Graphs with 3n >= 2**30 get int64 keys; the per-entry
-        arithmetic must count the same as with int32 keys."""
+        arithmetic of the half-list scan and of the directed scan must
+        count the same as with int32 keys."""
         g, s, parent, level = valid_run
-        rng = np.random.default_rng(1)
-        level = np.where(rng.random(level.size) < 0.1, -1, level)
-        level[rng.integers(level.size, size=20)] += 2
+        level = _perturbed(level)
         key = _level_keys(level, g.num_vertices)
-        claim = np.where(level > 0, parent, -1).astype(np.int32)
         wide_key = key.astype(np.int64)
         wide_key[level < 0] = np.iinfo(np.int64).min
-        narrow = _scan_entries(g, key, claim)
-        wide = _scan_entries(g, wide_key, claim)
-        assert key.dtype == np.int32 and narrow == wide
+        half = _half_list(g)
+        narrow = _half_spans(half, key)
+        assert key.dtype == np.int32 and narrow == _half_spans(half, wide_key)
+        assert narrow[0] > 0 and narrow[1] > 0
+
+        d = _random_directed(9)
+        res = bfs_reference(d, 0)
+        level = _perturbed(res.level)
+        key = _level_keys(level, d.num_vertices)
+        key[level < 0] = np.iinfo(np.int32).max
+        wide_key = key.astype(np.int64)
+        wide_key[level < 0] = np.iinfo(np.int64).max
+        claim = np.where(level > 0, res.parent, -1).astype(np.int32)
+        narrow = _scan_directed(d, key, claim)
+        assert narrow == _scan_directed(d, wide_key, claim)
         assert narrow[0] > 0 and narrow[1] > 0
 
     def test_wide_keys_count_alike_in_blocks(self, valid_run, blocked):
-        """The same comparison through the blocked, threaded scan."""
+        """The same comparisons through the blocked scans."""
         assert _blocks(valid_run[0].offsets)[0].size > 3
+        assert _blocks(_half_list(valid_run[0]).offsets)[0].size > 3
+        assert _blocks(_random_directed(9).offsets)[0].size > 3
         self.test_wide_keys_count_like_narrow_ones(valid_run)
+
+
+def _perturbed(level):
+    """``level`` with a tenth of the vertices unreached and 20 levels
+    raised by two: check 5 finds far and mixed entries."""
+    rng = np.random.default_rng(1)
+    level = np.where(rng.random(level.size) < 0.1, -1, level)
+    level[rng.integers(level.size, size=20)] += 2
+    return level
 
 
 def _offsets(degrees):
@@ -454,6 +475,10 @@ class TestBlocks:
             assert set(long_rows) <= set(first[single].tolist())
 
     def test_threads_count_like_one_block(self, valid_run, monkeypatch):
+        """Eight caller threads, switching every microsecond, check the
+        same output on a graph whose half list none has built yet: at
+        every block size each gets the one-block failure list, and the
+        graph keeps one list."""
         g, s, parent, level = valid_run
         rng = np.random.default_rng(2)
         level = np.where(rng.random(level.size) < 0.05, -1, level)
@@ -463,71 +488,50 @@ class TestBlocks:
         level[rng.integers(level.size, size=30)] += 2
         whole = check_bfs(g, s, parent, level)
         assert len(whole) >= 4
-        for block, workers in ((64, 1), (64, 3), (1000, 2), (7, 16)):
-            monkeypatch.setattr(validate, "_BLOCK", block)
-            monkeypatch.setattr(os, "cpu_count", lambda: workers)
-            assert check_bfs(g, s, parent, level) == whole
-
-    def test_many_threads_short_switch_interval(self, valid_run, monkeypatch):
-        """More workers than cores, switching threads every microsecond: a
-        lost count or mask would change the failure list."""
-        g, s, parent, level = valid_run
-        parent[::97] = (parent[::97] + 1) % parent.size
-        whole = check_bfs(g, s, parent, level)
-        assert "tree edges are not graph edges" in " ".join(whole)
-        monkeypatch.setattr(validate, "_BLOCK", 16)
-        monkeypatch.setattr(os, "cpu_count", lambda: 32)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                assert check_bfs(g, s, parent, level) == whole
+            for block in (64, 1000, 7):
+                monkeypatch.setattr(validate, "_BLOCK", block)
+                fresh = CSRGraph(g.offsets, g.targets)
+                got = []
+                threads = [
+                    threading.Thread(
+                        target=lambda: got.append(
+                            check_bfs(fresh, s, parent, level)
+                        )
+                    )
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert got == [whole] * 8
+                assert _half_list(fresh) is _half_list(fresh)
         finally:
             sys.setswitchinterval(interval)
 
-    @staticmethod
-    def _scan_threads(monkeypatch, valid_run):
-        """Threads that ran ``_scan_run`` during one valid check."""
-        seen = []
-        scan_run = validate._scan_run
-
-        def spy(*args):
-            seen.append(threading.get_ident())
-            return scan_run(*args)
-
-        monkeypatch.setattr(validate, "_scan_run", spy)
-        assert check_bfs(*valid_run) == []
-        return seen
-
-    def test_runs_on_worker_threads(self, valid_run, blocked, monkeypatch):
-        """Three runs: one on the calling thread, two on pool threads."""
-        seen = self._scan_threads(monkeypatch, valid_run)
-        assert len(seen) == 3 and seen.count(threading.get_ident()) == 1
-
-    def test_one_block_runs_inline(self, valid_run, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _blocks(valid_run[0].offsets)[0].size == 1
-        seen = self._scan_threads(monkeypatch, valid_run)
-        assert seen == [threading.get_ident()]
-
 
 class TestMemory:
-    def test_peak_does_not_grow_with_entries(self, monkeypatch):
-        """The scan's temporaries are bounded by the block size, so one
-        check's traced peak is the same at 3.3 times the entries (R-MAT
-        scale 15, edgefactor 16 and 64; the whole-array scan it replaced
-        peaked at 15.3 and 48.9 MiB).
-
-        The scan runs on one thread, so the peak is one run's scratch.
-        On two threads it depends on whether both runs' scratch is
-        live at once, which thread scheduling decides: the edgefactor-16
-        peak alone read 3.65 to 5.91 MB across runs."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    def test_peak_does_not_grow_with_entries(self):
+        """The scans' temporaries are bounded by the block size, so a
+        warm check's traced peak is the same at 3.3 times the entries
+        (R-MAT scale 15, edgefactor 16 and 64; the whole-array scan of
+        every entry peaked at 15.3 and 48.9 MiB).  The half list the
+        first check builds and keeps is four bytes per edge plus the
+        row offsets."""
         peaks = []
         for edgefactor in (16, 64):
             g = rmat(15, edgefactor, seed=0)
             root = int(np.argmax(g.degrees))
             res = bfs_hybrid(g, root, m=20, n=100)
+            assert check_bfs(g, root, res.parent, res.level) == []
+            half = _half_list(g)
+            assert half.targets.nbytes + half.offsets.nbytes <= (
+                g.targets.nbytes // 2 + g.offsets.nbytes
+            )
             tracemalloc.start()
             try:
                 assert check_bfs(g, root, res.parent, res.level) == []
@@ -535,3 +539,96 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def _counting_builds(monkeypatch):
+    """Patch the half-list build to count its calls."""
+    calls = []
+    build = validate._build_half
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(validate, "_build_half", spy)
+    return calls
+
+
+class TestHalfList:
+    """The half list of a symmetric graph: built once per frozen graph,
+    never stale on a writable one, and only for entries that mirror."""
+
+    NOT_MIRRORED = ["graph is marked symmetric but its entries do not mirror"]
+
+    def test_built_once_per_frozen_graph(self, monkeypatch):
+        calls = _counting_builds(monkeypatch)
+        g = ring(12)
+        res = bfs_reference(g, 0)
+        for _ in range(3):
+            assert check_bfs(g, 0, res.parent, res.level) == []
+        assert len(calls) == 1
+        half = _half_list(g)
+        assert _half_list(g) is half and len(calls) == 1
+        assert half.targets.tolist() == [1, 11, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+        assert not half.targets.flags.writeable
+
+    def test_writable_copy_builds_afresh(self, monkeypatch):
+        """An edit to a writable copy shows in the next check: the copy
+        never reads a list built before the edit."""
+        calls = _counting_builds(monkeypatch)
+        g = ring(12)
+        res = bfs_reference(g, 0)
+        assert check_bfs(g, 0, res.parent, res.level) == []
+        w = g.copy_writable()
+        assert check_bfs(w, 0, res.parent, res.level) == []
+        assert len(calls) == 2
+        w.targets[0] = 2  # 0 -> 2 has no 2 -> 0, and 1 -> 0 lost its mirror
+        assert check_bfs(w, 0, res.parent, res.level) == self.NOT_MIRRORED
+        assert len(calls) == 3
+        assert check_bfs(g, 0, res.parent, res.level) == []
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        ("degrees", "targets"),
+        [
+            ([1, 0], [1]),
+            ([1, 0, 1], [1, 0]),
+            ([3, 1, 2], [1, 1, 2, 0, 0, 0]),
+        ],
+        ids=["one-way", "same-count", "multiplicity"],
+    )
+    def test_hand_built_graph_that_does_not_mirror(self, degrees, targets):
+        """``CSRGraph(offsets, targets)`` is marked symmetric by default.
+        The entries below mirror no entry, although in the second graph
+        the counts above and below the diagonal agree and in the third
+        the pairs do."""
+        g = CSRGraph(_offsets(degrees), np.array(targets))
+        assert g.symmetric
+        parent = [0] + [-1] * (len(degrees) - 1)
+        level = [0] + [-1] * (len(degrees) - 1)
+        assert check_bfs(g, 0, parent, level) == self.NOT_MIRRORED
+        with pytest.raises(ValidationError, match="do not mirror"):
+            validate_bfs(g, 0, parent, level)
+
+    def test_tampered_file_does_not_mirror(self, tmp_path):
+        path = tmp_path / "g.npz"
+        save_npz(ring(6), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["targets"][0] = 3  # row 0 was [1, 5]
+        np.savez_compressed(path, **arrays)
+        g = load_npz(path)
+        res = bfs_reference(ring(6), 0)
+        assert check_bfs(g, 0, res.parent, res.level) == self.NOT_MIRRORED
+
+    def test_repeated_entries_claim_once(self):
+        """Without de-duplication row 1 holds 0 twice; vertex 1 still
+        claims one tree edge."""
+        g = CSRGraph.from_edges([0, 0, 1], [1, 1, 2], 3, dedup=False)
+        assert g.neighbors(1).tolist() == [0, 0, 2]
+        assert not _half_list(g).distinct
+        assert check_bfs(g, 0, [0, 0, 1], [0, 1, 2]) == []
+        assert check_bfs(g, 0, [0, 0, 0], [0, 1, 2]) == [
+            "1 tree edges do not drop exactly one level",
+            "1 tree edges are not graph edges",
+        ]

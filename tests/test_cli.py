@@ -1,10 +1,16 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -95,6 +101,50 @@ class TestMain:
         assert main(["bfs", "--scale", "-1"]) == 2
         err = capsys.readouterr().err
         assert err == "repro-bfs: GraphError: scale must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph500", "--roots", "2"],
+            ["sanitize"],
+            ["bfs"],
+            ["trace", "--out", "{tmp}/t"],
+            ["profile", "--out", "{tmp}/p"],
+            ["monitor", "record", "--history", "{tmp}/h.jsonl"],
+        ],
+        ids=["graph500", "sanitize", "bfs", "trace", "profile", "record"],
+    )
+    def test_negative_seed_is_one_stderr_line(self, capsys, tmp_path, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--scale", "8", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro-bfs: GraphError: seed must be >= 0, got -1\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        """The reader leaves after one line, as ``| head -1`` does.  The
+        child writes unbuffered, so the next ``print`` meets the closed
+        pipe."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "bfs", "--scale", "10",
+             "--engine", "hybrid", "--m", "20", "--n", "100"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as child:
+            try:
+                first = child.stdout.readline()
+                child.stdout.close()
+                err = child.stderr.read()
+                status = child.wait(timeout=120)
+            finally:
+                child.kill()
+        assert first.startswith(b"generating R-MAT scale=10")
+        assert (status, err) == (1, b"")
 
     def test_graph500_scale_beyond_int32_ids(self, capsys):
         assert main(["graph500", "--scale", "32", "--roots", "1"]) == 2
